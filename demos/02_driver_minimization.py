@@ -1,7 +1,7 @@
 """The strategy-indexed driver and its constrained infimum.
 
-Shows the linear driver f_pi, the safeguarded-Newton minimizer against a
-brute-force scan, the Lipschitz bound of the infimum, and the quadratic
+Shows the linear driver f_pi, the closed-form (Lambert W) minimizer against
+a brute-force scan, the Lipschitz bound of the infimum, and the quadratic
 driver reached through the log change of variables.
 """
 import math

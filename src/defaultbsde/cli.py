@@ -22,7 +22,8 @@ from .approx import NonConvergenceError, converge, k_sweep
 from .driver import StrategySet
 from .model import (Claim, Constant, DefaultIndicator, MarketModel,
                     PiecewiseConstant, RegimeCoefficients, StockPayoff,
-                    TimeGrid, simulate_paths, validate_model)
+                    TimeGrid, ValidationReport, euler_factor_violation,
+                    simulate_paths, validate_model)
 from .oracle import brute_force_dp, martingale_check
 from .pricing import PriceReport, indifference_price
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
@@ -188,8 +189,17 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
+def _validate(cfg: RunConfig) -> ValidationReport:
+    """validate_model plus the solver's Euler-factor check at this quadrature."""
     rep = validate_model(cfg.model)
+    euler = euler_factor_violation(cfg.model, cfg.quad().max_abs_node)
+    if euler is not None:
+        rep.violations.append(f"solver: {euler}")
+    return rep
+
+
+def _cmd_validate(cfg: RunConfig) -> int:
+    rep = _validate(cfg)
     payload = {
         "ok": rep.ok,
         "violations": rep.violations,
@@ -205,7 +215,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 
 def _require_valid(cfg: RunConfig) -> None:
-    rep = validate_model(cfg.model)
+    rep = _validate(cfg)
     if not rep.ok:
         raise ConfigError("model: " + "; ".join(rep.violations))
 

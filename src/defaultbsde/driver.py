@@ -8,8 +8,17 @@ Per-strategy linear driver (the generator of the per-strategy value process):
 The value-function driver is the infimum of f_pi over pi in C = [lo, hi].
 On the domain y > 0, y + u >= 0 the map pi -> f_pi is strictly convex
 (d2f/dpi2 = gamma^2 sigma^2 y + lam gamma^2 beta^2 e^{-gamma pi beta}(y+u)),
-so the argmin is unique and a safeguarded Newton iteration on df/dpi with a
-bisection fallback converges with a guaranteed bracket.
+so the argmin is unique: the clip to [lo, hi] of the root of df/dpi = 0.
+That root is explicit.  With the vertex A = (mu + sigma z/y) / (gamma sigma^2)
+the first-order condition reads pi - A = (lam beta (1 + u/y) / (gamma sigma^2))
+e^{-gamma beta pi}, whose solution is
+
+    pi* = A + W0(kappa) / (gamma beta),
+    kappa = (lam beta^2 (1 + u/y) / sigma^2) e^{-gamma beta A} >= 0,
+
+with W0 the principal branch of the Lambert W function (Corless et al.,
+"On the Lambert W function", 1996).  kappa is handled through ln kappa, so
+large gamma beta A cannot overflow.
 
 After the change of variables y = (1/gamma) log Y, z = Z/(gamma Y),
 u = (1/gamma) log(1 + U/Y), the same infimum becomes the quadratic driver
@@ -40,9 +49,8 @@ __all__ = [
     "jump_comparison_bounds",
 ]
 
-# absolute argmin tolerance is ARGMIN_TOL * (1 + hi - lo)
-ARGMIN_TOL = 1e-10
-_MAX_ITER = 200
+# Newton steps in _lambert_w0_exp; four reach rounding level for every ln kappa
+_W0_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -96,28 +104,30 @@ def f_pi(c: CoeffSnapshot, pi, y, z, u):
     return 0.5 * g * g * pi * pi * c.sigma ** 2 * y - g * pi * (c.mu * y + c.sigma * z) - jump
 
 
-def _newton_argmin(d1, d2, lo: float, hi: float, tol: float, x0) -> np.ndarray:
-    """Vectorized safeguarded Newton for the root of an increasing d1 on [lo, hi].
+def _lambert_w0_exp(log_x):
+    """Principal Lambert W of exp(log_x), elementwise, without forming exp(log_x).
 
-    d1 must be strictly increasing with d1(lo) < 0 < d1(hi) elementwise;
-    callers clip out the boundary cases first.
+    Newton steps on w + ln w = log_x, w <- w (1 + log_x - ln w) / (1 + w),
+    from w = log_x - ln log_x (log_x > 1) or log1p(exp(log_x)); the iterates
+    stay positive and reach rounding level within _W0_STEPS steps.  An
+    argument whose exp underflows (log_x = -inf included) gives 0.
     """
-    lo_b = np.full_like(x0, lo)
-    hi_b = np.full_like(x0, hi)
-    x = np.clip(x0, lo_b, hi_b)
-    for _ in range(_MAX_ITER):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = d1(x)
-            lo_b = np.where(d <= 0.0, x, lo_b)
-            hi_b = np.where(d > 0.0, x, hi_b)
-            step = d / d2(x)
-            cand = x - step
-        mid = 0.5 * (lo_b + hi_b)
-        good = np.isfinite(cand) & (cand > lo_b) & (cand < hi_b) & (cand != x)
-        x = np.where(good, cand, mid)
-        if float(np.max(hi_b - lo_b)) < tol:
-            break
-    return x
+    log_x = np.asarray(log_x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.where(log_x > 1.0, log_x - np.log(np.maximum(log_x, 1.0)),
+                     np.log1p(np.exp(np.minimum(log_x, 1.0))))
+        for _ in range(_W0_STEPS):
+            w = w * (1.0 + log_x - np.log(w)) / (1.0 + w)
+    return np.where(w > 0.0, w, 0.0)
+
+
+def _argmin(c: CoeffSnapshot, strat: StrategySet, vertex, log_tail):
+    """clip(vertex + W0(kappa) / (gamma beta), lo, hi) with
+    ln kappa = ln(lam beta^2 / sigma^2) + log_tail; requires lam * beta != 0."""
+    log_kappa = (math.log(c.lam) + 2.0 * math.log(abs(c.beta))
+                 - 2.0 * math.log(c.sigma) + log_tail)
+    pi = vertex + _lambert_w0_exp(log_kappa) / (c.gamma * c.beta)
+    return np.clip(pi, strat.lo, strat.hi)
 
 
 def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet, y, z, u):
@@ -137,46 +147,13 @@ def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet, y, z, u):
 
     zn = z / y
     un = u / y
-    g, sig, lam, beta = c.gamma, c.sigma, c.lam, c.beta
-    lo, hi = strat.lo, strat.hi
-    tol = ARGMIN_TOL * (1.0 + strat.width)
-
-    vertex = (c.mu + sig * zn) / (g * sig * sig)
-    jump_w = lam * beta * (1.0 + un)          # weight of the jump term in d1
-    pi = np.clip(vertex, lo, hi)              # exact for nodes without jump term
-
-    active = jump_w != 0.0
-    if np.any(active):
-        zn_a = zn[active]
-        w_a = jump_w[active]
-
-        def d1(x):
-            return (g * g * sig * sig * x - g * (c.mu + sig * zn_a)
-                    - g * w_a * np.exp(-g * x * beta))
-
-        def d2(x):
-            return g * g * sig * sig + g * g * beta * w_a * np.exp(-g * x * beta)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            at_lo = d1(np.full(w_a.shape, float(lo))) >= 0.0
-            at_hi = d1(np.full(w_a.shape, float(hi))) <= 0.0
-        sol = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        interior = ~(at_lo | at_hi)
-        if np.any(interior):
-            x0 = pi[active][interior].astype(float)
-            zi = zn_a[interior]
-            wi = w_a[interior]
-
-            def d1_i(x):
-                return (g * g * sig * sig * x - g * (c.mu + sig * zi)
-                        - g * wi * np.exp(-g * x * beta))
-
-            def d2_i(x):
-                return g * g * sig * sig + g * g * beta * wi * np.exp(-g * x * beta)
-
-            sol[interior] = _newton_argmin(d1_i, d2_i, lo, hi, tol, x0)
-        pi = pi.copy()
-        pi[active] = sol
+    vertex = (c.mu + c.sigma * zn) / (c.gamma * c.sigma * c.sigma)
+    if c.lam * c.beta == 0.0:
+        pi = np.clip(vertex, strat.lo, strat.hi)
+    else:
+        # y + u = 0 gives ln 0 = -inf, kappa = 0 and the vertex itself
+        with np.errstate(divide="ignore"):
+            pi = _argmin(c, strat, vertex, np.log1p(un) - c.gamma * c.beta * vertex)
 
     f_min = y * f_pi(c, pi, 1.0, zn, un)
     return f_min, pi
@@ -187,10 +164,11 @@ def minimize_driver(c: CoeffSnapshot, strat: StrategySet, y: float, z: float,
     """Constrained infimum of f_pi over pi in [lo, hi] and its argmin.
 
     Requires y > 0 and y + u >= 0 (the domain where the value function lives;
-    a violation signals an out-of-domain solver iterate).  The argmin is
-    accurate to 1e-10 * (1 + hi - lo); under strict convexity it is unique,
-    and in the degenerate width-zero set it is the single point (ties toward
-    the smallest |pi| never arise otherwise).
+    a violation signals an out-of-domain solver iterate).  The argmin is the
+    closed-form root of df/dpi clipped to [lo, hi], exact up to rounding;
+    under strict convexity it is unique, and in the degenerate width-zero set
+    it is the single point (ties toward the smallest |pi| never arise
+    otherwise).
     """
     f, p = minimize_driver_grid(c, strat, np.atleast_1d(float(y)),
                                 np.atleast_1d(float(z)), np.atleast_1d(float(u)))
@@ -207,26 +185,12 @@ def g_quadratic(c: CoeffSnapshot, strat: StrategySet, z: float, u: float) -> flo
     g, sig, lam, beta = c.gamma, c.sigma, c.lam, c.beta
     theta = (c.mu + lam * beta) / sig
     a = z + theta / g
-    lo, hi = strat.lo, strat.hi
-    tol = ARGMIN_TOL * (1.0 + strat.width)
-
+    # first-order condition: pi - A = (lam beta / (gamma sigma^2)) e^{gamma (u - beta pi)}
+    vertex = a / sig - lam * beta / (g * sig * sig)
     if lam * beta == 0.0:
-        pi = min(max(a / sig, lo), hi)
+        pi = min(max(vertex, strat.lo), strat.hi)
     else:
-        def d1(x):
-            return g * sig * (x * sig - a) - lam * beta * (np.exp(g * (u - x * beta)) - 1.0)
-
-        def d2(x):
-            return g * sig * sig + lam * g * beta * beta * np.exp(g * (u - x * beta))
-
-        with np.errstate(over="ignore"):
-            if d1(np.float64(lo)) >= 0.0:
-                pi = lo
-            elif d1(np.float64(hi)) <= 0.0:
-                pi = hi
-            else:
-                x0 = np.atleast_1d(np.clip(a / sig, lo, hi))
-                pi = float(_newton_argmin(d1, d2, lo, hi, tol, x0)[0])
+        pi = float(_argmin(c, strat, vertex, g * (u - beta * vertex)))
 
     v = u - pi * beta
     penalty = 0.5 * g * (pi * sig - a) ** 2 + lam * (math.exp(g * v) - 1.0 - g * v) / g

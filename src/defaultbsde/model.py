@@ -38,6 +38,7 @@ __all__ = [
     "ValidationReport",
     "PathEnsemble",
     "validate_model",
+    "euler_factor_violation",
     "simulate_paths",
     "claim_payoff",
 ]
@@ -328,18 +329,13 @@ def validate_model(model: MarketModel) -> ValidationReport:
     if dt * c.lam.vmax() >= 1.0:
         rep.violations.append("dt * max(lambda) must be < 1 (refine the time grid)")
 
-    # positivity of the truncated Euler factor 1 + mu*dt - 6*sigma*sqrt(dt)
+    # positivity of the truncated Euler factor of the forward simulation
+    euler = euler_factor_violation(model, DW_CLIP)
+    if euler is not None:
+        rep.violations.append(euler)
+
     starts = sorted({b for pc in (c.mu_pre, c.sigma_pre, c.mu_post, c.sigma_post,
                                   c.beta, c.lam) for b in pc.breaks})
-    for t in starts:
-        for regime, mu, sig in (("pre", c.mu_pre(t), c.sigma_pre(t)),
-                                ("post", c.mu_post(t), c.sigma_post(t))):
-            if 1.0 + mu * dt - DW_CLIP * sig * math.sqrt(dt) <= 0.0:
-                rep.violations.append(
-                    f"{regime}-default Euler factor can reach zero at t={t:g} "
-                    "(dt too coarse for this sigma)")
-                break
-
     for t in starts:
         mu0, s0_, lam0, beta0 = c.at(t, defaulted=False)
         mu1, s1_, _, _ = c.at(t, defaulted=True)
@@ -350,6 +346,37 @@ def validate_model(model: MarketModel) -> ValidationReport:
         if not math.isfinite(a_pre) or not math.isfinite(a_post):
             rep.violations.append(f"market price of risk non-finite at t={t:g}")
     return rep
+
+
+def _on_times(pc: PiecewiseConstant, t: np.ndarray) -> np.ndarray:
+    """pc evaluated elementwise at the times t."""
+    idx = np.searchsorted(pc.breaks, t, side="right") - 1
+    return np.asarray(pc.values)[np.maximum(idx, 0)]
+
+
+def euler_factor_violation(model: MarketModel, shock: float) -> str | None:
+    """Report a nonpositive no-jump Euler factor 1 + mu dt - shock sigma sqrt(dt).
+
+    ``shock`` is the largest normalized Gaussian move a scheme uses: DW_CLIP
+    for the forward simulation, the largest quadrature node for the backward
+    solver.  Both regimes are checked at the step start times t_0..t_{N-1},
+    where both schemes read their coefficients.  Returns a message naming the
+    latest offending step (the first a backward sweep meets), or None.
+    """
+    g, c = model.grid, model.coeffs
+    t = g.times()[:-1]
+    worst = None
+    for regime, mu, sig in (("post", c.mu_post, c.sigma_post),
+                            ("pre", c.mu_pre, c.sigma_pre)):
+        bad = np.flatnonzero(1.0 + _on_times(mu, t) * g.dt
+                             - _on_times(sig, t) * math.sqrt(g.dt) * shock <= 0.0)
+        if bad.size and (worst is None or bad[-1] > worst[1]):
+            worst = (regime, int(bad[-1]))
+    if worst is None:
+        return None
+    regime, i = worst
+    return (f"{regime}-default Euler factor 1 + mu*dt - {shock:.4g}*sigma*sqrt(dt) "
+            f"is nonpositive at step {i} (t={t[i]:g}): dt too coarse for this sigma")
 
 
 @dataclass

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import open_output
 from .driver import CoeffSnapshot, StrategySet, minimize_driver_grid
-from .model import Claim, MarketModel
+from .model import Claim, MarketModel, euler_factor_violation
 
 __all__ = [
     "SpaceGrid",
@@ -100,6 +100,11 @@ class Quadrature:
         w = 0.5 * (w + w[::-1])
         return cls(z, w)
 
+    @property
+    def max_abs_node(self) -> float:
+        """Largest normalized Gaussian move; bounds the Euler factors the solver uses."""
+        return float(np.max(np.abs(self.nodes)))
+
 
 @dataclass
 class ValueSurface:
@@ -151,15 +156,45 @@ class ValueSurface:
                                  f"{cell(u)},{cell(self.pi_hat[i, j, n])}\n")
 
 
-def _diffusion_moves(mu: float, sig: float, dt: float, zeta: np.ndarray,
-                     step: int) -> np.ndarray:
-    """Log-moves of the no-jump Euler branch; factors must stay positive."""
-    factors = 1.0 + mu * dt + sig * math.sqrt(dt) * zeta
-    if np.any(factors <= 0.0):
-        raise SolverError(
-            f"solver: nonpositive Euler factor at step {step} "
-            "(dt too coarse for this sigma / quadrature width)")
-    return np.log(factors)
+def _step(c: CoeffSnapshot, strat: StrategySet, x: np.ndarray, quad: Quadrature,
+          dt: float, y_next: np.ndarray, y_jump: np.ndarray | None, step: int,
+          refine: bool):
+    """One backward step of one regime; returns (Y, Z, U, pi_hat) at the nodes x.
+
+    ``y_jump`` is the post-default row that the pre-default regime jumps to;
+    the post-default regime passes None and c.lam = 0, and its U is None.
+    """
+    regime = "post-default" if y_jump is None else "pre-default"
+    sqdt = math.sqrt(dt)
+    moves = np.log(1.0 + c.mu * dt + c.sigma * sqdt * quad.nodes)
+    vals = np.interp((x[:, None] + moves[None, :]).ravel(), x,
+                     y_next).reshape(x.size, quad.nodes.size)
+    nojump = vals @ quad.weights
+    p = 1.0 - math.exp(-c.lam * dt)
+    Z = (1.0 - p) * (vals @ (quad.weights * quad.nodes)) / sqdt
+    u_eff = np.zeros(x.size)  # the driver's jump argument; zero without jumps
+    if y_jump is None:
+        E, U = nojump, None
+    else:
+        vjump = np.interp(x + math.log1p(c.beta), x, y_jump)
+        E = (1.0 - p) * nojump + p * vjump
+        U = vjump - nojump
+        _check_positive(E, step, f"E ({regime})")
+        if c.lam > 0.0:
+            if np.any(E + U < 0.0):
+                j = int(np.argmin(E + U))
+                raise SolverError(
+                    f"solver: Y + U >= 0 violated at step {step}, node {j} "
+                    "(grid too coarse or L too small)")
+            u_eff = U
+    f, pi = minimize_driver_grid(c, strat, E, Z, u_eff)
+    y = E + dt * f
+    if refine:
+        _check_positive(y, step, f"Y ({regime}, pre-refine)")
+        f, pi = minimize_driver_grid(c, strat, y, Z, u_eff)
+        y = E + dt * f
+    _check_positive(y, step, f"Y ({regime})")
+    return y, Z, U, pi
 
 
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
@@ -169,20 +204,20 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     ``refine`` adds one fixed-point pass, re-evaluating the driver at the
     first-pass Y instead of the conditional mean E.
 
-    Raises SolverError when an iterate violates Y > 0 or Y + U >= 0,
-    reporting the offending step and node.
+    Raises SolverError when a diffusion move has a nonpositive Euler factor
+    at some quadrature node, or when an iterate violates Y > 0 or
+    Y + U >= 0, reporting the offending step and node.
     """
     g = model.grid
     n_steps, dt = g.n_steps, g.dt
     if dt * model.coeffs.lam.vmax() >= 1.0:
         raise SolverError("solver: dt * max(lambda) must be < 1")
+    euler = euler_factor_violation(model, quad.max_abs_node)
+    if euler is not None:
+        raise SolverError(f"solver: {euler}")
     times = g.times()
     x = space.nodes
     m1 = x.size
-    sqdt = math.sqrt(dt)
-    gamma = model.gamma
-    zeta, w = quad.nodes, quad.weights
-    wz = w * zeta
 
     Y = np.empty((n_steps + 1, m1, 2))
     Z = np.full((n_steps + 1, m1, 2), np.nan)
@@ -190,60 +225,17 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
 
     s_nodes = model.s0 * np.exp(x)
-    Y[n_steps, :, 0] = np.exp(-gamma * np.asarray(claim.payoff(s_nodes, 0), dtype=float))
-    Y[n_steps, :, 1] = np.exp(-gamma * np.asarray(claim.payoff(s_nodes, 1), dtype=float))
+    for n in (0, 1):
+        Y[n_steps, :, n] = np.exp(-model.gamma * np.asarray(claim.payoff(s_nodes, n), dtype=float))
 
     for i in range(n_steps - 1, -1, -1):
         t = float(times[i])
-
-        # post-default slice: pure diffusion, lambda = 0
-        mu1, s1, _, _ = model.coeffs.at(t, defaulted=True)
-        c1 = CoeffSnapshot(mu=mu1, sigma=s1, lam=0.0, beta=0.0, gamma=gamma)
-        moves1 = _diffusion_moves(mu1, s1, dt, zeta, i)
-        vals1 = np.interp((x[:, None] + moves1[None, :]).ravel(), x,
-                          Y[i + 1, :, 1]).reshape(m1, zeta.size)
-        E1 = vals1 @ w
-        Z1 = (vals1 @ wz) / sqdt
-        f1, p1 = minimize_driver_grid(c1, strat, E1, Z1, np.zeros(m1))
-        y1 = E1 + dt * f1
-        if refine:
-            _check_positive(y1, i, "Y (post-default, pre-refine)")
-            f1, p1 = minimize_driver_grid(c1, strat, y1, Z1, np.zeros(m1))
-            y1 = E1 + dt * f1
-        _check_positive(y1, i, "Y (post-default)")
-
-        # pre-default slice
-        mu0, s0c, lam, beta = model.coeffs.at(t, defaulted=False)
-        c0 = CoeffSnapshot(mu=mu0, sigma=s0c, lam=lam, beta=beta, gamma=gamma)
-        p = 1.0 - math.exp(-lam * dt)
-        moves0 = _diffusion_moves(mu0, s0c, dt, zeta, i)
-        vals0 = np.interp((x[:, None] + moves0[None, :]).ravel(), x,
-                          Y[i + 1, :, 0]).reshape(m1, zeta.size)
-        nojump = vals0 @ w
-        vjump = np.interp(x + math.log1p(beta), x, Y[i + 1, :, 1])
-        E0 = (1.0 - p) * nojump + p * vjump
-        Z0 = (1.0 - p) * (vals0 @ wz) / sqdt
-        U0 = vjump - nojump
-
-        _check_positive(E0, i, "E (pre-default)")
-        u_eff = U0 if lam > 0.0 else np.zeros(m1)
-        if lam > 0.0 and np.any(E0 + U0 < 0.0):
-            j = int(np.argmin(E0 + U0))
-            raise SolverError(
-                f"solver: Y + U >= 0 violated at step {i}, node {j} "
-                "(grid too coarse or L too small)")
-        f0, p0 = minimize_driver_grid(c0, strat, E0, Z0, u_eff)
-        y0 = E0 + dt * f0
-        if refine:
-            _check_positive(y0, i, "Y (pre-default, pre-refine)")
-            f0, p0 = minimize_driver_grid(c0, strat, y0, Z0, u_eff)
-            y0 = E0 + dt * f0
-        _check_positive(y0, i, "Y (pre-default)")
-
-        Y[i, :, 0], Y[i, :, 1] = y0, y1
-        Z[i, :, 0], Z[i, :, 1] = Z0, Z1
-        U[i, :] = U0
-        pi_hat[i, :, 0], pi_hat[i, :, 1] = p0, p1
+        post = CoeffSnapshot(*model.coeffs.at(t, defaulted=True), gamma=model.gamma)
+        pre = CoeffSnapshot(*model.coeffs.at(t, defaulted=False), gamma=model.gamma)
+        Y[i, :, 1], Z[i, :, 1], _, pi_hat[i, :, 1] = _step(
+            post, strat, x, quad, dt, Y[i + 1, :, 1], None, i, refine)
+        Y[i, :, 0], Z[i, :, 0], U[i, :], pi_hat[i, :, 0] = _step(
+            pre, strat, x, quad, dt, Y[i + 1, :, 0], Y[i + 1, :, 1], i, refine)
 
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)

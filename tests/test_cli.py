@@ -48,6 +48,17 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "sigma" in captured.err
 
+    def test_solver_euler_factor_exits_2(self, tmp_path, capsys):
+        # 20 quadrature nodes reach 7.62 > DW_CLIP: 1 - 7.62 * 0.3 * sqrt(0.25) < 0
+        cfg = write_config(tmp_path,
+                           model={"N": 4, "pre_default": {"mu": 0.0, "sigma": 0.3,
+                                                          "lambda": 0.1, "beta": 0.0}},
+                           numerics={"quad_nodes": 20})
+        assert main(["validate", str(cfg)]) == 2
+        assert "Euler factor" in capsys.readouterr().err
+        assert main(["solve", str(cfg)]) == 2
+        assert "Euler factor" in capsys.readouterr().err
+
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4
 

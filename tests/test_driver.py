@@ -26,6 +26,25 @@ def random_state(rng):
     return y, z, u
 
 
+def df_dpi_terms(c, pi, y, z, u):
+    """The three terms of d f_pi / d pi; they sum to zero at an interior argmin."""
+    g = c.gamma
+    return (g * g * c.sigma ** 2 * pi * y, -g * (c.mu * y + c.sigma * z),
+            -g * c.lam * c.beta * math.exp(-g * c.beta * pi) * (y + u))
+
+
+# (snapshot, k, y, z, u) for a scan over [-k, k]: one moderate case, then
+# extreme ones with sigma = 0.1, gamma = 3, |z|/y = 40, where ln kappa lies far
+# outside exp's range, beta is tiny, or y + u = 0 exactly (kappa = 0)
+DENSE_SCAN_CASES = [(snap(mu=0.05, lam=0.3, beta=-0.4), 3.0, 1.0, 0.2, -0.1)] + [
+    (snap(mu=0.05, sigma=0.1, lam=0.5, beta=beta, gamma=3.0), k, 1.0, z, u)
+    for beta, k in ((-0.9, 3.0), (2.0, 3.0), (1e-8, 3.0), (-1e-8, 3.0),
+                    (1e-8, 200.0), (-1e-8, 200.0))
+    for z in (40.0, -40.0)
+    for u in (0.5, -1.0)
+]
+
+
 class TestFPi:
     def test_zero_strategy_vanishes(self):
         c = snap(mu=0.3, sigma=0.7, lam=1.2, beta=0.5, gamma=2.0)
@@ -53,13 +72,12 @@ class TestMinimize:
 
     def test_dense_scan_oracle(self):
         # exhaustive grid scan of f over 1e6 + 1 equispaced strategies
-        c = snap(mu=0.05, lam=0.3, beta=-0.4)
-        y, z, u = 1.0, 0.2, -0.1
-        pis = np.linspace(-3.0, 3.0, 1_000_001)
-        scan_min = float(np.min(f_pi(c, pis, y, z, u)))
-        f, p = minimize_driver(c, StrategySet(-3, 3), y, z, u)
-        assert abs(f - scan_min) <= 1e-6
-        assert -3 <= p <= 3
+        for c, k, y, z, u in DENSE_SCAN_CASES:
+            pis = np.linspace(-k, k, 1_000_001)
+            scan_min = float(np.min(f_pi(c, pis, y, z, u)))
+            f, p = minimize_driver(c, StrategySet(-k, k), y, z, u)
+            assert abs(f - scan_min) <= 1e-6, (c, k, z, u)
+            assert -k <= p <= k, (c, k, z, u)
 
     def test_rejects_nonpositive_y(self):
         with pytest.raises(ValueError):
@@ -78,8 +96,8 @@ class TestMinimize:
         assert f == pytest.approx(float(f_pi(c, 0.7, 1.0, 0.1, 0.2)), rel=1e-14)
 
     def test_grid_mixed_active_nodes(self):
-        # nodes with y + u = 0 drop the jump term and take the vertex path,
-        # the others go through Newton; both must match the scalar op
+        # a node with y + u = 0 has kappa = 0 and lands on the vertex, the
+        # others on a Lambert W shift of it; both must match the scalar op
         from defaultbsde.driver import minimize_driver_grid
         c = snap(mu=0.1, sigma=0.5, lam=1.0, beta=0.6)
         strat = StrategySet(-2.0, 2.0)
@@ -99,9 +117,13 @@ class TestMinimize:
             lo, hi = sorted(rng.uniform(-4, 4, 2))
             strat = StrategySet(float(lo), float(hi))
             y, z, u = random_state(rng)
-            fmin, _ = minimize_driver(c, strat, y, z, u)
+            fmin, p = minimize_driver(c, strat, y, z, u)
             pis = rng.uniform(lo, hi, 16)
             assert np.all(fmin <= f_pi(c, pis, y, z, u) + 1e-11 * (1 + abs(fmin)))
+            if lo < p < hi:
+                # the closed-form root zeroes the derivative up to rounding
+                terms = df_dpi_terms(c, p, y, z, u)
+                assert abs(sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(11)

@@ -112,6 +112,16 @@ class TestInvariants:
         with pytest.raises(SolverError, match=r"step \d+"):
             solve(model, DefaultIndicator(0.0, 20.0), m_space=20)
 
+    def test_euler_factor_checked_at_quadrature_width(self):
+        # sigma sqrt(dt) = 0.15: 7 nodes (largest 3.75) are fine, 20 (7.62) are not
+        model = MarketModel(grid=TimeGrid(1.0, 4),
+                            coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.3,
+                                                               beta=0.0, lam=0.1),
+                            gamma=1.0)
+        solve(model, Constant(0.0), m_space=20, quad_nodes=7)
+        with pytest.raises(SolverError, match=r"Euler factor .* step 3"):
+            solve(model, Constant(0.0), m_space=20, quad_nodes=20)
+
 
 class TestStrategyExtraction:
     def test_merton_constant_one(self):
