@@ -23,8 +23,8 @@ from .driver import StrategySet
 from .model import (Claim, Constant, DefaultIndicator, MarketModel,
                     PiecewiseConstant, RegimeCoefficients, StockPayoff,
                     TimeGrid, ValidationReport, euler_factor_violation,
-                    simulate_paths, validate_model)
-from .oracle import brute_force_dp, martingale_check
+                    validate_model)
+from .oracle import brute_force_dp, martingale_check, monte_carlo_violation
 from .pricing import PriceReport, indifference_price
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
                      solve_bsde, surface_at_origin)
@@ -255,7 +255,10 @@ def _cmd_price(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig, n_threads: int) -> int:
+def _cmd_oracle(cfg: RunConfig) -> int:
+    bad = monte_carlo_violation(cfg.model, cfg.n_paths, cfg.seed)
+    if bad is not None:
+        raise ConfigError(f"oracle: {bad}")
     _require_valid(cfg)
     dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
@@ -263,22 +266,20 @@ def _cmd_oracle(cfg: RunConfig, n_threads: int) -> int:
     j0 = surface_at_origin(surface)
     strategy = extract_optimal_strategy(surface)
     drift = martingale_check(cfg.model, cfg.claim, surface, strategy,
-                             cfg.n_paths, cfg.seed, n_threads=n_threads)
+                             cfg.n_paths, cfg.seed)
     _diag(f"oracle: dp={dp:.12g} solver={j0:.12g} "
           f"rel_gap={abs(dp - j0) / abs(dp):.3g}")
     _diag(f"oracle: drift mean={drift.aggregate_mean:.6g} "
           f"se={drift.aggregate_se:.6g} within_3se={drift.within(3.0)}")
     if cfg.output.get("paths_csv"):
-        ens = simulate_paths(cfg.model, strategy, cfg.n_paths, cfg.seed,
-                             n_threads=n_threads)
-        emit_report(ens, cfg.output.get("paths_csv"))
+        emit_report(drift.ensemble, cfg.output.get("paths_csv"))
     emit_report(drift, cfg.output.get("drift_csv"))
     return 0
 
 
 def run(subcommand: str, config_path: str, seed: int | None = None,
         threads: int = 1) -> int:
-    """Dispatch one subcommand; returns the process exit code."""
+    """Dispatch one subcommand; returns the process exit code (``threads`` is unused)."""
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
@@ -302,7 +303,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         if subcommand == "price":
             return _cmd_price(cfg)
         if subcommand == "oracle":
-            return _cmd_oracle(cfg, threads)
+            return _cmd_oracle(cfg)
         _diag(f"cli: unknown subcommand '{subcommand}'")
         return 2
     except ConfigError as exc:
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's simulation seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads for path simulation")
+                        help="has no effect; kept for compatibility")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, seed=args.seed, threads=args.threads)
 

@@ -12,13 +12,12 @@ Forward dynamics (Euler, multiplicative; dW truncated at +-6*sqrt(dt)):
     X <- X + pi * dS / S,   X_0 = 0
 
 Default occurs in a step with probability 1 - exp(-lambda*dt) if it has not
-occurred yet.  Randomness is counter-based (Philox keyed by (seed, path)),
-so results are independent of how paths are partitioned across threads.
+occurred yet.  Randomness comes in bulk from one counter-based Philox stream
+keyed by the seed, so results depend only on (seed, n_paths).
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -424,24 +423,7 @@ class PathEnsemble:
                              f"{self.wealth[p, i]:.12g}\n")
 
 
-Strategy = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-
-
-def _call_strategy(strategy: Strategy, t: float, s: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Evaluate a strategy, broadcasting scalar-valued callables over paths."""
-    out = np.asarray(strategy(t, s, n), dtype=float)
-    return np.broadcast_to(out, s.shape)
-
-
-def _simulate_block(model: MarketModel, strategy: Strategy, seed: int,
-                    lo: int, hi: int, dW: np.ndarray, unif: np.ndarray) -> None:
-    """Fill per-path random draws for paths [lo, hi); keyed by (seed, path)."""
-    n = model.grid.n_steps
-    sq = math.sqrt(model.grid.dt)
-    for p in range(lo, hi):
-        gen = np.random.Generator(np.random.Philox(key=[seed, p]))
-        dW[p] = np.clip(gen.standard_normal(n) * sq, -DW_CLIP * sq, DW_CLIP * sq)
-        unif[p] = gen.random(n)
+Strategy = Callable[[float, np.ndarray, np.ndarray], np.ndarray | float]
 
 
 def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
@@ -449,8 +431,11 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     """Euler forward simulation of (S, X) under a bounded strategy pi(t, s, n).
 
     Per step, default occurs with probability 1 - exp(-lambda*dt) if it has
-    not occurred yet; S and X are updated with the same dW and dN.  Output is
-    bit-identical for identical (seed, n_paths) regardless of ``n_threads``.
+    not occurred yet; S and X are updated with the same dW and dN.  All draws
+    come from one Philox stream keyed by ``seed``: first the (n_paths, N)
+    Gaussian block, then the (n_paths, N) default uniforms.  Output is
+    bit-identical for identical (seed, n_paths).  ``n_threads`` has no effect
+    and is kept for compatibility.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -460,26 +445,18 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     n, dt = g.n_steps, g.dt
     times = g.times()
 
-    dW = np.empty((n_paths, n))
-    unif = np.empty((n_paths, n))
-    n_threads = max(1, int(n_threads))
-    if n_threads == 1 or n_paths < 2 * n_threads:
-        _simulate_block(model, strategy, seed, 0, n_paths, dW, unif)
-    else:
-        block = -(-n_paths // n_threads)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futs = [pool.submit(_simulate_block, model, strategy, seed,
-                                lo, min(lo + block, n_paths), dW, unif)
-                    for lo in range(0, n_paths, block)]
-            for f in futs:
-                f.result()
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    sq = math.sqrt(dt)
+    dW = gen.standard_normal((n_paths, n))
+    dW *= sq
+    np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
+    unif = gen.random((n_paths, n))
 
     n_path = np.zeros((n_paths, n + 1), dtype=np.int8)
     stock = np.empty((n_paths, n + 1))
-    wealth = np.empty((n_paths, n + 1))
+    wealth = np.zeros((n_paths, n + 1))
     tau_step = np.full(n_paths, -1, dtype=np.int64)
     stock[:, 0] = model.s0
-    wealth[:, 0] = 0.0
 
     c = model.coeffs
     for i in range(n):
@@ -492,10 +469,10 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
 
         p_def = 1.0 - math.exp(-lam0 * dt)
         jumps = alive & (unif[:, i] < p_def)
-        tau_step[jumps & (tau_step < 0)] = i
+        tau_step[jumps] = i
         dN = jumps.astype(float)
 
-        pi = _call_strategy(strategy, t, stock[:, i], n_path[:, i])
+        pi = strategy(t, stock[:, i], n_path[:, i])  # per path, or one scalar
         # jump composed multiplicatively: keeps S > 0 for every beta > -1 and
         # makes the self-financing identity dX = pi * dS/S exact per step
         ret = (1.0 + mu * dt + sig * dW[:, i]) * (1.0 + beta0 * dN) - 1.0

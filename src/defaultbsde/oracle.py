@@ -22,15 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import open_output
-from .model import Claim, MarketModel, StockPayoff, simulate_paths
+from .model import Claim, MarketModel, PathEnsemble, StockPayoff, simulate_paths
 from .solver import Quadrature, ValueSurface
 
-__all__ = ["DPTree", "DriftReport", "brute_force_dp", "martingale_check"]
+__all__ = ["DPTree", "DriftReport", "brute_force_dp", "martingale_check", "monte_carlo_violation"]
 
 MAX_N_SMALL = 10
 MAX_Q = 9
 MAX_G = 101
 DEFAULT_NODE_BUDGET = 2_000_000
+MIN_PATHS = 1000
+# martingale_check peaks near 50 bytes per path-step (n_paths * N), so this
+# caps the path arrays near 2 GB
+PATH_STEP_BUDGET = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,7 @@ class DriftReport:
     aggregate_mean: float
     aggregate_se: float
     n_paths: int
+    ensemble: PathEnsemble     # the paths the drift was computed from
 
     def within(self, n_se: float = 3.0) -> bool:
         return abs(self.aggregate_mean) <= n_se * self.aggregate_se
@@ -178,6 +183,19 @@ class DriftReport:
                 fh.write(f"{i},{t:.12g},{m:.12g},{se:.12g}\n")
 
 
+def monte_carlo_violation(model: MarketModel, n_paths: int, seed: int) -> str | None:
+    """Say why martingale_check cannot use these Monte Carlo inputs, or None."""
+    if n_paths < MIN_PATHS:
+        return f"need n_paths >= {MIN_PATHS} for a meaningful standard error"
+    steps = n_paths * model.grid.n_steps
+    if steps > PATH_STEP_BUDGET:
+        return (f"{n_paths} paths x {model.grid.n_steps} steps = {steps} path-steps "
+                f"exceeds the budget {PATH_STEP_BUDGET}; reduce n_paths or N")
+    if not 0 <= seed < 2**128:
+        return "seed must be in [0, 2**128)"
+    return None
+
+
 def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
                      strategy, n_paths: int, seed: int,
                      n_threads: int = 1) -> DriftReport:
@@ -185,13 +203,15 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
 
     V must be a submartingale under any bounded strategy and a martingale
     under the optimal one; the aggregate drift is the per-path total
-    V_T - V_0 averaged over paths, with its standard error.
+    V_T - V_0 averaged over paths, with its standard error.  ``n_threads``
+    has no effect and is kept for compatibility.
     """
-    if n_paths < 1000:
-        raise ValueError("oracle: need n_paths >= 1000 for a meaningful standard error")
+    bad = monte_carlo_violation(model, n_paths, seed)
+    if bad is not None:
+        raise ValueError(f"oracle: {bad}")
     if surface.model != model or surface.claim != claim:
         raise ValueError("oracle: surface was solved on a different model or claim")
-    ens = simulate_paths(model, strategy, n_paths, seed, n_threads=n_threads)
+    ens = simulate_paths(model, strategy, n_paths, seed)
     n = model.grid.n_steps
     v = np.empty((n_paths, n + 1))
     for i in range(n + 1):
@@ -207,4 +227,5 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
         aggregate_mean=float(totals.mean()),
         aggregate_se=float(totals.std(ddof=1) / sq),
         n_paths=n_paths,
+        ensemble=ens,
     )

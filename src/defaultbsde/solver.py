@@ -131,10 +131,7 @@ class ValueSurface:
 
     def y_at(self, i: int, s, n) -> np.ndarray:
         """Interpolate Y[i] at stock levels s for per-element default states n."""
-        x = np.log(np.asarray(s, dtype=float) / self.model.s0)
-        y0 = np.interp(x, self.space.nodes, self.Y[i, :, 0])
-        y1 = np.interp(x, self.space.nodes, self.Y[i, :, 1])
-        return np.where(np.asarray(n) == 1, y1, y0)
+        return _interp_regimes(self.space.nodes, self.Y[i], self.model.s0, s, n)
 
     def to_csv(self, path) -> None:
         """Columns i,t,j,x,s,n,Y,Z,U,pi_hat; U empty for n=1, decisions empty at i=N."""
@@ -154,6 +151,13 @@ class ValueSurface:
                         fh.write(f"{i},{times[i]:.12g},{j},{x[j]:.12g},{s[j]:.12g},{n},"
                                  f"{self.Y[i, j, n]:.12g},{cell(self.Z[i, j, n])},"
                                  f"{cell(u)},{cell(self.pi_hat[i, j, n])}\n")
+
+
+def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.ndarray:
+    """Read table[:, n] at log(s/s0), linear between the nodes x, flat beyond them."""
+    xq = np.log(np.asarray(s, dtype=float) / s0)
+    return np.where(np.asarray(n) == 1, np.interp(xq, x, table[:, 1]),
+                    np.interp(xq, x, table[:, 0]))
 
 
 def _step(c: CoeffSnapshot, strat: StrategySet, x: np.ndarray, quad: Quadrature,
@@ -263,11 +267,7 @@ def extract_optimal_strategy(surface: ValueSurface):
     def strategy(t: float, s, n):
         # small epsilon so grid times t_i map to step i despite rounding
         i = min(max(int(math.floor(t / dt + 1e-9)), 0), n_steps - 1)
-        xq = np.log(np.asarray(s, dtype=float) / model.s0)
-        v0 = np.interp(xq, x, pi[i, :, 0])
-        v1 = np.interp(xq, x, pi[i, :, 1])
-        out = np.where(np.asarray(n) == 1, v1, v0)
-        return np.clip(out, strat.lo, strat.hi)
+        return np.clip(_interp_regimes(x, pi[i], model.s0, s, n), strat.lo, strat.hi)
 
     return strategy
 

@@ -170,6 +170,46 @@ class TestSolveAndOracle:
         assert out1.read_bytes() != out2.read_bytes()  # overridden seed differs
 
 
+class TestOracleInputs:
+    def test_paths_csv_simulates_once(self, tmp_path, monkeypatch):
+        from defaultbsde import cli, oracle
+        real, calls = oracle.simulate_paths, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # every module-level name the oracle command could reach it by
+        monkeypatch.setattr(oracle, "simulate_paths", counting)
+        monkeypatch.setattr(cli, "simulate_paths", counting, raising=False)
+        paths = tmp_path / "paths.csv"
+        cfg = write_config(tmp_path, model={"N": 10}, numerics={"M": 30},
+                           output={"drift_csv": str(tmp_path / "drift.csv"),
+                                   "paths_csv": str(paths)})
+        assert main(["oracle", str(cfg)]) == 0
+        assert len(calls) == 1
+        assert len(paths.read_text().splitlines()) == 1 + 1000 * 11
+
+    @pytest.mark.parametrize("oracle_block, message", [
+        ({"n_paths": 999}, "n_paths >= 1000"),
+        ({"seed": -1}, "seed must be in"),
+        ({"n_paths": 400_001}, "exceeds the budget"),
+    ])
+    def test_bad_monte_carlo_inputs_exit_2_before_work(self, tmp_path, capsys,
+                                                        monkeypatch, oracle_block,
+                                                        message):
+        from defaultbsde import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("oracle did work before rejecting its inputs")
+
+        monkeypatch.setattr(cli, "brute_force_dp", no_work)
+        monkeypatch.setattr(cli, "solve_bsde", no_work)
+        cfg = write_config(tmp_path, oracle=oracle_block)  # N = 100 steps
+        assert main(["oracle", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestRepeatability:
     def test_price_runs_are_byte_stable(self, tmp_path):
         outs = []

@@ -106,6 +106,21 @@ class TestSimulate:
                      (a.n_path, b.n_path), (a.tau_step, b.tau_step)):
             assert np.array_equal(x, y)
 
+    def test_increments_mean_zero_variance_dt(self):
+        m = flat_model(N=100)
+        ens = simulate_paths(m, lambda t, s, n: 0.0, 20_000, seed=17)
+        dt, size = m.grid.dt, ens.dW.size
+        # Gaussian sample: SE of the mean is sqrt(dt/size), of the variance
+        # sqrt(2/size)*dt; truncation at 6 sqrt(dt) shifts neither visibly
+        assert abs(ens.dW.mean()) <= 3 * math.sqrt(dt / size)
+        assert abs(ens.dW.var() - dt) <= 3 * math.sqrt(2.0 / size) * dt
+
+    def test_different_seed_different_increments(self):
+        m = flat_model(N=20)
+        a = simulate_paths(m, lambda t, s, n: 0.0, 100, seed=21)
+        b = simulate_paths(m, lambda t, s, n: 0.0, 100, seed=22)
+        assert not np.any(a.dW == b.dW)
+
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):
             simulate_paths(flat_model(), lambda t, s, n: 0.0, 0, seed=1)
