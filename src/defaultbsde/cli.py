@@ -70,15 +70,22 @@ def _need(block: dict, key: str, where: str):
     return block[key]
 
 
+def _number(kind, raw, key: str, where: str):
+    """``raw`` converted by int or float; a value that is no number names its key."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: '{key}' in {where} must be a number, got {raw!r}") from exc
+
+
 def _coefficient(raw, name: str) -> PiecewiseConstant:
     if isinstance(raw, (int, float)):
         return PiecewiseConstant.flat(float(raw))
     if isinstance(raw, list) and all(isinstance(p, list) and len(p) == 2 for p in raw):
-        breaks = tuple(float(p[0]) for p in raw)
-        values = tuple(float(p[1]) for p in raw)
         try:
-            return PiecewiseConstant(breaks, values)
-        except ValueError as exc:
+            return PiecewiseConstant(tuple(float(p[0]) for p in raw),
+                                     tuple(float(p[1]) for p in raw))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config: coefficient '{name}': {exc}") from exc
     raise ConfigError(f"config: coefficient '{name}' must be a number or [[t, value], ...]")
 
@@ -114,8 +121,10 @@ def load_config(raw: dict) -> RunConfig:
     mb = _need(raw, "model", "config")
     pre = _need(mb, "pre_default", "model")
     post = mb.get("post_default", {})
+    horizon = _number(float, _need(mb, "T", "model"), "T", "model")
+    n_steps = _number(int, _need(mb, "N", "model"), "N", "model")
     try:
-        grid = TimeGrid(float(_need(mb, "T", "model")), int(_need(mb, "N", "model")))
+        grid = TimeGrid(horizon, n_steps)
     except ValueError as exc:
         raise ConfigError(f"config: model: {exc}") from exc
     coeffs = RegimeCoefficients(
@@ -127,13 +136,16 @@ def load_config(raw: dict) -> RunConfig:
         lam=_coefficient(pre.get("lambda", 0.0), "lambda"),
     )
     model = MarketModel(grid=grid, coeffs=coeffs,
-                        gamma=float(_need(mb, "gamma", "model")),
-                        s0=float(mb.get("s0", 1.0)))
+                        gamma=_number(float, _need(mb, "gamma", "model"), "gamma", "model"),
+                        s0=_number(float, mb.get("s0", 1.0), "s0", "model"))
 
     claim = _build_claim(_need(raw, "claim", "config"))
 
     nm = raw.get("numerics", {})
-    ks = [float(v) for v in nm.get("ks", [])]
+    ks = nm.get("ks", [])
+    if not isinstance(ks, list):
+        raise ConfigError(f"config: 'ks' in numerics must be a list of numbers, got {ks!r}")
+    ks = [_number(float, v, "ks", "numerics") for v in ks]
     ob = raw.get("oracle", {})
     out = raw.get("output", {})
     if not isinstance(out, dict):
@@ -141,19 +153,19 @@ def load_config(raw: dict) -> RunConfig:
 
     return RunConfig(
         model=model, claim=claim,
-        m_space=int(nm.get("M", 100)),
-        l_mult=float(nm.get("L_mult", 6.0)),
-        quad_nodes=int(nm.get("quad_nodes", 7)),
-        k=float(nm.get("k", 2.0)),
-        k0=float(nm.get("k0", 0.25)),
-        tol_rel=float(nm.get("tol_rel", 1e-6)),
+        m_space=_number(int, nm.get("M", 100), "M", "numerics"),
+        l_mult=_number(float, nm.get("L_mult", 6.0), "L_mult", "numerics"),
+        quad_nodes=_number(int, nm.get("quad_nodes", 7), "quad_nodes", "numerics"),
+        k=_number(float, nm.get("k", 2.0), "k", "numerics"),
+        k0=_number(float, nm.get("k0", 0.25), "k0", "numerics"),
+        tol_rel=_number(float, nm.get("tol_rel", 1e-6), "tol_rel", "numerics"),
         ks=ks,
         refine=bool(nm.get("refine", False)),
-        n_small=int(ob.get("N_small", 8)),
-        q=int(ob.get("q", 7)),
-        g=int(ob.get("G", 81)),
-        n_paths=int(ob.get("n_paths", 10_000)),
-        seed=int(ob.get("seed", 0)),
+        n_small=_number(int, ob.get("N_small", 8), "N_small", "oracle"),
+        q=_number(int, ob.get("q", 7), "q", "oracle"),
+        g=_number(int, ob.get("G", 81), "G", "oracle"),
+        n_paths=_number(int, ob.get("n_paths", 10_000), "n_paths", "oracle"),
+        seed=_number(int, ob.get("seed", 0), "seed", "oracle"),
         output=out,
     )
 

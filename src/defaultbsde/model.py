@@ -17,6 +17,7 @@ keyed by the seed, so results depend only on (seed, n_paths).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -384,8 +385,9 @@ class PathEnsemble:
 
     ``dW`` holds the (truncated) Brownian increments, shape (n_paths, N);
     ``n_path``, ``stock``, ``wealth`` are states at grid times, shape
-    (n_paths, N+1).  ``tau_step[p]`` is the step index in which path p
-    defaulted, or -1.
+    (n_paths, N+1).  simulate_paths stores the states time-major and hands
+    out transposed views, so the column ``[:, i]`` of step i is contiguous.
+    ``tau_step[p]`` is the step index in which path p defaulted, or -1.
     """
 
     times: np.ndarray
@@ -414,13 +416,16 @@ class PathEnsemble:
         """Columns path,step,t,W,N,S,X with 12 significant digits; W is cumulative."""
         W = np.concatenate(
             [np.zeros((self.n_paths, 1)), np.cumsum(self.dW, axis=1)], axis=1)
+        steps = range(self.times.size)
+        times = self.times.tolist()
+        fmt = "%d,%d,%.12g,%.12g,%d,%.12g,%.12g\n"
         with open_output(path) as fh:
             fh.write("path,step,t,W,N,S,X\n")
             for p in range(self.n_paths):
-                for i, t in enumerate(self.times):
-                    fh.write(f"{p},{i},{t:.12g},{W[p, i]:.12g},"
-                             f"{int(self.n_path[p, i])},{self.stock[p, i]:.12g},"
-                             f"{self.wealth[p, i]:.12g}\n")
+                rows = zip(itertools.repeat(p), steps, times, W[p].tolist(),
+                           self.n_path[p].tolist(), self.stock[p].tolist(),
+                           self.wealth[p].tolist())
+                fh.write("".join(fmt % row for row in rows))
 
 
 Strategy = Callable[[float, np.ndarray, np.ndarray], np.ndarray | float]
@@ -436,6 +441,10 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     Gaussian block, then the (n_paths, N) default uniforms.  Output is
     bit-identical for identical (seed, n_paths).  ``n_threads`` has no effect
     and is kept for compatibility.
+
+    ``n_path``, ``stock`` and ``wealth`` are allocated time-major, (N+1,
+    n_paths), and returned as (n_paths, N+1) views: every step reads and
+    writes contiguous rows, and callers index paths as before.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -450,35 +459,39 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     dW = gen.standard_normal((n_paths, n))
     dW *= sq
     np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
-    unif = gen.random((n_paths, n))
-
-    n_path = np.zeros((n_paths, n + 1), dtype=np.int8)
-    stock = np.empty((n_paths, n + 1))
-    wealth = np.zeros((n_paths, n + 1))
-    tau_step = np.full(n_paths, -1, dtype=np.int64)
-    stock[:, 0] = model.s0
-
     c = model.coeffs
+    # default draws: step i defaults a live path when its uniform is below
+    # 1 - exp(-lambda(t_i) dt); compared once into a time-major table, so the
+    # uniform block is freed before the state arrays are allocated
+    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, times[:-1])])
+    hits = np.empty((n, n_paths), dtype=bool)
+    np.less(gen.random((n_paths, n)).T, p_def[:, None], out=hits)
+
+    n_path = np.zeros((n + 1, n_paths), dtype=np.int8)
+    stock = np.empty((n + 1, n_paths))
+    wealth = np.zeros((n + 1, n_paths))
+    tau_step = np.full(n_paths, -1, dtype=np.int64)
+    stock[0] = model.s0
+
     for i in range(n):
         t = float(times[i])
-        alive = n_path[:, i] == 0
-        mu0, s0_, lam0, beta0 = c.at(t, defaulted=False)
+        alive = n_path[i] == 0
+        mu0, s0_, _, beta0 = c.at(t, defaulted=False)
         mu1, s1_, _, _ = c.at(t, defaulted=True)
         mu = np.where(alive, mu0, mu1)
         sig = np.where(alive, s0_, s1_)
 
-        p_def = 1.0 - math.exp(-lam0 * dt)
-        jumps = alive & (unif[:, i] < p_def)
+        jumps = alive & hits[i]
         tau_step[jumps] = i
         dN = jumps.astype(float)
 
-        pi = strategy(t, stock[:, i], n_path[:, i])  # per path, or one scalar
+        pi = strategy(t, stock[i], n_path[i])  # per path, or one scalar
         # jump composed multiplicatively: keeps S > 0 for every beta > -1 and
         # makes the self-financing identity dX = pi * dS/S exact per step
         ret = (1.0 + mu * dt + sig * dW[:, i]) * (1.0 + beta0 * dN) - 1.0
-        stock[:, i + 1] = stock[:, i] * (1.0 + ret)
-        wealth[:, i + 1] = wealth[:, i] + pi * ret
-        n_path[:, i + 1] = np.where(jumps, 1, n_path[:, i])
+        stock[i + 1] = stock[i] * (1.0 + ret)
+        wealth[i + 1] = wealth[i] + pi * ret
+        n_path[i + 1] = np.where(jumps, 1, n_path[i])
 
-    return PathEnsemble(times=times, dW=dW, n_path=n_path, stock=stock,
-                        wealth=wealth, tau_step=tau_step, seed=seed)
+    return PathEnsemble(times=times, dW=dW, n_path=n_path.T, stock=stock.T,
+                        wealth=wealth.T, tau_step=tau_step, seed=seed)

@@ -32,8 +32,8 @@ MAX_Q = 9
 MAX_G = 101
 DEFAULT_NODE_BUDGET = 2_000_000
 MIN_PATHS = 1000
-# martingale_check peaks near 50 bytes per path-step (n_paths * N), so this
-# caps the path arrays near 2 GB
+# martingale_check peaks near 26 bytes per path-step (n_paths * N), so this
+# caps the path arrays near 1 GB
 PATH_STEP_BUDGET = 40_000_000
 
 
@@ -205,6 +205,10 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     under the optimal one; the aggregate drift is the per-path total
     V_T - V_0 averaged over paths, with its standard error.  ``n_threads``
     has no effect and is kept for compatibility.
+
+    Steps are streamed in time order: only V at the previous step and V_0
+    are held, and each step's mean and standard error are taken from its
+    increment, so no (n_paths, N+1) value matrix is built.
     """
     bad = monte_carlo_violation(model, n_paths, seed)
     if bad is not None:
@@ -212,18 +216,26 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     if surface.model != model or surface.claim != claim:
         raise ValueError("oracle: surface was solved on a different model or claim")
     ens = simulate_paths(model, strategy, n_paths, seed)
-    n = model.grid.n_steps
-    v = np.empty((n_paths, n + 1))
-    for i in range(n + 1):
+
+    def value(i: int) -> np.ndarray:
         y = surface.y_at(i, ens.stock[:, i], ens.n_path[:, i])
-        v[:, i] = np.exp(-model.gamma * ens.wealth[:, i]) * y
-    inc = np.diff(v, axis=1)
-    totals = v[:, -1] - v[:, 0]
+        return np.exp(-model.gamma * ens.wealth[:, i]) * y
+
+    n = model.grid.n_steps
     sq = math.sqrt(n_paths)
+    step_mean, step_se = np.empty(n), np.empty(n)
+    v0 = v = value(0)
+    for i in range(n):
+        v_next = value(i + 1)
+        inc = v_next - v
+        step_mean[i] = inc.mean()
+        step_se[i] = inc.std(ddof=1) / sq
+        v = v_next
+    totals = v - v0
     return DriftReport(
         times=ens.times[:-1],
-        step_mean=inc.mean(axis=0),
-        step_se=inc.std(axis=0, ddof=1) / sq,
+        step_mean=step_mean,
+        step_se=step_se,
         aggregate_mean=float(totals.mean()),
         aggregate_se=float(totals.std(ddof=1) / sq),
         n_paths=n_paths,

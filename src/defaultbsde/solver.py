@@ -54,8 +54,13 @@ class SpaceGrid:
         x = self.nodes
         if x.ndim != 1 or x.size < 3:
             raise ValueError("need at least M+1 >= 3 nodes")
-        if np.any(np.diff(x) <= 0):
+        dx = np.diff(x)
+        if np.any(dx <= 0):
             raise ValueError("nodes must be strictly increasing")
+        h = (x[-1] - x[0]) / dx.size
+        # _interp_regimes locates cells arithmetically, which needs equal spacing
+        if np.any(np.abs(dx - h) > 1e-9 * h):
+            raise ValueError("nodes must be uniformly spaced")
         if not np.allclose(x, -x[::-1], atol=1e-12 * max(1.0, abs(float(x[-1])))):
             raise ValueError("nodes must be symmetric about 0")
 
@@ -154,10 +159,19 @@ class ValueSurface:
 
 
 def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.ndarray:
-    """Read table[:, n] at log(s/s0), linear between the nodes x, flat beyond them."""
-    xq = np.log(np.asarray(s, dtype=float) / s0)
-    return np.where(np.asarray(n) == 1, np.interp(xq, x, table[:, 1]),
-                    np.interp(xq, x, table[:, 0]))
+    """Read table[:, n] at log(s/s0), linear between the nodes x, flat beyond them.
+
+    The cell comes from arithmetic on the uniform grid x, not a search, and
+    each query reads only its own regime's column of the (M+1, 2) table.
+    """
+    m = x.size - 1
+    u = np.clip((np.log(np.asarray(s, dtype=float) / s0) - x[0]) * (m / (x[m] - x[0])),
+                0.0, m)
+    j = np.minimum(np.floor(u).astype(np.intp), m - 1)
+    flat = table.ravel()
+    k = 2 * j + n
+    lo = flat[k]
+    return lo + (u - j) * (flat[k + 2] - lo)
 
 
 def _step(c: CoeffSnapshot, strat: StrategySet, x: np.ndarray, quad: Quadrature,

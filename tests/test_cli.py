@@ -59,6 +59,17 @@ class TestValidate:
         assert main(["solve", str(cfg)]) == 2
         assert "Euler factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, block, key, value", [
+        ("oracle", "oracle", "n_paths", "many"),
+        ("validate", "numerics", "M", "x"),
+        ("converge", "numerics", "ks", 5),
+    ])
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys, subcommand, block,
+                                       key, value):
+        cfg = write_config(tmp_path, **{block: {key: value}})
+        assert main([subcommand, str(cfg)]) == 2
+        assert f"'{key}' in {block} must be a" in capsys.readouterr().err
+
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4
 

@@ -121,6 +121,34 @@ class TestSimulate:
         b = simulate_paths(m, lambda t, s, n: 0.0, 100, seed=22)
         assert not np.any(a.dW == b.dW)
 
+    def test_step_matches_euler_formula(self):
+        # S_{i+1}/S_i = (1 + mu dt + sigma dW)(1 + beta dN), with the
+        # post-default coefficients after the jump, and dX = pi dS/S
+        m = MarketModel(grid=TimeGrid(1.0, 40),
+                        coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2, beta=-0.3,
+                                                           lam=2.0, mu_post=-0.05,
+                                                           sigma_post=0.4),
+                        gamma=1.0)
+        ens = simulate_paths(m, lambda t, s, n: 0.5, 300, seed=8)
+        dt = m.grid.dt
+        step = np.arange(40)
+        tau = ens.tau_step[:, None]
+        post = (tau >= 0) & (step > tau)
+        dN = (step == tau).astype(float)
+        mu, sig = np.where(post, -0.05, 0.1), np.where(post, 0.4, 0.2)
+        ret = (1.0 + mu * dt + sig * ens.dW) * (1.0 - 0.3 * dN) - 1.0
+        assert np.any(ens.tau_step >= 0) and np.any(ens.tau_step < 0)
+        assert np.allclose(ens.stock[:, 1:] / ens.stock[:, :-1] - 1.0, ret,
+                           rtol=0.0, atol=1e-13)
+        assert np.allclose(np.diff(ens.wealth, axis=1), 0.5 * ret, rtol=0.0, atol=1e-13)
+        assert np.array_equal(ens.n_path[:, 1:], (post | (dN == 1.0)).astype(np.int8))
+
+    def test_states_are_time_major(self):
+        ens = simulate_paths(flat_model(N=10), lambda t, s, n: 0.0, 50, seed=3)
+        for arr in (ens.n_path, ens.stock, ens.wealth):
+            assert arr.shape == (50, 11)
+            assert arr[:, 4].flags.c_contiguous
+
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):
             simulate_paths(flat_model(), lambda t, s, n: 0.0, 0, seed=1)
@@ -135,6 +163,21 @@ class TestSimulate:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[3]) == 0.0  # cumulative W starts at zero
+
+    def test_csv_bytes_match_per_cell_format(self, tmp_path):
+        # reference: one f-string per path-step, as the writer was first built
+        ens = simulate_paths(flat_model(lam=3.0, N=8), lambda t, s, n: 0.5, 6, seed=4)
+        assert np.any(ens.tau_step >= 0)
+        W = np.concatenate([np.zeros((ens.n_paths, 1)), np.cumsum(ens.dW, axis=1)], axis=1)
+        want = ["path,step,t,W,N,S,X\n"]
+        for p in range(ens.n_paths):
+            for i, t in enumerate(ens.times):
+                want.append(f"{p},{i},{t:.12g},{W[p, i]:.12g},"
+                            f"{int(ens.n_path[p, i])},{ens.stock[p, i]:.12g},"
+                            f"{ens.wealth[p, i]:.12g}\n")
+        out = tmp_path / "paths.csv"
+        ens.to_csv(out)
+        assert out.read_bytes() == "".join(want).encode()
 
 
 class TestClaims:

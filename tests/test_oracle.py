@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from defaultbsde import (Constant, MarketModel, RegimeCoefficients, StockPayoff,
                          StrategySet, TimeGrid, brute_force_dp, extract_optimal_strategy,
-                         martingale_check, solve_bsde, surface_at_origin)
+                         martingale_check, simulate_paths, solve_bsde,
+                         surface_at_origin)
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
                       merton_model, solve_setup)
@@ -148,6 +150,50 @@ class TestMartingaleCheck:
         other = bond_model(50)
         with pytest.raises(ValueError, match="different model"):
             martingale_check(other, ZERO_CLAIM, surf, lambda t, s, n: 0.0, 1_000, seed=1)
+
+    @staticmethod
+    def jump_market_setup():
+        coeffs = RegimeCoefficients.constant(mu=0.05, sigma=0.25, beta=-0.3, lam=0.3)
+        model = MarketModel(grid=TimeGrid(1.0, 50), coeffs=coeffs, gamma=1.0)
+        claim = stock_claim()
+        space, quad = solve_setup(model, m_space=60)
+        surf = solve_bsde(model, claim, StrategySet(-2, 2), space, quad)
+        return model, claim, surf, extract_optimal_strategy(surf)
+
+    def test_streamed_moments_match_value_matrix(self):
+        # reference: the (n_paths, N+1) value matrix and its column moments
+        model, claim, surf, strategy = self.jump_market_setup()
+        drift = martingale_check(model, claim, surf, strategy, 5_000, seed=4)
+        ens = drift.ensemble
+        v = np.empty(ens.stock.shape)
+        for i in range(v.shape[1]):
+            v[:, i] = (np.exp(-model.gamma * ens.wealth[:, i])
+                       * surf.y_at(i, ens.stock[:, i], ens.n_path[:, i]))
+        inc = np.diff(v, axis=1)
+        totals = v[:, -1] - v[:, 0]
+        sq = math.sqrt(ens.n_paths)
+        assert np.any(ens.tau_step >= 0)
+        np.testing.assert_allclose(drift.step_mean, inc.mean(axis=0), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(drift.step_se, inc.std(axis=0, ddof=1) / sq,
+                                   rtol=1e-12, atol=0.0)
+        assert drift.aggregate_mean == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
+        assert drift.aggregate_se == pytest.approx(totals.std(ddof=1) / sq,
+                                                   rel=1e-12, abs=0.0)
+
+    def test_holds_no_path_by_step_matrix(self):
+        # the check's peak is the simulation's own: a value or increment
+        # matrix of n_paths x N floats would add about half of it again
+        model, claim, surf, strategy = self.jump_market_setup()
+        tracemalloc.start()
+        try:
+            simulate_paths(model, strategy, 5_000, seed=4)
+            sim_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            martingale_check(model, claim, surf, strategy, 5_000, seed=4)
+            check_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check_peak <= 1.15 * sim_peak
 
     def test_drift_csv(self, tmp_path):
         model = merton_model(32)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from defaultbsde import (Constant, DefaultIndicator, MarketModel, Quadrature,
-                         RegimeCoefficients, SolverError, SpaceGrid, StrategySet,
-                         TimeGrid, extract_optimal_strategy, solve_bsde,
+                         RegimeCoefficients, SolverError, SpaceGrid, StockPayoff,
+                         StrategySet, TimeGrid, extract_optimal_strategy, solve_bsde,
                          surface_at_origin)
 
 from conftest import BOND_CLAIM, BOND_J0, MERTON_J0, bond_model, merton_model
@@ -153,6 +153,63 @@ class TestStrategyExtraction:
         assert surface_at_origin(surf) == pytest.approx(surf.Y[0, j, 0], abs=1e-15)
 
 
+def interp_reference(x, table, s0, s, n):
+    """Per-regime np.interp: the regime read before cells were located arithmetically."""
+    xq = np.log(np.asarray(s, dtype=float) / s0)
+    return np.where(np.asarray(n) == 1, np.interp(xq, x, table[:, 1]),
+                    np.interp(xq, x, table[:, 0]))
+
+
+class TestRegimeRead:
+    def setup_method(self):
+        s_nodes = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+        put = tuple(max(1.0 - s, 0.0) for s in s_nodes)
+        self.model = MarketModel(
+            grid=TimeGrid(1.0, 40),
+            coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25, beta=-0.3,
+                                               lam=0.3, mu_post=0.1),
+            gamma=1.0, s0=1.3)
+        self.surf = solve(self.model, StockPayoff(s_nodes, put, put), m_space=60)
+        x = self.surf.space.nodes
+        rng = np.random.default_rng(11)
+        # random points, node points (up to exp/log rounding), and points
+        # beyond +-L where the read extrapolates flat
+        xq = np.concatenate([rng.uniform(x[0], x[-1], 400), x,
+                             [x[0] - 1e-9, x[-1] + 1e-9, 1.5 * x[0], 3.0 * x[-1]]])
+        self.s = self.model.s0 * np.exp(xq)
+        self.n = rng.integers(0, 2, self.s.size).astype(np.int8)
+
+    def test_y_at_matches_per_regime_interp(self):
+        x = self.surf.space.nodes
+        # the regimes differ here, so a read of the wrong column would show
+        assert np.max(np.abs(self.surf.Y[0, :, 0] - self.surf.Y[0, :, 1])) > 1e-3
+        for i in (0, 17, 39, 40):
+            table = self.surf.Y[i]
+            want = interp_reference(x, table, self.model.s0, self.s, self.n)
+            got = self.surf.y_at(i, self.s, self.n)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(table))
+            for j in (0, 5, self.s.size - 1):
+                one = self.surf.y_at(i, float(self.s[j]), int(self.n[j]))
+                assert np.ndim(one) == 0
+                assert abs(one - want[j]) <= 1e-13 * np.max(np.abs(table))
+
+    def test_strategy_matches_per_regime_interp(self):
+        x = self.surf.space.nodes
+        pi = extract_optimal_strategy(self.surf)
+        lo, hi = self.surf.strategy_set.lo, self.surf.strategy_set.hi
+        times = self.model.grid.times()
+        for i in (0, 17, 39):
+            table = self.surf.pi_hat[i]
+            want = np.clip(interp_reference(x, table, self.model.s0, self.s, self.n), lo, hi)
+            got = pi(float(times[i]), self.s, self.n)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(table))
+            one = pi(float(times[i]), float(self.s[3]), int(self.n[3]))
+            assert np.ndim(one) == 0
+            assert abs(one - want[3]) <= 1e-13 * np.max(np.abs(table))
+        # the regimes differ here, so a read of the wrong column would show
+        assert np.max(np.abs(self.surf.pi_hat[0, :, 0] - self.surf.pi_hat[0, :, 1])) > 1e-3
+
+
 class TestExport:
     def test_csv_shape_and_empties(self, tmp_path):
         model = bond_model(4)
@@ -179,3 +236,11 @@ class TestExport:
         g = SpaceGrid.regular(10, 1.5)
         assert g.nodes[0] == -1.5 and g.nodes[-1] == 1.5
         assert abs(g.nodes[5]) == 0.0
+
+    def test_space_grid_must_be_uniform(self):
+        x = np.linspace(-1.5, 1.5, 11)
+        SpaceGrid(x + 1e-12 * np.sin(7.0 * x))  # within 1e-9 of the spacing
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            SpaceGrid(np.array([-1.0, -0.3, 0.0, 0.3, 1.0]))
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            SpaceGrid(x + 1e-6 * np.sin(7.0 * x))
