@@ -6,6 +6,9 @@ Lipschitz BSDE solved by the grid scheme; the unconstrained value is reached
 by geometric doubling of k with a relative Cauchy stopping rule (once the
 constraint stops binding, J0(k) flattens exponentially fast).
 
+`converge_legs` is the one doubling loop: it solves each claim (leg) once per
+k on a shared schedule; `converge` runs one leg, `pricing` the legs of a price.
+
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported
 noise bound are recorded on the result rather than asserted away.
@@ -20,10 +23,9 @@ import numpy as np
 from ._util import open_output
 from .driver import StrategySet
 from .model import Claim, MarketModel
-from .solver import (Quadrature, SolverError, SpaceGrid, ValueSurface,
-                     solve_bsde, surface_at_origin)
+from .solver import Quadrature, SolverError, SpaceGrid, solve_bsde, surface_at_origin
 
-__all__ = ["KSweepResult", "NonConvergenceError", "k_sweep", "converge", "solve_j0"]
+__all__ = ["KSweepResult", "NonConvergenceError", "k_sweep", "converge", "converge_legs", "solve_j0"]
 
 MONOTONE_TOL = 1e-9
 MAX_DOUBLINGS = 20
@@ -49,7 +51,6 @@ class KSweepResult:
     k_star: float | None = None
     monotone_violations: list[tuple[float, float, float]] = field(default_factory=list)
     noise_bound: float = 0.0
-    surfaces: list[ValueSurface] | None = None
 
     def to_csv(self, path) -> None:
         """Columns k,J0,runtime_ms (runtime is a wall-clock diagnostic)."""
@@ -59,16 +60,32 @@ class KSweepResult:
                 fh.write(f"{k:.12g},{j0:.12g},{ms:.3f}\n")
 
 
+def check_doubling(k0: float, tol_rel: float) -> None:
+    """Raise ValueError unless the doubling start k0 and tolerance are positive."""
+    if not k0 > 0:
+        raise ValueError("k0 must be positive")
+    if not tol_rel > 0:
+        raise ValueError("tol_rel must be positive")
+
+
+def check_schedule(ks: list[float]) -> None:
+    """Raise ValueError unless ks is nonempty, positive and strictly increasing."""
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if any(not k > 0 for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be strictly increasing and positive")
+
+
 def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-             k: float, refine: bool = False,
-             keep_surface: bool = False):
-    """One BSDE solve on C = [-k, k]; returns (J0, surface or None, runtime_ms)."""
+             k: float, refine: bool = False) -> tuple[float, float]:
+    """One BSDE solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
     t0 = time.perf_counter()
-    surface = solve_bsde(model, claim, StrategySet.symmetric(k), space, quad,
-                         refine=refine)
-    j0 = surface_at_origin(surface)
-    ms = 1e3 * (time.perf_counter() - t0)
-    return j0, (surface if keep_surface else None), ms
+    try:
+        surface = solve_bsde(model, claim, StrategySet.symmetric(k), space, quad,
+                             refine=refine)
+    except (SolverError, ValueError) as exc:
+        raise type(exc)(f"k={k:g}: {exc}") from exc
+    return surface_at_origin(surface), 1e3 * (time.perf_counter() - t0)
 
 
 def _finalize(res: KSweepResult) -> KSweepResult:
@@ -81,31 +98,60 @@ def _finalize(res: KSweepResult) -> KSweepResult:
 
 
 def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-            ks: list[float], keep_surfaces: bool = False,
-            refine: bool = False) -> KSweepResult:
+            ks: list[float], refine: bool = False) -> KSweepResult:
     """Solve once per k in an increasing positive schedule; record J0 and runtime.
 
     Monotone nonincrease of J0 is checked within 1e-9 plus the reported noise
     bound; violations are recorded on the result, not silently tolerated.
     Solver failures propagate tagged with the offending k.
     """
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(k <= 0 for k in ks) or any(b >= a for a, b in zip(ks[1:], ks[:-1])):
-        raise ValueError("ks must be strictly increasing and positive")
-    res = KSweepResult(ks=list(ks), j0s=[], runtimes_ms=[],
-                       surfaces=[] if keep_surfaces else None)
+    check_schedule(ks)
+    res = KSweepResult(ks=list(ks), j0s=[], runtimes_ms=[])
     for k in ks:
-        try:
-            j0, surf, ms = solve_j0(model, claim, space, quad, k,
-                                    refine=refine, keep_surface=keep_surfaces)
-        except (SolverError, ValueError) as exc:
-            raise type(exc)(f"k={k:g}: {exc}") from exc
+        j0, ms = solve_j0(model, claim, space, quad, k, refine=refine)
         res.j0s.append(j0)
         res.runtimes_ms.append(ms)
-        if keep_surfaces:
-            res.surfaces.append(surf)
     return _finalize(res)
+
+
+def _cauchy(res: KSweepResult, tol_rel: float) -> bool:
+    j = res.j0s
+    return len(j) >= 2 and abs(j[-1] - j[-2]) <= tol_rel * abs(j[-2])
+
+
+def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[str, ...],
+                  space: SpaceGrid, quad: Quadrature, k0: float, tol_rel: float,
+                  refine: bool = False,
+                  max_doublings: int | None = None) -> list[KSweepResult]:
+    """Double k from k0, solving every leg once per k, until all legs are Cauchy.
+
+    Stops at the first k where each leg has |J0(2k) - J0(k)| <= tol_rel * J0(k);
+    returns one sweep per leg on that schedule.  After ``max_doublings``
+    (default MAX_DOUBLINGS, read at call time) raises NonConvergenceError that
+    names the failed legs and carries the sequence of the first.
+    """
+    check_doubling(k0, tol_rel)
+    cap = MAX_DOUBLINGS if max_doublings is None else max_doublings
+    legs = [KSweepResult(ks=[], j0s=[], runtimes_ms=[]) for _ in claims]
+    k = k0
+    for _ in range(cap + 1):
+        for claim, res in zip(claims, legs):
+            j0, ms = solve_j0(model, claim, space, quad, k, refine=refine)
+            res.ks.append(k)
+            res.j0s.append(j0)
+            res.runtimes_ms.append(ms)
+        if all(_cauchy(res, tol_rel) for res in legs):
+            for res in legs:
+                res.converged = True
+                res.k_star = k
+            return [_finalize(res) for res in legs]
+        k *= 2.0
+    bad = [i for i, res in enumerate(legs) if not _cauchy(res, tol_rel)]
+    first = legs[bad[0]]
+    raise NonConvergenceError(
+        f"approx: no k-convergence after {cap} doublings from k0={k0:g} for leg(s) "
+        f"{', '.join(names[i] for i in bad)} (J0 sequence of {names[bad[0]]}: {first.j0s})",
+        first.ks, first.j0s)
 
 
 def converge(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
@@ -113,26 +159,10 @@ def converge(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadratur
              max_doublings: int = MAX_DOUBLINGS) -> tuple[float, KSweepResult]:
     """Double k from k0 until |J0(2k) - J0(k)| <= tol_rel * J0(k).
 
-    Returns the last value as the unconstrained J(0) together with the sweep.
-    Raises NonConvergenceError (with the full sequence) after ``max_doublings``
-    doublings (default 20).
+    The one-leg case of `converge_legs`.  Returns the last value as the
+    unconstrained J(0) together with the sweep.  Raises NonConvergenceError
+    (with the full sequence) after ``max_doublings`` doublings (default 20).
     """
-    if not k0 > 0:
-        raise ValueError("k0 must be positive")
-    if not tol_rel > 0:
-        raise ValueError("tol_rel must be positive")
-    res = KSweepResult(ks=[], j0s=[], runtimes_ms=[])
-    k = k0
-    for _ in range(max_doublings + 1):
-        j0, _, ms = solve_j0(model, claim, space, quad, k, refine=refine)
-        res.ks.append(k)
-        res.j0s.append(j0)
-        res.runtimes_ms.append(ms)
-        if len(res.j0s) >= 2 and abs(res.j0s[-1] - res.j0s[-2]) <= tol_rel * abs(res.j0s[-2]):
-            res.converged = True
-            res.k_star = k
-            return j0, _finalize(res)
-        k *= 2.0
-    raise NonConvergenceError(
-        f"approx: no k-convergence after {max_doublings} doublings from k0={k0:g} "
-        f"(J0 sequence: {res.j0s})", res.ks, res.j0s)
+    (res,) = converge_legs(model, (claim,), ("claim",), space, quad, k0, tol_rel,
+                           refine=refine, max_doublings=max_doublings)
+    return res.j0s[-1], res

@@ -18,13 +18,14 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .approx import NonConvergenceError, converge, k_sweep
+from .approx import (NonConvergenceError, check_doubling, check_schedule, converge,
+                     k_sweep)
 from .driver import StrategySet
 from .model import (Claim, Constant, DefaultIndicator, MarketModel,
                     PiecewiseConstant, RegimeCoefficients, StockPayoff,
                     TimeGrid, ValidationReport, euler_factor_violation,
                     validate_model)
-from .oracle import brute_force_dp, martingale_check, monte_carlo_violation
+from .oracle import DPTree, brute_force_dp, martingale_check, monte_carlo_violation
 from .pricing import PriceReport, indifference_price
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
                      solve_bsde, surface_at_origin)
@@ -42,9 +43,8 @@ class RunConfig:
 
     model: MarketModel
     claim: Claim
-    m_space: int
-    l_mult: float
-    quad_nodes: int
+    space: SpaceGrid
+    quad: Quadrature
     k: float
     k0: float
     tol_rel: float
@@ -56,12 +56,6 @@ class RunConfig:
     n_paths: int
     seed: int
     output: dict = field(default_factory=dict)
-
-    def space(self) -> SpaceGrid:
-        return SpaceGrid.for_model(self.model, self.m_space, self.l_mult)
-
-    def quad(self) -> Quadrature:
-        return Quadrature.gauss_hermite(self.quad_nodes)
 
 
 def _need(block: dict, key: str, where: str):
@@ -146,20 +140,29 @@ def load_config(raw: dict) -> RunConfig:
     if not isinstance(ks, list):
         raise ConfigError(f"config: 'ks' in numerics must be a list of numbers, got {ks!r}")
     ks = [_number(float, v, "ks", "numerics") for v in ks]
+    m_space = _number(int, nm.get("M", 100), "M", "numerics")
+    l_mult = _number(float, nm.get("L_mult", 6.0), "L_mult", "numerics")
+    quad_nodes = _number(int, nm.get("quad_nodes", 7), "quad_nodes", "numerics")
+    k0 = _number(float, nm.get("k0", 0.25), "k0", "numerics")
+    tol_rel = _number(float, nm.get("tol_rel", 1e-6), "tol_rel", "numerics")
+    # the solver's and the k loop's own checks, so validate rejects what they reject
+    try:
+        space = SpaceGrid.for_model(model, m_space, l_mult)
+        quad = Quadrature.gauss_hermite(quad_nodes)
+        check_doubling(k0, tol_rel)
+        if ks:
+            check_schedule(ks)
+    except ValueError as exc:
+        raise ConfigError(f"config: numerics: {exc}") from exc
     ob = raw.get("oracle", {})
     out = raw.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("config: output must be an object of path strings")
 
     return RunConfig(
-        model=model, claim=claim,
-        m_space=_number(int, nm.get("M", 100), "M", "numerics"),
-        l_mult=_number(float, nm.get("L_mult", 6.0), "L_mult", "numerics"),
-        quad_nodes=_number(int, nm.get("quad_nodes", 7), "quad_nodes", "numerics"),
+        model=model, claim=claim, space=space, quad=quad,
         k=_number(float, nm.get("k", 2.0), "k", "numerics"),
-        k0=_number(float, nm.get("k0", 0.25), "k0", "numerics"),
-        tol_rel=_number(float, nm.get("tol_rel", 1e-6), "tol_rel", "numerics"),
-        ks=ks,
+        k0=k0, tol_rel=tol_rel, ks=ks,
         refine=bool(nm.get("refine", False)),
         n_small=_number(int, ob.get("N_small", 8), "N_small", "oracle"),
         q=_number(int, ob.get("q", 7), "q", "oracle"),
@@ -204,7 +207,7 @@ def _diag(msg: str) -> None:
 def _validate(cfg: RunConfig) -> ValidationReport:
     """validate_model plus the solver's Euler-factor check at this quadrature."""
     rep = validate_model(cfg.model)
-    euler = euler_factor_violation(cfg.model, cfg.quad().max_abs_node)
+    euler = euler_factor_violation(cfg.model, cfg.quad.max_abs_node)
     if euler is not None:
         rep.violations.append(f"solver: {euler}")
     return rep
@@ -235,7 +238,7 @@ def _require_valid(cfg: RunConfig) -> None:
 def _cmd_solve(cfg: RunConfig) -> int:
     _require_valid(cfg)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
-                         cfg.space(), cfg.quad(), refine=cfg.refine)
+                         cfg.space, cfg.quad, refine=cfg.refine)
     _diag(f"solve: k={cfg.k:g} J0={surface_at_origin(surface):.12g}")
     emit_report(surface, cfg.output.get("surface_csv"))
     return 0
@@ -244,10 +247,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _cmd_converge(cfg: RunConfig) -> int:
     _require_valid(cfg)
     if cfg.ks:
-        res = k_sweep(cfg.model, cfg.claim, cfg.space(), cfg.quad(), cfg.ks,
+        res = k_sweep(cfg.model, cfg.claim, cfg.space, cfg.quad, cfg.ks,
                       refine=cfg.refine)
     else:
-        _, res = converge(cfg.model, cfg.claim, cfg.space(), cfg.quad(),
+        _, res = converge(cfg.model, cfg.claim, cfg.space, cfg.quad,
                           cfg.k0, cfg.tol_rel, refine=cfg.refine)
     for k1, k2, excess in res.monotone_violations:
         _diag(f"converge: J0 increased from k={k1:g} to k={k2:g} "
@@ -259,7 +262,7 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 def _cmd_price(cfg: RunConfig) -> int:
     _require_valid(cfg)
-    report = indifference_price(cfg.model, cfg.claim, cfg.space(), cfg.quad(),
+    report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad,
                                 cfg.k0, cfg.tol_rel, refine=cfg.refine)
     _diag(f"price: buy={report.buy_price:.12g} sell="
           f"{'-' if report.sell_price is None else format(report.sell_price, '.12g')}")
@@ -271,10 +274,14 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     bad = monte_carlo_violation(cfg.model, cfg.n_paths, cfg.seed)
     if bad is not None:
         raise ConfigError(f"oracle: {bad}")
+    try:
+        DPTree(cfg.n_small, cfg.q, cfg.g, cfg.k)  # the DP oracle's own range checks
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
     _require_valid(cfg)
     dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
-                         cfg.space(), cfg.quad(), refine=cfg.refine)
+                         cfg.space, cfg.quad, refine=cfg.refine)
     j0 = surface_at_origin(surface)
     strategy = extract_optimal_strategy(surface)
     drift = martingale_check(cfg.model, cfg.claim, surface, strategy,

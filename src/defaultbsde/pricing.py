@@ -1,16 +1,20 @@
-"""Hodges indifference prices from pairs of value functions.
+"""Hodges indifference prices from value functions on one k schedule.
 
 Buying price: p = (1/gamma) ln(J(0,0) / J(0,xi)); selling price: p* = -p(-xi).
-Both legs of a price share the same grid, quadrature and k-schedule so the
-discretization bias largely cancels in the ratio; the k-doubling loop stops
-only when both legs meet the relative Cauchy criterion.
+The legs of a price -- the zero claim, the claim and, for the selling price,
+the negated claim -- run through one k-doubling loop (`approx.converge_legs`).
+They share the grid, the quadrature, the k schedule and the stopping rule, so
+the discretization bias largely cancels in the ratio; the loop stops only
+when every leg meets the relative Cauchy criterion, and the zero leg is
+solved once per k for both prices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .approx import MAX_DOUBLINGS, NonConvergenceError, solve_j0
+# solve_j0 is imported only so that benchmark/tracing.py can wrap it by this name
+from .approx import converge_legs, solve_j0  # noqa: F401
 from .model import Claim, Constant, MarketModel
 from .solver import Quadrature, SpaceGrid
 
@@ -49,78 +53,43 @@ def wealth_scaling(x: float, v0: float, gamma: float) -> float:
     return math.exp(-gamma * x) * v0
 
 
-def _converge_pair(model: MarketModel, claim_a: Claim, claim_b: Claim,
-                   space: SpaceGrid, quad: Quadrature, k0: float, tol_rel: float,
-                   names: tuple[str, str], refine: bool = False):
-    """Joint k-doubling for two claims on one shared schedule.
-
-    Stops when both legs satisfy |J0(2k) - J0(k)| <= tol_rel * J0(k); on the
-    doubling cap, the error names the leg(s) that failed.
-    """
-    if not k0 > 0:
-        raise ValueError("k0 must be positive")
-    if not tol_rel > 0:
-        raise ValueError("tol_rel must be positive")
-    ks: list[float] = []
-    ja: list[float] = []
-    jb: list[float] = []
-    k = k0
-    for _ in range(MAX_DOUBLINGS + 1):
-        va, _, _ = solve_j0(model, claim_a, space, quad, k, refine=refine)
-        vb, _, _ = solve_j0(model, claim_b, space, quad, k, refine=refine)
-        ks.append(k)
-        ja.append(va)
-        jb.append(vb)
-        if len(ks) >= 2:
-            ok_a = abs(ja[-1] - ja[-2]) <= tol_rel * abs(ja[-2])
-            ok_b = abs(jb[-1] - jb[-2]) <= tol_rel * abs(jb[-2])
-            if ok_a and ok_b:
-                return ks, ja, jb
-        k *= 2.0
-    ok_a = abs(ja[-1] - ja[-2]) <= tol_rel * abs(ja[-2])
-    bad = names[1] if ok_a else (names[0] if abs(jb[-1] - jb[-2]) <= tol_rel * abs(jb[-2])
-                                 else f"{names[0]} and {names[1]}")
-    raise NonConvergenceError(
-        f"pricing: {bad} leg did not converge after {MAX_DOUBLINGS} doublings "
-        f"from k0={k0:g}", ks, ja if not ok_a else jb)
-
-
 def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
                        quad: Quadrature, k0: float, tol_rel: float,
                        refine: bool = False,
                        with_selling: bool = True) -> PriceReport:
     """Hodges buying price of a claim bounded below, with per-k approximations.
 
-    Runs the k-convergence for xi = 0 and xi = claim with identical numerical
-    settings; p^k = (1/gamma) ln(J^{k,0} / J^{k,xi}) converges to the price.
-    The selling price is filled in when the claim is also bounded above.
+    Runs xi = 0, xi = claim and, when the selling price is wanted and the
+    claim is bounded above, xi = -claim through one k-doubling loop with
+    identical numerical settings; p^k = (1/gamma) ln(J^{k,0} / J^{k,xi})
+    converges to the price.  Both prices come from the loop's final k.
     """
     lo, hi = claim.bounds()
     if not math.isfinite(lo):
         raise ValueError("pricing: claim must be bounded below")
     gamma = model.gamma
-    ks, j_zero, j_claim = _converge_pair(model, Constant(0.0), claim, space, quad,
-                                         k0, tol_rel, names=("zero", "claim"),
-                                         refine=refine)
-    buy = math.log(j_zero[-1] / j_claim[-1]) / gamma
-    per_k = [(k, math.log(a / b) / gamma) for k, a, b in zip(ks, j_zero, j_claim)]
-
-    sell = None
+    claims, names = (Constant(0.0), claim), ("zero", "claim")
     if with_selling and math.isfinite(hi):
-        sell = selling_price(model, claim, space, quad, k0, tol_rel, refine=refine)
+        claims, names = claims + (claim.negated(),), names + ("negated claim",)
+    zero, held, *sold = converge_legs(model, claims, names, space, quad, k0, tol_rel,
+                                      refine=refine)
+    per_k = [(k, math.log(a / b) / gamma) for k, a, b in zip(zero.ks, zero.j0s, held.j0s)]
+    diagnostics = {"ks": zero.ks, "J0_zero_per_k": zero.j0s,
+                   "J0_claim_per_k": held.j0s, "k_star": zero.k_star, "k0": k0}
+    if sold:
+        diagnostics["J0_negated_per_k"] = sold[0].j0s
 
     return PriceReport(
         gamma=gamma,
-        J0_zero=j_zero[-1],
-        J0_claim=j_claim[-1],
-        buy_price=buy,
-        sell_price=sell,
+        J0_zero=zero.j0s[-1],
+        J0_claim=held.j0s[-1],
+        buy_price=math.log(zero.j0s[-1] / held.j0s[-1]) / gamma,
+        sell_price=-math.log(zero.j0s[-1] / sold[0].j0s[-1]) / gamma if sold else None,
         per_k=per_k,
         claim_desc=claim.describe(),
         settings={"N": model.grid.n_steps, "M": space.m_intervals,
                   "quad_nodes": int(quad.nodes.size), "tol_rel": tol_rel},
-        diagnostics={"ks": ks, "J0_zero_per_k": j_zero, "J0_claim_per_k": j_claim,
-                     "k_star": ks[-1], "k0": k0},
+        diagnostics=diagnostics,
     )
 
 
@@ -130,7 +99,7 @@ def selling_price(model: MarketModel, claim: Claim, space: SpaceGrid,
     """Hodges selling price p* = -p_buy(-xi); requires the claim bounded above."""
     if not math.isfinite(claim.bounds()[1]):
         raise ValueError("pricing: selling price needs a claim bounded above")
-    ks, j_zero, j_neg = _converge_pair(model, Constant(0.0), claim.negated(), space,
-                                       quad, k0, tol_rel, names=("zero", "negated claim"),
-                                       refine=refine)
-    return -math.log(j_zero[-1] / j_neg[-1]) / model.gamma
+    zero, sold = converge_legs(model, (Constant(0.0), claim.negated()),
+                               ("zero", "negated claim"), space, quad, k0, tol_rel,
+                               refine=refine)
+    return -math.log(zero.j0s[-1] / sold.j0s[-1]) / model.gamma

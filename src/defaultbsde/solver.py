@@ -83,7 +83,11 @@ class SpaceGrid:
         """Half-width l_mult * sigma_max * sqrt(T)."""
         c = model.coeffs
         sig_max = max(c.sigma_pre.vmax(), c.sigma_post.vmax())
-        return cls.regular(m, l_mult * sig_max * math.sqrt(model.grid.horizon))
+        half_width = l_mult * sig_max * math.sqrt(model.grid.horizon)
+        if not half_width > 0:
+            raise ValueError(f"grid half-width L_mult * sigma_max * sqrt(T) = {half_width:g} "
+                             "must be positive")
+        return cls.regular(m, half_width)
 
 
 @dataclass(frozen=True)

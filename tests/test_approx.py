@@ -145,8 +145,8 @@ class TestConverge:
             space, quad = solve_setup(model, m_space=40)
             for k in (0.5, 2.0):
                 from defaultbsde.approx import solve_j0
-                j_claim, _, _ = solve_j0(model, claim, space, quad, k)
-                j_zero, _, _ = solve_j0(model, ZERO_CLAIM, space, quad, k)
+                j_claim, _ = solve_j0(model, claim, space, quad, k)
+                j_zero, _ = solve_j0(model, ZERO_CLAIM, space, quad, k)
                 assert 0.0 < j_claim <= 1.0 + 1e-12
                 lower = math.exp(-model.gamma * claim.bounds()[1]) * j_zero
                 assert j_claim >= lower - 1e-9

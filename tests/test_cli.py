@@ -70,6 +70,35 @@ class TestValidate:
         assert main([subcommand, str(cfg)]) == 2
         assert f"'{key}' in {block} must be a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, block, key, value, message", [
+        ("solve", "numerics", "M", 1, "m must be >= 2"),
+        ("validate", "numerics", "quad_nodes", 0, "at least one quadrature node"),
+        ("price", "numerics", "k0", 0, "k0 must be positive"),
+        ("price", "numerics", "tol_rel", -1, "tol_rel must be positive"),
+        ("price", "numerics", "L_mult", 0, "half-width"),
+        ("converge", "numerics", "ks", [0.5, 0.25], "strictly increasing"),
+        ("oracle", "oracle", "N_small", 0, "n_small must be in"),
+        ("oracle", "oracle", "q", 10, "q must be in"),
+        ("oracle", "oracle", "G", 102, "strategy grid count must be in"),
+    ])
+    def test_out_of_range_value_exits_2_before_work(self, tmp_path, capsys, monkeypatch,
+                                                     subcommand, block, key, value,
+                                                     message):
+        from defaultbsde import approx, cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        monkeypatch.setattr(approx, "solve_bsde", no_work)
+        monkeypatch.setattr(cli, "solve_bsde", no_work)
+        monkeypatch.setattr(cli, "brute_force_dp", no_work)
+        cfg = write_config(tmp_path, **{block: {key: value}})
+        assert main([subcommand, str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        if block == "numerics":  # the oracle block is checked by oracle only
+            assert main(["validate", str(cfg)]) == 2
+            assert message in capsys.readouterr().err
+
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from defaultbsde import (Claim, Constant, DefaultIndicator, indifference_price,
-                         selling_price, wealth_scaling)
+from defaultbsde import (Claim, Constant, DefaultIndicator, MarketModel,
+                         NonConvergenceError, RegimeCoefficients, SolverError, TimeGrid,
+                         approx, converge, indifference_price, selling_price,
+                         wealth_scaling)
 from defaultbsde.cli import emit_report
 
 from conftest import (BOND_BUY, BOND_CLAIM, BOND_SELL, bond_model, merton_model,
@@ -95,6 +97,61 @@ class TestSellPrice:
         space, quad = solve_setup(model, m_space=20)
         with pytest.raises(ValueError, match="bounded above"):
             selling_price(model, UnboundedClaim(), space, quad, 0.25, 1e-6)
+
+
+class TestOneLoop:
+    """Every leg of a price runs through one k-doubling loop, each solved once per k."""
+
+    def test_three_solves_per_k_with_selling(self, monkeypatch):
+        real, calls = approx.solve_bsde, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "solve_bsde", counting)
+        rep = price(bond_model(50), BOND_CLAIM)
+        assert rep.sell_price is not None
+        # zero, claim and negated claim; the zero leg serves both prices
+        assert len(calls) == 3 * len(rep.diagnostics["ks"])
+
+    def test_legs_match_one_leg_converge(self):
+        # a drifted bond market, so the schedule runs several doublings
+        model = MarketModel(grid=TimeGrid(1.0, 50),
+                            coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
+                                                               beta=0.0, lam=0.1),
+                            gamma=1.0)
+        space, quad = solve_setup(model, m_space=40)
+        diag = indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6).diagnostics
+        assert len(diag["ks"]) > 2
+        for key, leg in (("J0_zero_per_k", Constant(0.0)),
+                         ("J0_claim_per_k", BOND_CLAIM),
+                         ("J0_negated_per_k", BOND_CLAIM.negated())):
+            _, res = converge(model, leg, space, quad, 0.25, 1e-6)
+            assert res.ks == diag["ks"]
+            assert res.j0s == diag[key]
+
+    def test_nonconvergence_names_the_leg(self, monkeypatch):
+        # the case of test_approx's test_nonconvergence_reports_sequence; the cap
+        # is read when the loop runs
+        monkeypatch.setattr(approx, "MAX_DOUBLINGS", 1)
+        model = merton_model(50)
+        space, quad = solve_setup(model, m_space=30)
+        with pytest.raises(NonConvergenceError,
+                           match=r"leg\(s\) zero, claim, negated claim \(") as exc:
+            indifference_price(model, Constant(0.3), space, quad, 0.125, 1e-9)
+        assert len(exc.value.ks) == 2
+        assert exc.value.j0s[1] < exc.value.j0s[0]
+
+    def test_solver_failure_tagged_with_k(self):
+        # the market of test_cli's test_numerical_failure_exits_3
+        model = MarketModel(grid=TimeGrid(1.0, 2),
+                            coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
+                                                               beta=0.5, lam=0.5),
+                            gamma=1.0)
+        space, quad = solve_setup(model, m_space=40)
+        with pytest.raises(SolverError, match="k=0.25: solver"):
+            indifference_price(model, DefaultIndicator(0.0, 20.0), space, quad, 0.25, 1e-6)
 
 
 class TestWealthScaling:
