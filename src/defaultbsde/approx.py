@@ -8,6 +8,10 @@ constraint stops binding, J0(k) flattens exponentially fast).
 
 `converge_legs` is the one doubling loop: it solves each claim (leg) once per
 k on a shared schedule; `converge` runs one leg, `pricing` the legs of a price.
+It solves blocks of three doublings, every leg at once, in one batched
+backward pass, then applies the stopping rule k by k, so the schedule, k*
+and the errors are those of a serial run.  `k_sweep` solves its whole
+schedule in one pass.  A k's runtime_ms is its share of its pass.
 
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported
@@ -21,14 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import open_output
-from .driver import StrategySet
 from .model import Claim, MarketModel
-from .solver import Quadrature, SolverError, SpaceGrid, solve_bsde, surface_at_origin
+from .solver import Quadrature, SolverError, SpaceGrid, solve_j0_batch
+# imported only so that benchmark/tracing.py can wrap it by this name
+from .solver import solve_bsde  # noqa: F401
 
 __all__ = ["KSweepResult", "NonConvergenceError", "k_sweep", "converge", "converge_legs", "solve_j0"]
 
 MONOTONE_TOL = 1e-9
 MAX_DOUBLINGS = 20
+# doublings solved together: one backward pass takes k0 2^i, ..., k0 2^(i+2) of every leg
+_BLOCK = 3
 
 
 class NonConvergenceError(RuntimeError):
@@ -76,16 +83,34 @@ def check_schedule(ks: list[float]) -> None:
         raise ValueError("ks must be strictly increasing and positive")
 
 
-def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-             k: float, refine: bool = False) -> tuple[float, float]:
-    """One BSDE solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
+def _solve_block(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
+                 ks: list[float], refine: bool):
+    """Yield (k, J0 per leg, runtime_ms) in k order from one pass over every (leg, k).
+
+    runtime_ms is the k's share of the pass's wall time.  A failed pass is
+    solved again one k at a time, so an error carries the ``k=...:`` tag of
+    a serial run, and a k past the caller's stopping point never raises.
+    """
     t0 = time.perf_counter()
     try:
-        surface = solve_bsde(model, claim, StrategySet.symmetric(k), space, quad,
-                             refine=refine)
+        j0 = solve_j0_batch(model, [claim for _ in ks for claim in claims],
+                            np.repeat(ks, len(claims)), space, quad, refine=refine)
     except (SolverError, ValueError) as exc:
-        raise type(exc)(f"k={k:g}: {exc}") from exc
-    return surface_at_origin(surface), 1e3 * (time.perf_counter() - t0)
+        if len(ks) == 1:
+            raise type(exc)(f"k={ks[0]:g}: {exc}") from exc
+        for k in ks:
+            yield from _solve_block(model, claims, space, quad, [k], refine)
+        return
+    ms = 1e3 * (time.perf_counter() - t0) / len(ks)
+    for k, row in zip(ks, j0.reshape(len(ks), len(claims)).tolist()):
+        yield k, row, ms
+
+
+def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
+             k: float, refine: bool = False) -> tuple[float, float]:
+    """One solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
+    _, (j0,), ms = next(_solve_block(model, (claim,), space, quad, [k], refine))
+    return j0, ms
 
 
 def _finalize(res: KSweepResult) -> KSweepResult:
@@ -99,7 +124,7 @@ def _finalize(res: KSweepResult) -> KSweepResult:
 
 def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
             ks: list[float], refine: bool = False) -> KSweepResult:
-    """Solve once per k in an increasing positive schedule; record J0 and runtime.
+    """Solve every k of an increasing positive schedule in one pass; record J0 and runtime.
 
     Monotone nonincrease of J0 is checked within 1e-9 plus the reported noise
     bound; violations are recorded on the result, not silently tolerated.
@@ -107,8 +132,7 @@ def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature
     """
     check_schedule(ks)
     res = KSweepResult(ks=list(ks), j0s=[], runtimes_ms=[])
-    for k in ks:
-        j0, ms = solve_j0(model, claim, space, quad, k, refine=refine)
+    for _, (j0,), ms in _solve_block(model, (claim,), space, quad, res.ks, refine):
         res.j0s.append(j0)
         res.runtimes_ms.append(ms)
     return _finalize(res)
@@ -126,26 +150,27 @@ def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[st
     """Double k from k0, solving every leg once per k, until all legs are Cauchy.
 
     Stops at the first k where each leg has |J0(2k) - J0(k)| <= tol_rel * J0(k);
-    returns one sweep per leg on that schedule.  After ``max_doublings``
+    returns one sweep per leg on that schedule.  Each pass solves a block of
+    up to _BLOCK doublings; the columns past the stopping k are dropped.  After ``max_doublings``
     (default MAX_DOUBLINGS, read at call time) raises NonConvergenceError that
     names the failed legs and carries the sequence of the first.
     """
     check_doubling(k0, tol_rel)
     cap = MAX_DOUBLINGS if max_doublings is None else max_doublings
     legs = [KSweepResult(ks=[], j0s=[], runtimes_ms=[]) for _ in claims]
-    k = k0
-    for _ in range(cap + 1):
-        for claim, res in zip(claims, legs):
-            j0, ms = solve_j0(model, claim, space, quad, k, refine=refine)
-            res.ks.append(k)
-            res.j0s.append(j0)
-            res.runtimes_ms.append(ms)
-        if all(_cauchy(res, tol_rel) for res in legs):
-            for res in legs:
-                res.converged = True
-                res.k_star = k
-            return [_finalize(res) for res in legs]
-        k *= 2.0
+    ks = [k0 * 2.0 ** i for i in range(cap + 1)]
+    for start in range(0, cap + 1, _BLOCK):
+        for k, j0s, ms in _solve_block(model, claims, space, quad,
+                                       ks[start:start + _BLOCK], refine):
+            for res, j0 in zip(legs, j0s):
+                res.ks.append(k)
+                res.j0s.append(j0)
+                res.runtimes_ms.append(ms)
+            if all(_cauchy(res, tol_rel) for res in legs):
+                for res in legs:
+                    res.converged = True
+                    res.k_star = k
+                return [_finalize(res) for res in legs]
     bad = [i for i, res in enumerate(legs) if not _cauchy(res, tol_rel)]
     first = legs[bad[0]]
     raise NonConvergenceError(

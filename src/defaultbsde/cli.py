@@ -145,10 +145,12 @@ def load_config(raw: dict) -> RunConfig:
     quad_nodes = _number(int, nm.get("quad_nodes", 7), "quad_nodes", "numerics")
     k0 = _number(float, nm.get("k0", 0.25), "k0", "numerics")
     tol_rel = _number(float, nm.get("tol_rel", 1e-6), "tol_rel", "numerics")
+    k = _number(float, nm.get("k", 2.0), "k", "numerics")
     # the solver's and the k loop's own checks, so validate rejects what they reject
     try:
         space = SpaceGrid.for_model(model, m_space, l_mult)
         quad = Quadrature.gauss_hermite(quad_nodes)
+        StrategySet.symmetric(k)
         check_doubling(k0, tol_rel)
         if ks:
             check_schedule(ks)
@@ -161,8 +163,7 @@ def load_config(raw: dict) -> RunConfig:
 
     return RunConfig(
         model=model, claim=claim, space=space, quad=quad,
-        k=_number(float, nm.get("k", 2.0), "k", "numerics"),
-        k0=k0, tol_rel=tol_rel, ks=ks,
+        k=k, k0=k0, tol_rel=tol_rel, ks=ks,
         refine=bool(nm.get("refine", False)),
         n_small=_number(int, ob.get("N_small", 8), "N_small", "oracle"),
         q=_number(int, ob.get("q", 7), "q", "oracle"),

@@ -76,20 +76,27 @@ class CoeffSnapshot:
 
 @dataclass(frozen=True)
 class StrategySet:
-    """Compact strategy interval C = [lo, hi]."""
+    """Compact strategy interval C = [lo, hi].
+
+    lo and hi may also be arrays that broadcast against the driver inputs,
+    one interval per batch row.
+    """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ValueError("strategy bounds must be finite")
-        if self.lo > self.hi:
+        if np.any(np.asarray(self.lo) > self.hi):
             raise ValueError("lo must not exceed hi")
 
     @classmethod
     def symmetric(cls, k: float) -> "StrategySet":
-        return cls(-abs(k), abs(k))
+        """C = [-k, k]; k must be positive (an array gives one interval per row)."""
+        if not np.all(np.asarray(k) > 0):
+            raise ValueError(f"k must be positive, got {k}")
+        return cls(-k, k)
 
     @property
     def width(self) -> float:

@@ -6,7 +6,8 @@ the negated claim -- run through one k-doubling loop (`approx.converge_legs`).
 They share the grid, the quadrature, the k schedule and the stopping rule, so
 the discretization bias largely cancels in the ratio; the loop stops only
 when every leg meets the relative Cauchy criterion, and the zero leg is
-solved once per k for both prices.
+solved once per k for both prices.  Each (leg, k) pair is one column of a
+batched backward pass over three doublings.
 """
 from __future__ import annotations
 

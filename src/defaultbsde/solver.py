@@ -17,9 +17,17 @@ Per step i and node x_j (pre-default):
 with linear interpolation in x and flat extrapolation beyond [-L, L].  The
 diffusion move is the no-jump branch of the forward Euler step, so the solver
 and the path simulator discretize the same dynamics.
+
+On the uniform grid every move is a fixed stencil of taps, built once per
+coefficient interval together with its coefficient snapshot.  The backward
+pass carries a leading batch axis: each row of Y is one column (claim, k)
+with its own terminal condition and its own C = [-k, k].  `solve_bsde` is
+the one-column case that keeps the whole surface; `solve_j0_batch` keeps
+only the current rows and returns J0 per column.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +35,7 @@ import numpy as np
 
 from ._util import open_output
 from .driver import CoeffSnapshot, StrategySet, minimize_driver_grid
-from .model import Claim, MarketModel, euler_factor_violation
+from .model import Claim, MarketModel, _on_times, euler_factor_violation
 
 __all__ = [
     "SpaceGrid",
@@ -35,6 +43,7 @@ __all__ = [
     "ValueSurface",
     "SolverError",
     "solve_bsde",
+    "solve_j0_batch",
     "extract_optimal_strategy",
     "surface_at_origin",
 ]
@@ -178,33 +187,68 @@ def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.nda
     return lo + (u - j) * (flat[k + 2] - lo)
 
 
-def _step(c: CoeffSnapshot, strat: StrategySet, x: np.ndarray, quad: Quadrature,
-          dt: float, y_next: np.ndarray, y_jump: np.ndarray | None, step: int,
-          refine: bool):
-    """One backward step of one regime; returns (Y, Z, U, pi_hat) at the nodes x.
+def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray):
+    """(idx, taps) with taps @ rows[..., idx] = sum_m weights[:, m] rows(x + moves[m]).
 
-    ``y_jump`` is the post-default row that the pre-default regime jumps to;
-    the post-default regime passes None and c.lam = 0, and its U is None.
+    On the uniform grid a move is o + a cells, 0 <= a < 1, read as
+    (1 - a) y[j + o] + a y[j + o + 1]; indices clipped to the grid give the
+    flat extrapolation of np.interp.  The product is one fixed-shape matmul
+    per row, so a row's result does not depend on the batch width.
     """
-    regime = "post-default" if y_jump is None else "pre-default"
-    sqdt = math.sqrt(dt)
-    moves = np.log(1.0 + c.mu * dt + c.sigma * sqdt * quad.nodes)
-    vals = np.interp((x[:, None] + moves[None, :]).ravel(), x,
-                     y_next).reshape(x.size, quad.nodes.size)
-    nojump = vals @ quad.weights
-    p = 1.0 - math.exp(-c.lam * dt)
-    Z = (1.0 - p) * (vals @ (quad.weights * quad.nodes)) / sqdt
-    u_eff = np.zeros(x.size)  # the driver's jump argument; zero without jumps
+    m = x.size - 1
+    cells = moves * (m / (x[m] - x[0]))
+    o = np.floor(cells)
+    a = cells - o
+    idx = np.concatenate([o, o + 1.0]).astype(np.intp)[:, None] + np.arange(m + 1)
+    return np.clip(idx, 0, m), np.concatenate([weights * (1.0 - a), weights * a], axis=1)
+
+
+def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature) -> list:
+    """Per step i < N, the (post-default, pre-default) (snapshot, p, diffusion, jump).
+
+    One snapshot and one pair of stencils per distinct coefficient tuple.
+    """
+    g, c, x = model.grid, model.coeffs, space.nodes
+    weights = np.stack([quad.weights, quad.weights * quad.nodes])
+
+    @functools.cache
+    def regime(mu, sigma, lam, beta):
+        moves = np.log(1.0 + mu * g.dt + sigma * math.sqrt(g.dt) * quad.nodes)
+        return (CoeffSnapshot(mu, sigma, lam, beta, gamma=model.gamma),
+                1.0 - math.exp(-lam * g.dt), _stencil(x, moves, weights),
+                _stencil(x, np.array([math.log1p(beta)]), np.ones((1, 1))))
+
+    t = g.times()[:-1]
+    cols = [_on_times(pc, t).tolist() for pc in (c.mu_post, c.sigma_post, c.mu_pre,
+                                                 c.sigma_pre, c.lam, c.beta)]
+    return [(regime(mu1, sig1, 0.0, 0.0), regime(mu0, sig0, lam, beta))
+            for mu1, sig1, mu0, sig0, lam, beta in zip(*cols)]
+
+
+def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
+          y_jump: np.ndarray | None, step: int, refine: bool):
+    """One backward step of one regime; returns (Y, Z, U, pi_hat), (B, M+1) each.
+
+    Row b is batch column b, with its own bounds in ``strat``.  ``y_jump``
+    holds the post-default rows that the pre-default regime jumps to; the
+    post-default regime passes None and c.lam = 0, and its U is None.
+    """
+    c, p, (idx, taps), (jump_idx, jump_taps) = regime
+    name = "post-default" if y_jump is None else "pre-default"
+    moved = taps @ np.take(y_next, idx, axis=-1)
+    nojump = moved[:, 0]
+    Z = (1.0 - p) * moved[:, 1] / math.sqrt(dt)
+    u_eff = 0.0  # the driver's jump argument; zero without jumps
     if y_jump is None:
         E, U = nojump, None
     else:
-        vjump = np.interp(x + math.log1p(c.beta), x, y_jump)
+        vjump = (jump_taps @ np.take(y_jump, jump_idx, axis=-1))[:, 0]
         E = (1.0 - p) * nojump + p * vjump
         U = vjump - nojump
-        _check_positive(E, step, f"E ({regime})")
+        _check_positive(E, step, f"E ({name})")
         if c.lam > 0.0:
             if np.any(E + U < 0.0):
-                j = int(np.argmin(E + U))
+                j = int(np.argmin(E + U)) % E.shape[-1]
                 raise SolverError(
                     f"solver: Y + U >= 0 violated at step {step}, node {j} "
                     "(grid too coarse or L too small)")
@@ -212,17 +256,40 @@ def _step(c: CoeffSnapshot, strat: StrategySet, x: np.ndarray, quad: Quadrature,
     f, pi = minimize_driver_grid(c, strat, E, Z, u_eff)
     y = E + dt * f
     if refine:
-        _check_positive(y, step, f"Y ({regime}, pre-refine)")
+        _check_positive(y, step, f"Y ({name}, pre-refine)")
         f, pi = minimize_driver_grid(c, strat, y, Z, u_eff)
         y = E + dt * f
-    _check_positive(y, step, f"Y ({regime})")
+    _check_positive(y, step, f"Y ({name})")
     return y, Z, U, pi
+
+
+def _backward(model: MarketModel, claims, strat: StrategySet, space: SpaceGrid,
+              quad: Quadrature, refine: bool):
+    """Yield the terminal (post, pre) rows, then (i, post, pre) _step results
+    for i = N-1 down to 0; row b belongs to claims[b]."""
+    g = model.grid
+    if g.dt * model.coeffs.lam.vmax() >= 1.0:
+        raise SolverError("solver: dt * max(lambda) must be < 1")
+    euler = euler_factor_violation(model, quad.max_abs_node)
+    if euler is not None:
+        raise SolverError(f"solver: {euler}")
+    s_nodes = model.s0 * np.exp(space.nodes)
+    y_post, y_pre = (np.exp(-model.gamma * np.array(
+        [np.asarray(claim.payoff(s_nodes, n), dtype=float) for claim in claims]))
+        for n in (1, 0))
+    yield y_post, y_pre
+    for i, (post, pre) in reversed(list(enumerate(_regimes(model, space, quad)))):
+        post_out = _step(post, strat, g.dt, y_post, None, i, refine)
+        pre_out = _step(pre, strat, g.dt, y_pre, y_post, i, refine)
+        y_post, y_pre = post_out[0], pre_out[0]
+        yield i, post_out, pre_out
 
 
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
                space: SpaceGrid, quad: Quadrature, refine: bool = False) -> ValueSurface:
     """Backward induction for the constrained BSDE; see the module docstring.
 
+    The one-column case of the backward pass that keeps every step.
     ``refine`` adds one fixed-point pass, re-evaluating the driver at the
     first-pass Y instead of the conditional mean E.
 
@@ -230,42 +297,40 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     at some quadrature node, or when an iterate violates Y > 0 or
     Y + U >= 0, reporting the offending step and node.
     """
-    g = model.grid
-    n_steps, dt = g.n_steps, g.dt
-    if dt * model.coeffs.lam.vmax() >= 1.0:
-        raise SolverError("solver: dt * max(lambda) must be < 1")
-    euler = euler_factor_violation(model, quad.max_abs_node)
-    if euler is not None:
-        raise SolverError(f"solver: {euler}")
-    times = g.times()
-    x = space.nodes
-    m1 = x.size
-
+    n_steps, m1 = model.grid.n_steps, space.nodes.size
     Y = np.empty((n_steps + 1, m1, 2))
     Z = np.full((n_steps + 1, m1, 2), np.nan)
     U = np.full((n_steps + 1, m1), np.nan)
     pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
 
-    s_nodes = model.s0 * np.exp(x)
-    for n in (0, 1):
-        Y[n_steps, :, n] = np.exp(-model.gamma * np.asarray(claim.payoff(s_nodes, n), dtype=float))
-
-    for i in range(n_steps - 1, -1, -1):
-        t = float(times[i])
-        post = CoeffSnapshot(*model.coeffs.at(t, defaulted=True), gamma=model.gamma)
-        pre = CoeffSnapshot(*model.coeffs.at(t, defaulted=False), gamma=model.gamma)
-        Y[i, :, 1], Z[i, :, 1], _, pi_hat[i, :, 1] = _step(
-            post, strat, x, quad, dt, Y[i + 1, :, 1], None, i, refine)
-        Y[i, :, 0], Z[i, :, 0], U[i, :], pi_hat[i, :, 0] = _step(
-            pre, strat, x, quad, dt, Y[i + 1, :, 0], Y[i + 1, :, 1], i, refine)
+    steps = _backward(model, (claim,), strat, space, quad, refine)
+    Y[n_steps, :, 1], Y[n_steps, :, 0] = (rows[0] for rows in next(steps))
+    for i, (y1, z1, _, p1), (y0, z0, u0, p0) in steps:
+        Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y1[0], z1[0], p1[0]
+        Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y0[0], z0[0], u0[0], p0[0]
 
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
 
 
+def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadrature,
+                   refine: bool = False) -> np.ndarray:
+    """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward pass.
+
+    Holds rows, no surface.  Each J0 equals solve_bsde's bit for bit, and
+    errors are solve_bsde's, with the node counted within its column.
+    """
+    steps = _backward(model, claims, StrategySet.symmetric(np.asarray(ks, dtype=float)[:, None]),
+                      space, quad, refine)
+    next(steps)  # the terminal rows
+    for _, _, (y_pre, *_) in steps:
+        pass
+    return np.array([np.interp(0.0, space.nodes, row) for row in y_pre])
+
+
 def _check_positive(arr: np.ndarray, step: int, what: str) -> None:
     if np.any(~(arr > 0.0)):
-        j = int(np.argmin(arr))
+        j = int(np.argmin(arr)) % arr.shape[-1]
         raise SolverError(
             f"solver: {what} positivity violated at step {step}, node {j} "
             "(grid too coarse or L too small)")

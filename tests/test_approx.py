@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, NonConvergenceError, converge, k_sweep,
+from defaultbsde import (CoeffSnapshot, Constant, DefaultIndicator, MarketModel,
+                         NonConvergenceError, PiecewiseConstant, RegimeCoefficients,
+                         SolverError, StockPayoff, StrategySet, TimeGrid, converge,
+                         indifference_price, k_sweep, solve_bsde, solver,
                          surface_at_origin)
+from defaultbsde.approx import converge_legs
+from defaultbsde.driver import minimize_driver_grid
+from defaultbsde.solver import solve_j0_batch
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
                       merton_model, random_claim, random_mild_model, solve_setup)
@@ -150,3 +157,168 @@ class TestConverge:
                 assert 0.0 < j_claim <= 1.0 + 1e-12
                 lower = math.exp(-model.gamma * claim.bounds()[1]) * j_zero
                 assert j_claim >= lower - 1e-9
+
+
+def reference_step(c, strat, x, quad, dt, y_next, y_jump, refine):
+    """One regime of one column by np.interp at every move: the step before stencils."""
+    sqdt = math.sqrt(dt)
+    moves = np.log(1.0 + c.mu * dt + c.sigma * sqdt * quad.nodes)
+    vals = np.interp((x[:, None] + moves[None, :]).ravel(), x,
+                     y_next).reshape(x.size, quad.nodes.size)
+    nojump = vals @ quad.weights
+    p = 1.0 - math.exp(-c.lam * dt)
+    Z = (1.0 - p) * (vals @ (quad.weights * quad.nodes)) / sqdt
+    u_eff = np.zeros(x.size)
+    if y_jump is None:
+        E = nojump
+    else:
+        vjump = np.interp(x + math.log1p(c.beta), x, y_jump)
+        E = (1.0 - p) * nojump + p * vjump
+        if c.lam > 0.0:
+            u_eff = vjump - nojump
+    f, _ = minimize_driver_grid(c, strat, E, Z, u_eff)
+    y = E + dt * f
+    if refine:
+        f, _ = minimize_driver_grid(c, strat, y, Z, u_eff)
+        y = E + dt * f
+    return y
+
+
+def reference_j0(model, claim, k, space, quad, refine):
+    """Serial J0 on C = [-k, k], coefficients looked up at every step."""
+    x, strat, dt = space.nodes, StrategySet.symmetric(k), model.grid.dt
+    s = model.s0 * np.exp(x)
+    pre, post = (np.exp(-model.gamma * np.asarray(claim.payoff(s, n), dtype=float))
+                 for n in (0, 1))
+    for t in model.grid.times()[-2::-1]:
+        c_post = CoeffSnapshot(*model.coeffs.at(t, defaulted=True), gamma=model.gamma)
+        c_pre = CoeffSnapshot(*model.coeffs.at(t, defaulted=False), gamma=model.gamma)
+        post, pre = (reference_step(c_post, strat, x, quad, dt, post, None, refine),
+                     reference_step(c_pre, strat, x, quad, dt, pre, post, refine))
+    return float(np.interp(0.0, x, pre))
+
+
+S_NODES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+PUT = StockPayoff(S_NODES, tuple(max(1.0 - s, 0.0) for s in S_NODES),
+                  tuple(max(0.9 - s, 0.0) for s in S_NODES))
+
+
+def drifted_bond_market():
+    model = MarketModel(grid=TimeGrid(1.0, 50),
+                        coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
+                                                           beta=0.0, lam=0.1),
+                        gamma=1.0)
+    return model, BOND_CLAIM
+
+
+def jump_market():
+    model = MarketModel(grid=TimeGrid(1.0, 50),
+                        coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25,
+                                                           beta=-0.3, lam=0.3),
+                        gamma=1.0)
+    return model, PUT
+
+
+def piecewise_market():
+    coeffs = RegimeCoefficients(
+        mu_pre=PiecewiseConstant((0.0, 0.3, 0.7), (0.1, -0.05, 0.08)),
+        sigma_pre=PiecewiseConstant((0.0, 0.5), (0.2, 0.3)),
+        mu_post=PiecewiseConstant.flat(0.02),
+        sigma_post=PiecewiseConstant((0.0, 0.6), (0.25, 0.15)),
+        beta=PiecewiseConstant((0.0, 0.5), (0.4, -0.2)),
+        lam=PiecewiseConstant((0.0, 0.4), (0.2, 0.5)),
+    )
+    return MarketModel(grid=TimeGrid(1.0, 50), coeffs=coeffs, gamma=0.8), PUT
+
+
+class TestBatchedPass:
+    """Price legs and doublings share one backward pass, column by column."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_per_k_j0_matches_interp_reference(self, market, refine):
+        model, claim = market()
+        space, quad = solve_setup(model, m_space=40)
+        diag = indifference_price(model, claim, space, quad, 0.25, 1e-6,
+                                  refine=refine).diagnostics
+        assert len(diag["ks"]) > 2
+        for key, leg in (("J0_zero_per_k", ZERO_CLAIM), ("J0_claim_per_k", claim),
+                         ("J0_negated_per_k", claim.negated())):
+            want = [reference_j0(model, leg, k, space, quad, refine) for k in diag["ks"]]
+            np.testing.assert_allclose(diag[key], want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_column_bit_identical_across_batch_widths(self, refine):
+        model, claim = piecewise_market()
+        space, quad = solve_setup(model, m_space=40)
+        legs = [ZERO_CLAIM, claim, claim.negated()]
+        ks = [0.5, 1.0, 2.0]
+        nine = solve_j0_batch(model, [c for _ in ks for c in legs], np.repeat(ks, 3),
+                              space, quad, refine=refine)
+        three = solve_j0_batch(model, legs, [1.0] * 3, space, quad, refine=refine)
+        one = solve_j0_batch(model, [claim], [1.0], space, quad, refine=refine)
+        surface = solve_bsde(model, claim, StrategySet.symmetric(1.0), space, quad,
+                             refine=refine)
+        assert one[0] == three[1] == nine[4] == surface_at_origin(surface)
+
+    def test_price_holds_no_surface(self):
+        # N = M = 100 with 3 legs x 3 doublings per pass: one regime's Y surface
+        # over the batch would be (N+1)(M+1)B floats; the pass keeps rows only
+        model = MarketModel(grid=TimeGrid(1.0, 100),
+                            coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
+                                                               beta=0.0, lam=0.1),
+                            gamma=1.0)
+        space, quad = solve_setup(model, m_space=100)
+        indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6)  # warm caches
+        tracemalloc.start()
+        try:
+            indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 101 * 101 * 9 * 8
+
+
+def fail_columns_above(monkeypatch, k_fail, node=17):
+    """Make the driver push Y below 0 at one node of every column with k > k_fail."""
+    real = solver.minimize_driver_grid
+
+    def driver(c, strat, y, z, u):
+        f, pi = real(c, strat, y, z, u)
+        bad = (np.asarray(strat.hi) > k_fail) & (np.arange(f.shape[-1]) == node)
+        return np.where(bad, -1e9, f), pi
+
+    monkeypatch.setattr(solver, "minimize_driver_grid", driver)
+
+
+class TestBlockFailures:
+    """A failing pass is solved again one k at a time, as a serial run would meet it."""
+
+    def setup_method(self):
+        # k0 = 0.5 stops at k* = 8: the second pass holds 4, 8 and 16
+        self.model, self.claim = drifted_bond_market()
+        self.space, self.quad = solve_setup(self.model, m_space=40)
+
+    def legs(self):
+        return converge_legs(self.model, (ZERO_CLAIM, self.claim), ("zero", "claim"),
+                             self.space, self.quad, 0.5, 1e-6)
+
+    def test_failure_past_k_star_is_never_raised(self, monkeypatch):
+        want = self.legs()
+        assert want[0].ks == [0.5, 1.0, 2.0, 4.0, 8.0]
+        fail_columns_above(monkeypatch, 10.0)
+        got = self.legs()
+        for a, b in zip(got, want):
+            assert (a.ks, a.j0s, a.k_star) == (b.ks, b.j0s, b.k_star)
+
+    def test_failure_at_or_below_k_star_tagged_with_k(self, monkeypatch):
+        fail_columns_above(monkeypatch, 3.0)
+        with pytest.raises(SolverError, match=r"^k=4: solver: Y \(post-default\) "
+                                              r"positivity violated at step 49, node 17 "):
+            self.legs()
+
+    def test_node_counted_within_the_failing_column(self, monkeypatch):
+        fail_columns_above(monkeypatch, 3.0)
+        with pytest.raises(SolverError, match=r"step 49, node 17 "):
+            solve_j0_batch(self.model, [self.claim] * 3, [1.0, 2.0, 4.0],
+                           self.space, self.quad)

@@ -80,6 +80,7 @@ class TestValidate:
         ("oracle", "oracle", "N_small", 0, "n_small must be in"),
         ("oracle", "oracle", "q", 10, "q must be in"),
         ("oracle", "oracle", "G", 102, "strategy grid count must be in"),
+        ("solve", "numerics", "k", -2, "k must be positive"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                      subcommand, block, key, value,
@@ -90,6 +91,7 @@ class TestValidate:
             raise AssertionError("work started before the inputs were checked")
 
         monkeypatch.setattr(approx, "solve_bsde", no_work)
+        monkeypatch.setattr(approx, "solve_j0_batch", no_work)
         monkeypatch.setattr(cli, "solve_bsde", no_work)
         monkeypatch.setattr(cli, "brute_force_dp", no_work)
         cfg = write_config(tmp_path, **{block: {key: value}})

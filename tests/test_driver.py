@@ -223,3 +223,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             StrategySet(1.0, -1.0)
         assert StrategySet.symmetric(2.0) == StrategySet(-2.0, 2.0)
+        for k in (0.0, -2.0, math.nan, np.array([[1.0], [-1.0]])):
+            with pytest.raises(ValueError, match="k must be positive"):
+                StrategySet.symmetric(k)
+        rows = StrategySet.symmetric(np.array([[0.5], [2.0]]))
+        assert np.array_equal(rows.lo, [[-0.5], [-2.0]])
+        with pytest.raises(ValueError):
+            StrategySet(np.array([0.0, 1.0]), np.array([1.0, 0.5]))

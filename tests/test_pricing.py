@@ -103,17 +103,23 @@ class TestOneLoop:
     """Every leg of a price runs through one k-doubling loop, each solved once per k."""
 
     def test_three_solves_per_k_with_selling(self, monkeypatch):
-        real, calls = approx.solve_bsde, []
+        real, columns = approx.solve_j0_batch, []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(model, claims, ks, *args, **kwargs):
+            columns.extend(zip(ks, claims))
+            return real(model, claims, ks, *args, **kwargs)
 
-        monkeypatch.setattr(approx, "solve_bsde", counting)
+        monkeypatch.setattr(approx, "solve_j0_batch", counting)
         rep = price(bond_model(50), BOND_CLAIM)
         assert rep.sell_price is not None
-        # zero, claim and negated claim; the zero leg serves both prices
-        assert len(calls) == 3 * len(rep.diagnostics["ks"])
+        # a pass may solve up to a block's last doubling beyond k*
+        ks, solved = rep.diagnostics["ks"], sorted({k for k, _ in columns})
+        assert solved[:len(ks)] == ks and len(solved) - len(ks) < approx._BLOCK
+        # one column per k each for zero, claim and negated claim: the zero leg
+        # serves both prices
+        for k in solved:
+            assert ([c for kc, c in columns if kc == k]
+                    == [Constant(0.0), BOND_CLAIM, BOND_CLAIM.negated()])
 
     def test_legs_match_one_leg_converge(self):
         # a drifted bond market, so the schedule runs several doublings
