@@ -104,11 +104,18 @@ class StrategySet:
 
 
 def f_pi(c: CoeffSnapshot, pi, y, z, u):
-    """Per-strategy linear driver; vectorizes over any argument."""
+    """Per-strategy linear driver; vectorizes over any argument.
+
+    The jump term is skipped when lam * beta = 0, where it is exactly zero
+    (evaluating it there would turn an overflowing exp into 0 * inf = NaN).
+    """
     g = c.gamma
+    f = 0.5 * g * g * pi * pi * c.sigma ** 2 * y - g * pi * (c.mu * y + c.sigma * z)
+    if c.lam * c.beta == 0.0:
+        return f
     with np.errstate(over="ignore"):
         jump = c.lam * (1.0 - np.exp(-g * pi * c.beta)) * (y + u)
-    return 0.5 * g * g * pi * pi * c.sigma ** 2 * y - g * pi * (c.mu * y + c.sigma * z) - jump
+    return f - jump
 
 
 def _lambert_w0_exp(log_x):

@@ -45,6 +45,8 @@ __all__ = [
 
 # truncation of Gaussian increments in the forward scheme, in units of sqrt(dt)
 DW_CLIP = 6.0
+# paths per draw when the Gaussian block is stored time-major
+_DRAW_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -385,9 +387,10 @@ class PathEnsemble:
 
     ``dW`` holds the (truncated) Brownian increments, shape (n_paths, N);
     ``n_path``, ``stock``, ``wealth`` are states at grid times, shape
-    (n_paths, N+1).  simulate_paths stores the states time-major and hands
-    out transposed views, so the column ``[:, i]`` of step i is contiguous.
-    ``tau_step[p]`` is the step index in which path p defaulted, or -1.
+    (n_paths, N+1).  simulate_paths stores all four time-major and hands out
+    transposed views, so the column ``[:, i]`` of step i is contiguous and
+    a row ``[p]`` is strided.  ``tau_step[p]`` is the step index in which
+    path p defaulted, or -1.
     """
 
     times: np.ndarray
@@ -438,13 +441,17 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     Per step, default occurs with probability 1 - exp(-lambda*dt) if it has
     not occurred yet; S and X are updated with the same dW and dN.  All draws
     come from one Philox stream keyed by ``seed``: first the (n_paths, N)
-    Gaussian block, then the (n_paths, N) default uniforms.  Output is
-    bit-identical for identical (seed, n_paths).  ``n_threads`` has no effect
-    and is kept for compatibility.
+    Gaussian block, path by path, then the (n_paths, N) default uniforms.
+    Output is bit-identical for identical (seed, n_paths).  ``n_threads``
+    has no effect and is kept for compatibility.
 
-    ``n_path``, ``stock`` and ``wealth`` are allocated time-major, (N+1,
-    n_paths), and returned as (n_paths, N+1) views: every step reads and
-    writes contiguous rows, and callers index paths as before.
+    ``dW``, ``n_path``, ``stock`` and ``wealth`` are allocated time-major,
+    (N, n_paths) or (N+1, n_paths), and returned as (n_paths, ...) views:
+    every step reads and writes contiguous rows, and callers index paths as
+    before.  The Gaussian block is drawn a chunk of paths at a time and
+    stored transposed, which reads the same stream as one path-major draw.
+    The coefficients of each step are looked up once, before the loop, and
+    a step's arithmetic runs in place in preallocated rows.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -456,42 +463,62 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     sq = math.sqrt(dt)
-    dW = gen.standard_normal((n_paths, n))
+    # the path-major Gaussian block, stored time-major a chunk of paths at a
+    # time, so no second full block is held
+    dW = np.empty((n, n_paths))
+    for a in range(0, n_paths, _DRAW_CHUNK):
+        b = min(a + _DRAW_CHUNK, n_paths)
+        dW[:, a:b] = gen.standard_normal((b - a, n)).T
     dW *= sq
     np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
     c = model.coeffs
+    t = times[:-1]
     # default draws: step i defaults a live path when its uniform is below
     # 1 - exp(-lambda(t_i) dt); compared once into a time-major table, so the
     # uniform block is freed before the state arrays are allocated
-    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, times[:-1])])
+    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, t)])
     hits = np.empty((n, n_paths), dtype=bool)
     np.less(gen.random((n_paths, n)).T, p_def[:, None], out=hits)
+
+    # per step: (pre-default, post-default) 1 + mu dt and sigma, read per
+    # path through its default state, and the jump factor 1 + beta
+    drift = np.stack([1.0 + _on_times(c.mu_pre, t) * dt,
+                      1.0 + _on_times(c.mu_post, t) * dt], axis=1)
+    vol = np.stack([_on_times(c.sigma_pre, t), _on_times(c.sigma_post, t)], axis=1)
+    jump = 1.0 + _on_times(c.beta, t)
 
     n_path = np.zeros((n + 1, n_paths), dtype=np.int8)
     stock = np.empty((n + 1, n_paths))
     wealth = np.zeros((n + 1, n_paths))
     tau_step = np.full(n_paths, -1, dtype=np.int64)
     stock[0] = model.s0
+    regime = np.empty(n_paths, dtype=np.intp)  # n_path[i] as take indices
+    alive = np.empty(n_paths, dtype=bool)
+    jumps = np.empty(n_paths, dtype=bool)
+    ret = np.empty(n_paths)
+    level = np.empty(n_paths)
 
     for i in range(n):
-        t = float(times[i])
-        alive = n_path[i] == 0
-        mu0, s0_, _, beta0 = c.at(t, defaulted=False)
-        mu1, s1_, _, _ = c.at(t, defaulted=True)
-        mu = np.where(alive, mu0, mu1)
-        sig = np.where(alive, s0_, s1_)
-
-        jumps = alive & hits[i]
+        np.copyto(regime, n_path[i])
+        np.equal(regime, 0, out=alive)
+        np.logical_and(alive, hits[i], out=jumps)
         tau_step[jumps] = i
-        dN = jumps.astype(float)
 
-        pi = strategy(t, stock[i], n_path[i])  # per path, or one scalar
-        # jump composed multiplicatively: keeps S > 0 for every beta > -1 and
-        # makes the self-financing identity dX = pi * dS/S exact per step
-        ret = (1.0 + mu * dt + sig * dW[:, i]) * (1.0 + beta0 * dN) - 1.0
-        stock[i + 1] = stock[i] * (1.0 + ret)
-        wealth[i + 1] = wealth[i] + pi * ret
-        n_path[i + 1] = np.where(jumps, 1, n_path[i])
+        pi = strategy(float(times[i]), stock[i], n_path[i])  # per path, or one scalar
+        # ret = (1 + mu dt + sigma dW)(1 + beta dN) - 1: the jump composed
+        # multiplicatively keeps S > 0 for every beta > -1 and makes the
+        # self-financing identity dX = pi * dS/S exact per step
+        # indices are 0 or 1; mode="clip" skips the copy that "raise" makes of out
+        np.take(vol[i], regime, out=ret, mode="clip")
+        ret *= dW[i]
+        ret += np.take(drift[i], regime, out=level, mode="clip")
+        np.multiply(ret, jump[i], out=ret, where=jumps)
+        ret -= 1.0
+        np.add(ret, 1.0, out=stock[i + 1])
+        stock[i + 1] *= stock[i]
+        np.multiply(ret, pi, out=wealth[i + 1])
+        wealth[i + 1] += wealth[i]
+        np.logical_or(n_path[i], jumps, out=n_path[i + 1])
 
-    return PathEnsemble(times=times, dW=dW, n_path=n_path.T, stock=stock.T,
+    return PathEnsemble(times=times, dW=dW.T, n_path=n_path.T, stock=stock.T,
                         wealth=wealth.T, tau_step=tau_step, seed=seed)

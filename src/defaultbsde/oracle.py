@@ -32,8 +32,10 @@ MAX_Q = 9
 MAX_G = 101
 DEFAULT_NODE_BUDGET = 2_000_000
 MIN_PATHS = 1000
-# martingale_check peaks near 26 bytes per path-step (n_paths * N), so this
-# caps the path arrays near 1 GB
+# martingale_check peaks near 27 bytes per path-step (n_paths * N): 26 for
+# dW, the default table and the three state arrays, and the rest for per-path
+# work rows (measured 26.9 at N = 100, 27.8 at N = 50); so this caps the path
+# arrays near 1.1 GB
 PATH_STEP_BUDGET = 40_000_000
 
 
@@ -83,7 +85,10 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     equispaced strategies in [-k, k] (g = 1 means the zero strategy only,
     i.e. a plain expectation), with wealth updated by
     pi * (mu dt + sigma dW + beta dN).  Stock-dependent claims enumerate the
-    full tree and are rejected when (2q)^n_small exceeds the node budget.
+    full tree and are rejected when (2q)^n_small exceeds the node budget;
+    there every node of a level is valued against the whole strategy grid
+    at once, as one (nodes, q) @ (q, g) product per branch, and then
+    minimized over the grid.
     """
     tree = DPTree(n_small=n_small, q=q, g=g, k=k, node_budget=node_budget)
     dt = model.grid.horizon / n_small
@@ -122,7 +127,12 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
 
 def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, dt: float,
                    dw: np.ndarray, w: np.ndarray, pis: np.ndarray) -> float:
-    """Full-tree recursion for stock-dependent payoffs (small trees only)."""
+    """Full-tree recursion for stock-dependent payoffs (small trees only).
+
+    A node's expected next-step factor under strategy pi_g is
+    sum_m child[m] w[m] exp(-gamma pi_g ret[m]): the child values times a
+    (q, g) weight matrix, so each level is one matmul per branch.
+    """
     gamma, s0 = model.gamma, model.s0
     n_small = tree.n_small
 
@@ -132,6 +142,10 @@ def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, dt: float,
             raise ValueError("oracle: tree increment drives S nonpositive; refine dt")
         return np.log(factors), factors - 1.0
 
+    def weights(ret: np.ndarray) -> np.ndarray:
+        # (q, G): column g weighs the q children by w * exp(-gamma pi_g ret)
+        return w[:, None] * np.exp(np.outer(ret, -gamma * pis))
+
     def value(i: int, x: np.ndarray, n: int) -> np.ndarray:
         if i == n_small:
             return np.exp(-gamma * np.asarray(claim.payoff(s0 * np.exp(x), n), dtype=float))
@@ -140,23 +154,15 @@ def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, dt: float,
             mu1, s1, _, _ = model.coeffs.at(t, defaulted=True)
             mv, ret = log_moves(mu1, s1, 0.0)
             child = value(i + 1, (x[:, None] + mv[None, :]).ravel(), 1).reshape(x.size, -1)
-            best = None
-            for pi in pis:
-                cand = (child * np.exp(-gamma * pi * ret)[None, :]) @ w
-                best = cand if best is None else np.minimum(best, cand)
-            return best
+            return (child @ weights(ret)).min(axis=1)
         mu0, s0c, lam, beta = model.coeffs.at(t, defaulted=False)
         p = 1.0 - math.exp(-lam * dt)
         mv_nj, ret_nj = log_moves(mu0, s0c, 0.0)
         mv_j, ret_j = log_moves(mu0, s0c, beta)
         child_nj = value(i + 1, (x[:, None] + mv_nj[None, :]).ravel(), 0).reshape(x.size, -1)
         child_j = value(i + 1, (x[:, None] + mv_j[None, :]).ravel(), 1).reshape(x.size, -1)
-        best = None
-        for pi in pis:
-            cand = ((1.0 - p) * (child_nj * np.exp(-gamma * pi * ret_nj)[None, :])
-                    + p * (child_j * np.exp(-gamma * pi * ret_j)[None, :])) @ w
-            best = cand if best is None else np.minimum(best, cand)
-        return best
+        return ((1.0 - p) * (child_nj @ weights(ret_nj))
+                + p * (child_j @ weights(ret_j))).min(axis=1)
 
     return float(value(0, np.zeros(1), 0)[0])
 

@@ -176,15 +176,30 @@ def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.nda
 
     The cell comes from arithmetic on the uniform grid x, not a search, and
     each query reads only its own regime's column of the (M+1, 2) table.
+    ``n`` is a scalar or has the shape of ``s``; a scalar ``s`` gives a scalar.
+    The arithmetic runs in place on a copy of s and on its cell index.
     """
     m = x.size - 1
-    u = np.clip((np.log(np.asarray(s, dtype=float) / s0) - x[0]) * (m / (x[m] - x[0])),
-                0.0, m)
-    j = np.minimum(np.floor(u).astype(np.intp), m - 1)
+    u = np.array(s, dtype=float)
+    u /= s0
+    np.log(u, out=u)
+    u -= x[0]
+    u *= m / (x[m] - x[0])
+    np.clip(u, 0.0, m, out=u)
+    j = u.astype(np.intp)  # the floor, as u >= 0
+    np.minimum(j, m - 1, out=j)
+    u -= j
     flat = table.ravel()
-    k = 2 * j + n
-    lo = flat[k]
-    return lo + (u - j) * (flat[k + 2] - lo)
+    k = j  # reused in place as the flat index 2 j + n of the lower node
+    k *= 2
+    k += n
+    lo = np.take(flat, k)
+    k += 2
+    out = np.take(flat, k)
+    out -= lo
+    out *= u
+    out += lo
+    return out[()]
 
 
 def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, Quadrature,
-                         RegimeCoefficients, SpaceGrid, TimeGrid)
+from defaultbsde import (Constant, DefaultIndicator, MarketModel, PiecewiseConstant,
+                         Quadrature, RegimeCoefficients, SpaceGrid, TimeGrid)
 
 # closed forms used across the suite
 MERTON_J0 = math.exp(-0.5)                                  # exp(-(mu/sigma)^2 T / 2)
@@ -25,6 +25,18 @@ def bond_model(n_steps: int = 100) -> MarketModel:
                        coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
                                                           beta=0.0, lam=0.1),
                        gamma=1.0)
+
+
+def piecewise_model(n_steps: int = 60) -> MarketModel:
+    """Every coefficient switches inside [0, T]; post-default mu/sigma of their own."""
+    coeffs = RegimeCoefficients(
+        mu_pre=PiecewiseConstant((0.0, 0.3, 0.7), (0.1, -0.05, 0.2)),
+        sigma_pre=PiecewiseConstant((0.0, 0.5), (0.2, 0.35)),
+        mu_post=PiecewiseConstant((0.0, 0.6), (-0.1, 0.03)),
+        sigma_post=PiecewiseConstant((0.0, 0.4), (0.4, 0.15)),
+        beta=PiecewiseConstant((0.0, 0.5), (-0.4, 0.6)),
+        lam=PiecewiseConstant((0.0, 0.2), (1.0, 2.5)))
+    return MarketModel(grid=TimeGrid(1.0, n_steps), coeffs=coeffs, gamma=1.3)
 
 
 BOND_CLAIM = DefaultIndicator(1.0, 0.0)

@@ -58,6 +58,27 @@ class TestFPi:
         expected = 0.5 - (1.0 - math.exp(-1.0))
         assert f_pi(c, 1.0, 1.0, 0.0, 0.0) == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("lam, beta", [(0.0, 5.0), (0.7, 0.0), (0.0, 0.0), (0.7, -0.4)])
+    def test_matches_full_formula_where_finite(self, lam, beta):
+        # reference: the jump term evaluated always, zero or not
+        c = snap(mu=0.1, sigma=0.2, lam=lam, beta=beta, gamma=1.3)
+        rng = np.random.default_rng(5)
+        pi, z = rng.uniform(-3.0, 3.0, (2, 200))
+        y = rng.uniform(0.05, 3.0, 200)
+        u = rng.uniform(-0.999 * y, 3.0)
+        g = c.gamma
+        want = (0.5 * g * g * pi * pi * c.sigma ** 2 * y - g * pi * (c.mu * y + c.sigma * z)
+                - c.lam * (1.0 - np.exp(-g * pi * c.beta)) * (y + u))
+        assert np.array_equal(f_pi(c, pi, y, z, u), want)
+
+    def test_no_jump_term_without_jump_risk(self):
+        # exp(-gamma pi beta) = exp(1000) overflows; lam = 0 makes the term 0,
+        # not 0 * inf = NaN
+        c = CoeffSnapshot(mu=0.1, sigma=0.2, lam=0.0, beta=5.0, gamma=1.0)
+        assert f_pi(c, -200.0, 1.0, 0.0, 0.0) == pytest.approx(820.0, rel=1e-15)
+        f, p = minimize_driver(c, StrategySet(-300.0, -200.0), 1.0, 0.0, 0.0)
+        assert p == -200.0 and f == pytest.approx(820.0, rel=1e-15)
+
 
 class TestMinimize:
     def test_interior_vertex(self):

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, PiecewiseConstant,
-                         RegimeCoefficients, StockPayoff, TimeGrid, claim_payoff,
-                         simulate_paths, validate_model)
+from defaultbsde import (Constant, DefaultIndicator, MarketModel, PathEnsemble,
+                         PiecewiseConstant, RegimeCoefficients, StockPayoff, TimeGrid,
+                         claim_payoff, simulate_paths, validate_model)
+from defaultbsde.model import DW_CLIP, _DRAW_CHUNK, _on_times
 
-from conftest import merton_model
+from conftest import merton_model, piecewise_model
 
 
 def flat_model(mu=0.1, sigma=0.2, beta=-0.3, lam=0.5, gamma=1.0, T=1.0, N=100):
@@ -15,6 +17,44 @@ def flat_model(mu=0.1, sigma=0.2, beta=-0.3, lam=0.5, gamma=1.0, T=1.0, N=100):
                        coeffs=RegimeCoefficients.constant(mu=mu, sigma=sigma,
                                                           beta=beta, lam=lam),
                        gamma=gamma)
+
+
+def reference_simulate(model, strategy, n_paths, seed):
+    """The path-major step loop that simulate_paths replaced: one path-major
+    draw, two coefficient lookups and fresh temporaries per step."""
+    g = model.grid
+    n, dt = g.n_steps, g.dt
+    times = g.times()
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    sq = math.sqrt(dt)
+    dW = gen.standard_normal((n_paths, n))
+    dW *= sq
+    np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
+    c = model.coeffs
+    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, times[:-1])])
+    hits = gen.random((n_paths, n)).T < p_def[:, None]
+    n_path = np.zeros((n + 1, n_paths), dtype=np.int8)
+    stock = np.empty((n + 1, n_paths))
+    wealth = np.zeros((n + 1, n_paths))
+    tau_step = np.full(n_paths, -1, dtype=np.int64)
+    stock[0] = model.s0
+    for i in range(n):
+        t = float(times[i])
+        alive = n_path[i] == 0
+        mu0, s0_, _, beta0 = c.at(t, defaulted=False)
+        mu1, s1_, _, _ = c.at(t, defaulted=True)
+        mu = np.where(alive, mu0, mu1)
+        sig = np.where(alive, s0_, s1_)
+        jumps = alive & hits[i]
+        tau_step[jumps] = i
+        dN = jumps.astype(float)
+        pi = strategy(t, stock[i], n_path[i])
+        ret = (1.0 + mu * dt + sig * dW[:, i]) * (1.0 + beta0 * dN) - 1.0
+        stock[i + 1] = stock[i] * (1.0 + ret)
+        wealth[i + 1] = wealth[i] + pi * ret
+        n_path[i + 1] = np.where(jumps, 1, n_path[i])
+    return PathEnsemble(times=times, dW=dW, n_path=n_path.T, stock=stock.T,
+                        wealth=wealth.T, tau_step=tau_step, seed=seed)
 
 
 class TestValidate:
@@ -145,9 +185,42 @@ class TestSimulate:
 
     def test_states_are_time_major(self):
         ens = simulate_paths(flat_model(N=10), lambda t, s, n: 0.0, 50, seed=3)
+        assert ens.dW.shape == (50, 10) and ens.dW[:, 4].flags.c_contiguous
         for arr in (ens.n_path, ens.stock, ens.wealth):
             assert arr.shape == (50, 11)
             assert arr[:, 4].flags.c_contiguous
+
+    @pytest.mark.parametrize("n_paths", [2 * _DRAW_CHUNK + 37, 1])
+    def test_equals_reference_loop(self, n_paths):
+        # chunked time-major draws and the in-place step reproduce the
+        # path-major loop bit for bit, defaults and regime switches included
+        model = piecewise_model()
+
+        def strategy(t, s, n):
+            return 0.7 * math.sin(5.0 * t) + 0.1 * np.log(s) - 0.3 * n
+
+        got = simulate_paths(model, strategy, n_paths, seed=9)
+        want = reference_simulate(model, strategy, n_paths, seed=9)
+        if n_paths > 1:
+            assert np.any(want.tau_step >= 0) and np.any(want.tau_step < 0)
+        for name in ("dW", "n_path", "stock", "wealth", "tau_step"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_memory_per_path_step(self):
+        # states, dW and the default table take 26 bytes per path-step; a
+        # transposed copy of the whole Gaussian block would add 8 more
+        model = flat_model(N=50)
+        n_paths = 20_000
+        simulate_paths(model, lambda t, s, n: 0.5, 10, seed=1)  # one-time set-up, uncounted
+        tracemalloc.start()
+        try:
+            simulate_paths(model, lambda t, s, n: 0.5, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * n_paths * 50
 
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, MarketModel, RegimeCoefficients, StockPayoff,
+from defaultbsde import (Constant, DPTree, MarketModel, RegimeCoefficients, StockPayoff,
                          StrategySet, TimeGrid, brute_force_dp, extract_optimal_strategy,
                          martingale_check, simulate_paths, solve_bsde,
                          surface_at_origin)
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
-                      merton_model, solve_setup)
+                      merton_model, piecewise_model, solve_setup)
 
 
 class TestBruteForceDP:
@@ -81,7 +81,64 @@ def stock_claim():
     return StockPayoff(s_nodes, payoff, payoff)
 
 
+def reference_stock_dp(model, claim, k, n_small, q, g):
+    """The full-tree recursion with one pass per strategy at every node,
+    as brute_force_dp ran it before the strategy grid became one matmul."""
+    tree = DPTree(n_small=n_small, q=q, g=g, k=k)
+    dt = model.grid.horizon / n_small
+    dw, w = tree.increments(dt)
+    pis = tree.strategy_grid()
+    gamma, s0 = model.gamma, model.s0
+
+    def log_moves(mu, sig, jump):
+        factors = (1.0 + mu * dt + sig * dw) * (1.0 + jump)
+        return np.log(factors), factors - 1.0
+
+    def value(i, x, n):
+        if i == n_small:
+            return np.exp(-gamma * np.asarray(claim.payoff(s0 * np.exp(x), n), dtype=float))
+        t = i * dt
+        if n == 1:
+            mu1, s1, _, _ = model.coeffs.at(t, defaulted=True)
+            mv, ret = log_moves(mu1, s1, 0.0)
+            child = value(i + 1, (x[:, None] + mv[None, :]).ravel(), 1).reshape(x.size, -1)
+            best = None
+            for pi in pis:
+                cand = (child * np.exp(-gamma * pi * ret)[None, :]) @ w
+                best = cand if best is None else np.minimum(best, cand)
+            return best
+        mu0, s0c, lam, beta = model.coeffs.at(t, defaulted=False)
+        p = 1.0 - math.exp(-lam * dt)
+        mv_nj, ret_nj = log_moves(mu0, s0c, 0.0)
+        mv_j, ret_j = log_moves(mu0, s0c, beta)
+        child_nj = value(i + 1, (x[:, None] + mv_nj[None, :]).ravel(), 0).reshape(x.size, -1)
+        child_j = value(i + 1, (x[:, None] + mv_j[None, :]).ravel(), 1).reshape(x.size, -1)
+        best = None
+        for pi in pis:
+            cand = ((1.0 - p) * (child_nj * np.exp(-gamma * pi * ret_nj)[None, :])
+                    + p * (child_j * np.exp(-gamma * pi * ret_j)[None, :])) @ w
+            best = cand if best is None else np.minimum(best, cand)
+        return best
+
+    return float(value(0, np.zeros(1), 0)[0])
+
+
 class TestStockTree:
+    @pytest.mark.parametrize("g", [1, 21])
+    @pytest.mark.parametrize("market", ["jump", "piecewise"])
+    def test_matches_per_strategy_loop(self, market, g):
+        if market == "jump":
+            model = MarketModel(grid=TimeGrid(1.0, 5),
+                                coeffs=RegimeCoefficients.constant(
+                                    mu=0.05, sigma=0.25, beta=-0.3, lam=0.3,
+                                    mu_post=-0.02, sigma_post=0.4),
+                                gamma=1.0)
+        else:
+            model = piecewise_model(5)
+        args = (model, stock_claim(), 1.5, 5, 3, g)
+        want = reference_stock_dp(*args)
+        assert brute_force_dp(*args) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_budget_rejection(self):
         model = bond_model()
         with pytest.raises(ValueError, match="node budget"):
