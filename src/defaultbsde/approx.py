@@ -8,10 +8,11 @@ constraint stops binding, J0(k) flattens exponentially fast).
 
 `converge_legs` is the one doubling loop: it solves each claim (leg) once per
 k on a shared schedule; `converge` runs one leg, `pricing` the legs of a price.
-It solves blocks of three doublings, every leg at once, in one batched
-backward pass, then applies the stopping rule k by k, so the schedule, k*
-and the errors are those of a serial run.  `k_sweep` solves its whole
-schedule in one pass.  A k's runtime_ms is its share of its pass.
+It solves every doubling up to the cap for every leg in one backward pass,
+where a leg's ks share a row until their constraint binds, then applies the
+stopping rule k by k, so the schedule, k* and the errors are those of a
+serial run.  `k_sweep` solves its schedule in one pass too.  A k's
+runtime_ms is its share of its pass; `bound` records whether it binds.
 
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported
@@ -34,8 +35,6 @@ __all__ = ["KSweepResult", "NonConvergenceError", "k_sweep", "converge", "conver
 
 MONOTONE_TOL = 1e-9
 MAX_DOUBLINGS = 20
-# doublings solved together: one backward pass takes k0 2^i, ..., k0 2^(i+2) of every leg
-_BLOCK = 3
 
 
 class NonConvergenceError(RuntimeError):
@@ -58,6 +57,7 @@ class KSweepResult:
     k_star: float | None = None
     monotone_violations: list[tuple[float, float, float]] = field(default_factory=list)
     noise_bound: float = 0.0
+    bound: list[bool] = field(default_factory=list)  # per k: did pi reach +-k somewhere
 
     def to_csv(self, path) -> None:
         """Columns k,J0,runtime_ms (runtime is a wall-clock diagnostic)."""
@@ -83,9 +83,9 @@ def check_schedule(ks: list[float]) -> None:
         raise ValueError("ks must be strictly increasing and positive")
 
 
-def _solve_block(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
-                 ks: list[float], refine: bool):
-    """Yield (k, J0 per leg, runtime_ms) in k order from one pass over every (leg, k).
+def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
+                ks: list[float], refine: bool):
+    """Yield (k, J0 and bound per leg, runtime_ms) in k order from one pass over every (leg, k).
 
     runtime_ms is the k's share of the pass's wall time.  A failed pass is
     solved again one k at a time, so an error carries the ``k=...:`` tag of
@@ -93,23 +93,24 @@ def _solve_block(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
     """
     t0 = time.perf_counter()
     try:
-        j0 = solve_j0_batch(model, [claim for _ in ks for claim in claims],
-                            np.repeat(ks, len(claims)), space, quad, refine=refine)
+        j0, bound = solve_j0_batch(model, [claim for _ in ks for claim in claims],
+                                   np.repeat(ks, len(claims)), space, quad, refine=refine)
     except (SolverError, ValueError) as exc:
         if len(ks) == 1:
             raise type(exc)(f"k={ks[0]:g}: {exc}") from exc
         for k in ks:
-            yield from _solve_block(model, claims, space, quad, [k], refine)
+            yield from _solve_pass(model, claims, space, quad, [k], refine)
         return
     ms = 1e3 * (time.perf_counter() - t0) / len(ks)
-    for k, row in zip(ks, j0.reshape(len(ks), len(claims)).tolist()):
-        yield k, row, ms
+    shape = (len(ks), len(claims))
+    for k, row, hit in zip(ks, j0.reshape(shape).tolist(), bound.reshape(shape).tolist()):
+        yield k, row, hit, ms
 
 
 def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
              k: float, refine: bool = False) -> tuple[float, float]:
     """One solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
-    _, (j0,), ms = next(_solve_block(model, (claim,), space, quad, [k], refine))
+    _, (j0,), _, ms = next(_solve_pass(model, (claim,), space, quad, [k], refine))
     return j0, ms
 
 
@@ -132,8 +133,9 @@ def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature
     """
     check_schedule(ks)
     res = KSweepResult(ks=list(ks), j0s=[], runtimes_ms=[])
-    for _, (j0,), ms in _solve_block(model, (claim,), space, quad, res.ks, refine):
+    for _, (j0,), (hit,), ms in _solve_pass(model, (claim,), space, quad, res.ks, refine):
         res.j0s.append(j0)
+        res.bound.append(hit)
         res.runtimes_ms.append(ms)
     return _finalize(res)
 
@@ -150,8 +152,8 @@ def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[st
     """Double k from k0, solving every leg once per k, until all legs are Cauchy.
 
     Stops at the first k where each leg has |J0(2k) - J0(k)| <= tol_rel * J0(k);
-    returns one sweep per leg on that schedule.  Each pass solves a block of
-    up to _BLOCK doublings; the columns past the stopping k are dropped.  After ``max_doublings``
+    returns one sweep per leg on that schedule.  One pass solves every doubling
+    up to the cap; the columns past the stopping k are dropped.  After ``max_doublings``
     (default MAX_DOUBLINGS, read at call time) raises NonConvergenceError that
     names the failed legs and carries the sequence of the first.
     """
@@ -159,18 +161,17 @@ def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[st
     cap = MAX_DOUBLINGS if max_doublings is None else max_doublings
     legs = [KSweepResult(ks=[], j0s=[], runtimes_ms=[]) for _ in claims]
     ks = [k0 * 2.0 ** i for i in range(cap + 1)]
-    for start in range(0, cap + 1, _BLOCK):
-        for k, j0s, ms in _solve_block(model, claims, space, quad,
-                                       ks[start:start + _BLOCK], refine):
-            for res, j0 in zip(legs, j0s):
-                res.ks.append(k)
-                res.j0s.append(j0)
-                res.runtimes_ms.append(ms)
-            if all(_cauchy(res, tol_rel) for res in legs):
-                for res in legs:
-                    res.converged = True
-                    res.k_star = k
-                return [_finalize(res) for res in legs]
+    for k, j0s, hits, ms in _solve_pass(model, claims, space, quad, ks, refine):
+        for res, j0, hit in zip(legs, j0s, hits):
+            res.ks.append(k)
+            res.j0s.append(j0)
+            res.bound.append(hit)
+            res.runtimes_ms.append(ms)
+        if all(_cauchy(res, tol_rel) for res in legs):
+            for res in legs:
+                res.converged = True
+                res.k_star = k
+            return [_finalize(res) for res in legs]
     bad = [i for i, res in enumerate(legs) if not _cauchy(res, tol_rel)]
     first = legs[bad[0]]
     raise NonConvergenceError(

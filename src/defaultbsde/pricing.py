@@ -6,8 +6,9 @@ the negated claim -- run through one k-doubling loop (`approx.converge_legs`).
 They share the grid, the quadrature, the k schedule and the stopping rule, so
 the discretization bias largely cancels in the ratio; the loop stops only
 when every leg meets the relative Cauchy criterion, and the zero leg is
-solved once per k for both prices.  Each (leg, k) pair is one column of a
-batched backward pass over three doublings.
+solved once per k for both prices.  Each (leg, k) pair is one column of
+one backward pass over the whole k schedule (`diagnostics["bound_per_k"]`
+records, per leg and k, whether the constraint bound).
 """
 from __future__ import annotations
 
@@ -72,11 +73,12 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
     claims, names = (Constant(0.0), claim), ("zero", "claim")
     if with_selling and math.isfinite(hi):
         claims, names = claims + (claim.negated(),), names + ("negated claim",)
-    zero, held, *sold = converge_legs(model, claims, names, space, quad, k0, tol_rel,
-                                      refine=refine)
+    legs = converge_legs(model, claims, names, space, quad, k0, tol_rel, refine=refine)
+    zero, held, *sold = legs
     per_k = [(k, math.log(a / b) / gamma) for k, a, b in zip(zero.ks, zero.j0s, held.j0s)]
     diagnostics = {"ks": zero.ks, "J0_zero_per_k": zero.j0s,
-                   "J0_claim_per_k": held.j0s, "k_star": zero.k_star, "k0": k0}
+                   "J0_claim_per_k": held.j0s, "k_star": zero.k_star, "k0": k0,
+                   "bound_per_k": [res.bound for res in legs]}
     if sold:
         diagnostics["J0_negated_per_k"] = sold[0].j0s
 

@@ -20,10 +20,11 @@ and the path simulator discretize the same dynamics.
 
 On the uniform grid every move is a fixed stencil of taps, built once per
 coefficient interval together with its coefficient snapshot.  The backward
-pass carries a leading batch axis: each row of Y is one column (claim, k)
-with its own terminal condition and its own C = [-k, k].  `solve_bsde` is
-the one-column case that keeps the whole surface; `solve_j0_batch` keeps
-only the current rows and returns J0 per column.
+pass carries a leading batch axis: each row of Y has its own terminal
+condition and its own C = [-k, k].  `solve_bsde` is the one-row case that
+keeps the whole surface; `solve_j0_batch` keeps only the current rows, lets
+the ks of one claim share a row until their constraint binds, and returns
+J0 per column (claim, k).
 """
 from __future__ import annotations
 
@@ -110,7 +111,11 @@ class Quadrature:
     def gauss_hermite(cls, m: int = 7) -> "Quadrature":
         if m < 1:
             raise ValueError("need at least one quadrature node")
-        x, w = np.polynomial.hermite.hermgauss(m)
+        # a rule too large for double precision comes back with NaN weights
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(m)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+            raise ValueError(f"the {m}-node Gauss-Hermite rule is not finite in double precision")
         z = math.sqrt(2.0) * x
         w = w / w.sum()
         # enforce exact symmetry so odd moments cancel pairwise
@@ -242,11 +247,12 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature) -> list:
 
 def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
           y_jump: np.ndarray | None, step: int, refine: bool):
-    """One backward step of one regime; returns (Y, Z, U, pi_hat), (B, M+1) each.
+    """One backward step of one regime; returns (Y, Z, U, pis), (B, M+1) each.
 
     Row b is batch column b, with its own bounds in ``strat``.  ``y_jump``
     holds the post-default rows that the pre-default regime jumps to; the
     post-default regime passes None and c.lam = 0, and its U is None.
+    ``pis`` holds the argmin of each driver call, the last one the strategy.
     """
     c, p, (idx, taps), (jump_idx, jump_taps) = regime
     name = "post-default" if y_jump is None else "pre-default"
@@ -270,20 +276,20 @@ def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
             u_eff = U
     f, pi = minimize_driver_grid(c, strat, E, Z, u_eff)
     y = E + dt * f
+    pis = (pi,)
     if refine:
         _check_positive(y, step, f"Y ({name}, pre-refine)")
         f, pi = minimize_driver_grid(c, strat, y, Z, u_eff)
         y = E + dt * f
+        pis += (pi,)
     _check_positive(y, step, f"Y ({name})")
-    return y, Z, U, pi
+    return y, Z, U, pis
 
 
-def _backward(model: MarketModel, claims, strat: StrategySet, space: SpaceGrid,
-              quad: Quadrature, refine: bool):
-    """Yield the terminal (post, pre) rows, then (i, post, pre) _step results
-    for i = N-1 down to 0; row b belongs to claims[b]."""
-    g = model.grid
-    if g.dt * model.coeffs.lam.vmax() >= 1.0:
+def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
+    """Check the scheme's step conditions; return the terminal (post, pre)
+    rows, row b for claims[b], and the per-step regime pairs of `_regimes`."""
+    if model.grid.dt * model.coeffs.lam.vmax() >= 1.0:
         raise SolverError("solver: dt * max(lambda) must be < 1")
     euler = euler_factor_violation(model, quad.max_abs_node)
     if euler is not None:
@@ -292,12 +298,16 @@ def _backward(model: MarketModel, claims, strat: StrategySet, space: SpaceGrid,
     y_post, y_pre = (np.exp(-model.gamma * np.array(
         [np.asarray(claim.payoff(s_nodes, n), dtype=float) for claim in claims]))
         for n in (1, 0))
-    yield y_post, y_pre
-    for i, (post, pre) in reversed(list(enumerate(_regimes(model, space, quad)))):
-        post_out = _step(post, strat, g.dt, y_post, None, i, refine)
-        pre_out = _step(pre, strat, g.dt, y_pre, y_post, i, refine)
-        y_post, y_pre = post_out[0], pre_out[0]
-        yield i, post_out, pre_out
+    return y_post, y_pre, _regimes(model, space, quad)
+
+
+def _pair(regimes: tuple, strat: StrategySet, dt: float, y_post: np.ndarray,
+          y_pre: np.ndarray, step: int, refine: bool):
+    """Step i of both regimes from the step-(i+1) rows: the post-default
+    _step result, then the pre-default one, which jumps to y_post."""
+    post, pre = regimes
+    return (_step(post, strat, dt, y_post, None, step, refine),
+            _step(pre, strat, dt, y_pre, y_post, step, refine))
 
 
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
@@ -318,33 +328,79 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     U = np.full((n_steps + 1, m1), np.nan)
     pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
 
-    steps = _backward(model, (claim,), strat, space, quad, refine)
-    Y[n_steps, :, 1], Y[n_steps, :, 0] = (rows[0] for rows in next(steps))
-    for i, (y1, z1, _, p1), (y0, z0, u0, p0) in steps:
-        Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y1[0], z1[0], p1[0]
-        Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y0[0], z0[0], u0[0], p0[0]
+    y_post, y_pre, regimes = _start(model, (claim,), space, quad)
+    Y[n_steps, :, 1], Y[n_steps, :, 0] = y_post[0], y_pre[0]
+    for i in reversed(range(n_steps)):
+        (y_post, z1, _, p1), (y_pre, z0, u0, p0) = _pair(regimes[i], strat, model.grid.dt,
+                                                         y_post, y_pre, i, refine)
+        Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y_post[0], z1[0], p1[-1][0]
+        Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y_pre[0], z0[0], u0[0], p0[-1][0]
 
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
 
 
-def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadrature,
-                   refine: bool = False) -> np.ndarray:
-    """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward pass.
+def _reach(outs) -> np.ndarray:
+    """Per row of the _pair results ``outs``, max |pi| over the nodes, both
+    regimes and every driver call."""
+    return functools.reduce(np.maximum, (np.abs(pi).max(axis=-1)
+                                         for out in outs for pi in out[3]))
 
-    Holds rows, no surface.  Each J0 equals solve_bsde's bit for bit, and
-    errors are solve_bsde's, with the node counted within its column.
+
+def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadrature,
+                   refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward
+    pass, and whether the column's strategy reached +-ks[b] at some node and step.
+
+    The columns of one claim object share a row, solved at their smallest k,
+    until its strategy reaches +-k (`_reach`): then the smallest k keeps the row and
+    the wider ks get a new row, re-solved for that step from the rows of step
+    i+1 (again if it binds too).  A row that never reaches its bound is the row
+    of every wider bound, and no row depends on the batch width, so each J0 is
+    solve_bsde's bit for bit.  Holds rows, no surface; errors are solve_bsde's.
     """
-    steps = _backward(model, claims, StrategySet.symmetric(np.asarray(ks, dtype=float)[:, None]),
-                      space, quad, refine)
-    next(steps)  # the terminal rows
-    for _, _, (y_pre, *_) in steps:
-        pass
-    return np.array([np.interp(0.0, space.nodes, row) for row in y_pre])
+    ks, dt, groups = np.asarray(ks, dtype=float), model.grid.dt, {}
+    StrategySet.symmetric(ks)  # every k, not only the first of each row
+    for b in np.argsort(ks, kind="stable").tolist():
+        groups.setdefault(id(claims[b]), []).append(b)
+    cols = list(groups.values())  # per row, its columns by increasing k
+    bound = np.zeros(ks.size, dtype=bool)
+
+    def bounds(rows):
+        return StrategySet.symmetric(ks[[cols[r][0] for r in rows]][:, None])
+
+    y_post, y_pre, regimes = _start(model, [claims[g[0]] for g in cols], space, quad)
+    strat = bounds(range(len(cols)))
+    limit = strat.hi[:, 0].copy()  # a row's k; inf once it binds, as no wider k is left
+    for i in reversed(range(len(regimes))):
+        outs = _pair(regimes[i], strat, dt, y_post, y_pre, i, refine)
+        new_post, new_pre = outs[0][0], outs[1][0]
+        rows = src = np.arange(len(cols))  # src: each row's row at step i+1
+        while (hit := np.flatnonzero(_reach(outs) >= limit[rows])).size:
+            bound[[cols[r][0] for r in rows[hit]]] = True
+            limit[rows[hit]] = np.inf
+            if not (wide := [j for j in hit if len(cols[rows[j]]) > 1]):
+                break
+            for r in rows[wide]:
+                cols.append(cols[r][1:])
+                del cols[r][1:]
+            src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
+            batch = bounds(rows)
+            limit = np.concatenate([limit, batch.hi[:, 0]])
+            outs = _pair(regimes[i], batch, dt, y_post[src], y_pre[src], i, refine)
+            new_post = np.concatenate([new_post, outs[0][0]])
+            new_pre = np.concatenate([new_pre, outs[1][0]])
+        y_post, y_pre = new_post, new_pre
+        if len(cols) > len(strat.hi):
+            strat = bounds(range(len(cols)))
+    j0 = np.empty(ks.size)
+    for g, row in zip(cols, y_pre):
+        j0[g] = np.interp(0.0, space.nodes, row)
+    return j0, bound
 
 
 def _check_positive(arr: np.ndarray, step: int, what: str) -> None:
-    if np.any(~(arr > 0.0)):
+    if not arr.min() > 0.0:  # a NaN minimum fails as well
         j = int(np.argmin(arr)) % arr.shape[-1]
         raise SolverError(
             f"solver: {what} positivity violated at step {step}, node {j} "

@@ -253,10 +253,10 @@ class TestBatchedPass:
         space, quad = solve_setup(model, m_space=40)
         legs = [ZERO_CLAIM, claim, claim.negated()]
         ks = [0.5, 1.0, 2.0]
-        nine = solve_j0_batch(model, [c for _ in ks for c in legs], np.repeat(ks, 3),
-                              space, quad, refine=refine)
-        three = solve_j0_batch(model, legs, [1.0] * 3, space, quad, refine=refine)
-        one = solve_j0_batch(model, [claim], [1.0], space, quad, refine=refine)
+        nine, _ = solve_j0_batch(model, [c for _ in ks for c in legs], np.repeat(ks, 3),
+                                 space, quad, refine=refine)
+        three, _ = solve_j0_batch(model, legs, [1.0] * 3, space, quad, refine=refine)
+        one, _ = solve_j0_batch(model, [claim], [1.0], space, quad, refine=refine)
         surface = solve_bsde(model, claim, StrategySet.symmetric(1.0), space, quad,
                              refine=refine)
         assert one[0] == three[1] == nine[4] == surface_at_origin(surface)
@@ -277,6 +277,130 @@ class TestBatchedPass:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 101 * 101 * 9 * 8
+
+
+# a claim linear in log S over the whole grid: its Z never vanishes, so on the
+# drifted bond market the refine call's strategy reaches less far than the first
+LOG_CLAIM = StockPayoff((0.1, 10.0), (0.5 * math.log(0.1), 0.5 * math.log(10.0)),
+                        (0.5 * math.log(0.1), 0.5 * math.log(10.0)))
+
+
+def recorded_pass(monkeypatch, model, claims, ks, refine):
+    """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and binding
+    flag checked bit for bit against a one-column pass.  Returns, per _pair
+    call, (step, k per row, reach[regime][driver call] per row = max |pi|)."""
+    space, quad = solve_setup(model, m_space=40)
+    calls, real = [], solver._pair
+
+    def pair(regimes, strat, dt, y_post, y_pre, step, refine):
+        outs = real(regimes, strat, dt, y_post, y_pre, step, refine)
+        calls.append((step, strat.hi[:, 0],
+                      [[np.abs(pi).max(axis=-1) for pi in out[3]] for out in outs]))
+        return outs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_pair", pair)
+        j0, bound = solve_j0_batch(model, claims, ks, space, quad, refine=refine)
+    for b, (claim, k) in enumerate(zip(claims, ks)):
+        one_j0, one_bound = solve_j0_batch(model, [claim], [k], space, quad, refine=refine)
+        assert (j0[b], bound[b]) == (one_j0[0], one_bound[0])
+    return calls, bound
+
+
+def split_steps(calls):
+    """Steps at which rows were re-solved, once per re-solve call."""
+    return [step for (step, *_), (prev, *_) in zip(calls[1:], calls) if step == prev]
+
+
+class TestSharedRows:
+    """A claim's ks share one row until their constraint binds; each column stays exact."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_price_legs_equal_one_column_solves(self, market, refine):
+        model, claim = market()
+        space, quad = solve_setup(model, m_space=40)
+        legs = (ZERO_CLAIM, claim, claim.negated())
+        got = converge_legs(model, legs, ("zero", "claim", "negated claim"), space, quad,
+                            0.25, 1e-6, refine=refine)
+        # the serial run: one column per solve, the stopping rule k by k
+        ks, want = [], [[] for _ in legs]
+        while len(ks) < 2 or any(abs(w[-1][0] - w[-2][0]) > 1e-6 * abs(w[-2][0])
+                                 for w in want):
+            ks.append(0.25 * 2.0 ** len(ks))
+            for w, leg in zip(want, legs):
+                j0, bound = solve_j0_batch(model, [leg], [ks[-1]], space, quad, refine=refine)
+                w.append((j0[0], bound[0]))
+        for res, w in zip(got, want):
+            assert (res.ks, res.k_star) == (ks, ks[-1])
+            assert list(zip(res.j0s, res.bound)) == w
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_nested_split_within_one_step(self, monkeypatch, refine):
+        # the drifted bond's strategy 2.5 binds k = 0.25, 0.5, 1 and 2 at the first step
+        model, claim = drifted_bond_market()
+        calls, bound = recorded_pass(monkeypatch, model, [claim] * 5,
+                                     [0.25, 0.5, 1.0, 2.0, 4.0], refine)
+        assert split_steps(calls) == [49] * 4
+        assert bound.tolist() == [True] * 4 + [False]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_split_at_a_coefficient_break(self, monkeypatch, refine):
+        # piecewise market, zero claim: the pre-default strategy passes 1.5 only
+        # once mu_pre switches at t = 0.7, i.e. from step 34 on
+        model, _ = piecewise_market()
+        calls, bound = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [1.5, 3.0], refine)
+        assert split_steps(calls)[0] == 34
+        assert model.grid.times()[34] < 0.7 < model.grid.times()[35]
+        assert bound[0]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_split_only_the_post_default_regime_triggers(self, monkeypatch, refine):
+        # jump market, zero claim: post-default strategy mu / (gamma sigma^2) = 0.8,
+        # pre-default one below 0.46
+        model, _ = jump_market()
+        calls, _ = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [0.6, 1.0], refine)
+        assert split_steps(calls) == [49]
+        _, k, (post, pre) = calls[0]
+        assert all(r >= k for r in post) and not any(r >= k for r in pre)
+
+    def test_split_only_the_first_refine_call_triggers(self, monkeypatch):
+        model, _ = drifted_bond_market()
+        # the reaches of the unbound row at the first step: the first driver
+        # call reaches further than the refine call, in both regimes
+        calls, _ = recorded_pass(monkeypatch, model, [LOG_CLAIM], [1e3], True)
+        _, _, reach = calls[0]
+        first, second = (max(r[call][0] for r in reach) for call in (0, 1))
+        assert first > second
+        k = 0.5 * (first + second)
+        calls, bound = recorded_pass(monkeypatch, model, [LOG_CLAIM] * 2, [k, 2 * k], True)
+        assert split_steps(calls) == [49] and bound.tolist() == [True, False]
+        _, _, reach = calls[0]
+        assert any(r[0] >= k for r in reach) and not any(r[1] >= k for r in reach)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_one_column_per_claim_never_splits(self, monkeypatch, refine):
+        model, claim = piecewise_market()
+        calls, _ = recorded_pass(monkeypatch, model, [ZERO_CLAIM, claim, claim.negated()],
+                                 [0.5, 1.0, 2.0], refine)
+        assert [step for step, *_ in calls] == list(range(49, -1, -1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_every_k_checked_not_only_a_rows_first(self, bad):
+        # zero drift: k = 1 never binds, so the row would never reach the bad k
+        model = bond_model(20)
+        space, quad = solve_setup(model, m_space=20)
+        with pytest.raises(ValueError, match="k must be positive|must be finite"):
+            solve_j0_batch(model, [BOND_CLAIM] * 2, [1.0, bad], space, quad)
+
+    def test_bound_per_k_reported_not_emitted(self):
+        model, claim = drifted_bond_market()
+        space, quad = solve_setup(model, m_space=40)
+        rep = indifference_price(model, claim, space, quad, 0.25, 1e-6)
+        # vertex mu / (gamma sigma^2) = 2.5: k <= 2 binds, k = 4 and k* = 8 do not
+        assert rep.diagnostics["ks"] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+        assert rep.diagnostics["bound_per_k"] == [[True] * 4 + [False] * 2] * 3
+        assert "bound" not in str(rep.to_json_dict())
 
 
 def fail_columns_above(monkeypatch, k_fail, node=17):

@@ -41,6 +41,12 @@ class TestValidate:
         assert payload["ok"] is True
         assert payload["alpha_pre"][0]["alpha"] == 0.0
 
+    def test_largest_finite_quadrature_accepted(self, tmp_path, capsys):
+        # 350 nodes still have finite weights in double precision; 400 do not
+        cfg = write_config(tmp_path, numerics={"quad_nodes": 350})
+        assert main(["validate", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_sigma_zero_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model={"pre_default": {"mu": 0.0, "sigma": 0.0,
                                                             "lambda": 0.1, "beta": 0.0}})
@@ -81,6 +87,7 @@ class TestValidate:
         ("oracle", "oracle", "q", 10, "q must be in"),
         ("oracle", "oracle", "G", 102, "strategy grid count must be in"),
         ("solve", "numerics", "k", -2, "k must be positive"),
+        ("validate", "numerics", "quad_nodes", 400, "Gauss-Hermite rule is not finite"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                      subcommand, block, key, value,

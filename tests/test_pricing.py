@@ -7,7 +7,7 @@ import pytest
 from defaultbsde import (Claim, Constant, DefaultIndicator, MarketModel,
                          NonConvergenceError, RegimeCoefficients, SolverError, TimeGrid,
                          approx, converge, indifference_price, selling_price,
-                         wealth_scaling)
+                         solver, wealth_scaling)
 from defaultbsde.cli import emit_report
 
 from conftest import (BOND_BUY, BOND_CLAIM, BOND_SELL, bond_model, merton_model,
@@ -103,18 +103,29 @@ class TestOneLoop:
     """Every leg of a price runs through one k-doubling loop, each solved once per k."""
 
     def test_three_solves_per_k_with_selling(self, monkeypatch):
-        real, columns = approx.solve_j0_batch, []
+        real, columns, calls, rows = approx.solve_j0_batch, [], [], []
+        real_driver = solver.minimize_driver_grid
 
         def counting(model, claims, ks, *args, **kwargs):
+            calls.append(len(ks))
             columns.extend(zip(ks, claims))
             return real(model, claims, ks, *args, **kwargs)
 
+        def driver(c, strat, y, z, u):
+            rows.append(y.shape[0])
+            return real_driver(c, strat, y, z, u)
+
         monkeypatch.setattr(approx, "solve_j0_batch", counting)
+        monkeypatch.setattr(solver, "minimize_driver_grid", driver)
         rep = price(bond_model(50), BOND_CLAIM)
         assert rep.sell_price is not None
-        # a pass may solve up to a block's last doubling beyond k*
+        # one pass over the whole schedule; a leg's ks share a row until they
+        # bind, so a driver call holds one row per binding k of a leg, plus
+        # one per leg for the ks that never bound
         ks, solved = rep.diagnostics["ks"], sorted({k for k, _ in columns})
-        assert solved[:len(ks)] == ks and len(solved) - len(ks) < approx._BLOCK
+        assert solved[:len(ks)] == ks and len(calls) == 1
+        binding = sum(map(any, zip(*rep.diagnostics["bound_per_k"])))
+        assert max(rows) <= 3 * (binding + 1)
         # one column per k each for zero, claim and negated claim: the zero leg
         # serves both prices
         for k in solved:
