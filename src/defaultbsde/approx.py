@@ -147,20 +147,18 @@ def _cauchy(res: KSweepResult, tol_rel: float) -> bool:
 
 def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[str, ...],
                   space: SpaceGrid, quad: Quadrature, k0: float, tol_rel: float,
-                  refine: bool = False,
-                  max_doublings: int | None = None) -> list[KSweepResult]:
+                  refine: bool = False) -> list[KSweepResult]:
     """Double k from k0, solving every leg once per k, until all legs are Cauchy.
 
     Stops at the first k where each leg has |J0(2k) - J0(k)| <= tol_rel * J0(k);
     returns one sweep per leg on that schedule.  One pass solves every doubling
-    up to the cap; the columns past the stopping k are dropped.  After ``max_doublings``
-    (default MAX_DOUBLINGS, read at call time) raises NonConvergenceError that
-    names the failed legs and carries the sequence of the first.
+    up to the cap; the columns past the stopping k are dropped.  After
+    MAX_DOUBLINGS doublings (read at call time) raises NonConvergenceError
+    that names the failed legs and carries the sequence of the first.
     """
     check_doubling(k0, tol_rel)
-    cap = MAX_DOUBLINGS if max_doublings is None else max_doublings
     legs = [KSweepResult(ks=[], j0s=[], runtimes_ms=[]) for _ in claims]
-    ks = [k0 * 2.0 ** i for i in range(cap + 1)]
+    ks = [k0 * 2.0 ** i for i in range(MAX_DOUBLINGS + 1)]
     for k, j0s, hits, ms in _solve_pass(model, claims, space, quad, ks, refine):
         for res, j0, hit in zip(legs, j0s, hits):
             res.ks.append(k)
@@ -175,20 +173,19 @@ def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[st
     bad = [i for i, res in enumerate(legs) if not _cauchy(res, tol_rel)]
     first = legs[bad[0]]
     raise NonConvergenceError(
-        f"approx: no k-convergence after {cap} doublings from k0={k0:g} for leg(s) "
+        f"approx: no k-convergence after {MAX_DOUBLINGS} doublings from k0={k0:g} for leg(s) "
         f"{', '.join(names[i] for i in bad)} (J0 sequence of {names[bad[0]]}: {first.j0s})",
         first.ks, first.j0s)
 
 
 def converge(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-             k0: float, tol_rel: float, refine: bool = False,
-             max_doublings: int = MAX_DOUBLINGS) -> tuple[float, KSweepResult]:
+             k0: float, tol_rel: float, refine: bool = False) -> tuple[float, KSweepResult]:
     """Double k from k0 until |J0(2k) - J0(k)| <= tol_rel * J0(k).
 
     The one-leg case of `converge_legs`.  Returns the last value as the
     unconstrained J(0) together with the sweep.  Raises NonConvergenceError
-    (with the full sequence) after ``max_doublings`` doublings (default 20).
+    (with the full sequence) after MAX_DOUBLINGS doublings.
     """
     (res,) = converge_legs(model, (claim,), ("claim",), space, quad, k0, tol_rel,
-                           refine=refine, max_doublings=max_doublings)
+                           refine=refine)
     return res.j0s[-1], res

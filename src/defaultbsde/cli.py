@@ -28,7 +28,7 @@ from .model import (Claim, Constant, DefaultIndicator, MarketModel,
 from .oracle import DPTree, brute_force_dp, martingale_check, monte_carlo_violation
 from .pricing import PriceReport, indifference_price
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
-                     solve_bsde, surface_at_origin)
+                     solve_bsde, surface_at_origin, terminal_rows)
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
 
@@ -206,11 +206,15 @@ def _diag(msg: str) -> None:
 
 
 def _validate(cfg: RunConfig) -> ValidationReport:
-    """validate_model plus the solver's Euler-factor check at this quadrature."""
+    """validate_model plus the solver's Euler-factor and terminal-row checks."""
     rep = validate_model(cfg.model)
     euler = euler_factor_violation(cfg.model, cfg.quad.max_abs_node)
     if euler is not None:
         rep.violations.append(f"solver: {euler}")
+    try:
+        terminal_rows(cfg.model, (cfg.claim,), cfg.space)
+    except SolverError as exc:
+        rep.violations.append(str(exc))
     return rep
 
 

@@ -30,6 +30,9 @@ u = (1/gamma) log(1 + U/Y), the same infimum becomes the quadratic driver
 
 and the two are linked by f_min(y, z, u) = gamma * y * g(z/(gamma y),
 (1/gamma) log(1 + u/y)).
+
+`minimize_driver_grid` checks nothing: its callers keep y > 0, y + u >= 0 and
+the shape rule that y, z and u (unless u is the scalar 0.0) share one shape.
 """
 from __future__ import annotations
 
@@ -147,18 +150,13 @@ def _argmin(c: CoeffSnapshot, strat: StrategySet, vertex, log_tail):
 def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet, y, z, u):
     """Vectorized constrained infimum of f_pi; returns (f_min, pi_star) arrays.
 
+    Callers keep the shape rule: y and z are float arrays of one shape with
+    y > 0; u is an array of that shape with y + u >= 0, or the scalar 0.0.
+
     Inputs are normalized by y before minimizing, which makes positive
     homogeneity of degree one exact up to rounding:
     f_min(t y, t z, t u) = t f_min(y, z, u) with the same argmin.
     """
-    y, z, u = np.broadcast_arrays(np.asarray(y, dtype=float),
-                                  np.asarray(z, dtype=float),
-                                  np.asarray(u, dtype=float))
-    if np.any(y <= 0.0):
-        raise ValueError("driver minimization requires y > 0")
-    if np.any(y + u < 0.0):
-        raise ValueError("driver minimization requires y + u >= 0")
-
     zn = z / y
     un = u / y
     vertex = (c.mu + c.sigma * zn) / (c.gamma * c.sigma * c.sigma)
@@ -177,15 +175,18 @@ def minimize_driver(c: CoeffSnapshot, strat: StrategySet, y: float, z: float,
                     u: float) -> tuple[float, float]:
     """Constrained infimum of f_pi over pi in [lo, hi] and its argmin.
 
-    Requires y > 0 and y + u >= 0 (the domain where the value function lives;
-    a violation signals an out-of-domain solver iterate).  The argmin is the
-    closed-form root of df/dpi clipped to [lo, hi], exact up to rounding;
-    under strict convexity it is unique, and in the degenerate width-zero set
-    it is the single point (ties toward the smallest |pi| never arise
-    otherwise).
+    Raises ValueError unless y > 0 and y + u >= 0, the domain where the value
+    function lives.  The argmin is the closed-form root of df/dpi clipped to
+    [lo, hi], exact up to rounding; under strict convexity it is unique, and
+    in the degenerate width-zero set it is the single point (ties toward the
+    smallest |pi| never arise otherwise).
     """
-    f, p = minimize_driver_grid(c, strat, np.atleast_1d(float(y)),
-                                np.atleast_1d(float(z)), np.atleast_1d(float(u)))
+    y, z, u = np.array([[y], [z], [u]], dtype=float)
+    if y[0] <= 0.0:
+        raise ValueError("driver minimization requires y > 0")
+    if y[0] + u[0] < 0.0:
+        raise ValueError("driver minimization requires y + u >= 0")
+    f, p = minimize_driver_grid(c, strat, y, z, u)
     return float(f[0]), float(p[0])
 
 

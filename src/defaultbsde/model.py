@@ -163,10 +163,6 @@ class Claim:
         raise NotImplementedError
 
     @property
-    def lower_bound(self) -> float:
-        return self.bounds()[0]
-
-    @property
     def nonnegative(self) -> bool:
         return self.bounds()[0] >= 0.0
 
@@ -302,10 +298,6 @@ def validate_model(model: MarketModel) -> ValidationReport:
     """
     rep = ValidationReport()
     g, c = model.grid, model.coeffs
-    if not g.horizon > 0:
-        rep.violations.append("horizon must be positive")
-    if g.n_steps < 1:
-        rep.violations.append("n_steps must be >= 1")
     if not model.gamma > 0:
         rep.violations.append("gamma must be positive")
     if not model.s0 > 0:
@@ -407,13 +399,6 @@ class PathEnsemble:
 
     def default_fraction(self) -> float:
         return float(np.mean(self.tau_step >= 0))
-
-    def tau(self) -> np.ndarray:
-        """Default times (NaN where no default occurred)."""
-        out = np.full(self.n_paths, np.nan)
-        hit = self.tau_step >= 0
-        out[hit] = self.times[self.tau_step[hit] + 1]
-        return out
 
     def to_csv(self, path) -> None:
         """Columns path,step,t,W,N,S,X with 12 significant digits; W is cumulative."""

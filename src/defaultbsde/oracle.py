@@ -30,7 +30,7 @@ __all__ = ["DPTree", "DriftReport", "brute_force_dp", "martingale_check", "monte
 MAX_N_SMALL = 10
 MAX_Q = 9
 MAX_G = 101
-DEFAULT_NODE_BUDGET = 2_000_000
+NODE_BUDGET = 2_000_000
 MIN_PATHS = 1000
 # martingale_check peaks near 27 bytes per path-step (n_paths * N): 26 for
 # dW, the default table and the three state arrays, and the rest for per-path
@@ -47,7 +47,6 @@ class DPTree:
     q: int
     g: int
     k: float
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if not 1 <= self.n_small <= MAX_N_SMALL:
@@ -78,19 +77,19 @@ class DPTree:
 
 
 def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
-                   q: int, g: int, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                   q: int, g: int) -> float:
     """Exact backward recursion on the quantized tree; returns the root value.
 
     At each node the expected next-step value is minimized over the g
     equispaced strategies in [-k, k] (g = 1 means the zero strategy only,
     i.e. a plain expectation), with wealth updated by
     pi * (mu dt + sigma dW + beta dN).  Stock-dependent claims enumerate the
-    full tree and are rejected when (2q)^n_small exceeds the node budget;
+    full tree and are rejected when (2q)^n_small exceeds NODE_BUDGET;
     there every node of a level is valued against the whole strategy grid
     at once, as one (nodes, q) @ (q, g) product per branch, and then
     minimized over the grid.
     """
-    tree = DPTree(n_small=n_small, q=q, g=g, k=k, node_budget=node_budget)
+    tree = DPTree(n_small=n_small, q=q, g=g, k=k)
     dt = model.grid.horizon / n_small
     dw, w = tree.increments(dt)
     pis = tree.strategy_grid()
@@ -98,10 +97,10 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
 
     if isinstance(claim, StockPayoff):
         leaves = (2 * q) ** n_small
-        if leaves > tree.node_budget:
+        if leaves > NODE_BUDGET:
             raise ValueError(
                 f"oracle: tree of {leaves} leaves exceeds the node budget "
-                f"{tree.node_budget}; reduce n_small or q")
+                f"{NODE_BUDGET}; reduce n_small or q")
         return _dp_stock_tree(model, claim, tree, dt, dw, w, pis)
 
     # payoff independent of S_T: state collapses to the default flag

@@ -45,13 +45,14 @@ __all__ = [
     "SolverError",
     "solve_bsde",
     "solve_j0_batch",
+    "terminal_rows",
     "extract_optimal_strategy",
     "surface_at_origin",
 ]
 
 
 class SolverError(RuntimeError):
-    """An iterate left the domain of the value function (grid too coarse or L too small)."""
+    """A terminal row or an iterate left the domain of the value function Y > 0, Y + U >= 0."""
 
 
 @dataclass(frozen=True)
@@ -259,30 +260,22 @@ def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
     moved = taps @ np.take(y_next, idx, axis=-1)
     nojump = moved[:, 0]
     Z = (1.0 - p) * moved[:, 1] / math.sqrt(dt)
-    u_eff = 0.0  # the driver's jump argument; zero without jumps
-    if y_jump is None:
-        E, U = nojump, None
-    else:
+    E, U, u_eff = nojump, None, 0.0  # u_eff: the driver's jump argument; zero without jumps
+    if y_jump is not None:
         vjump = (jump_taps @ np.take(y_jump, jump_idx, axis=-1))[:, 0]
         E = (1.0 - p) * nojump + p * vjump
         U = vjump - nojump
-        _check_positive(E, step, f"E ({name})")
-        if c.lam > 0.0:
-            if np.any(E + U < 0.0):
-                j = int(np.argmin(E + U)) % E.shape[-1]
-                raise SolverError(
-                    f"solver: Y + U >= 0 violated at step {step}, node {j} "
-                    "(grid too coarse or L too small)")
-            u_eff = U
+        u_eff = U if c.lam > 0.0 else 0.0
+    _check_domain(E, u_eff, step, f"E ({name})")
     f, pi = minimize_driver_grid(c, strat, E, Z, u_eff)
     y = E + dt * f
     pis = (pi,)
     if refine:
-        _check_positive(y, step, f"Y ({name}, pre-refine)")
+        _check_domain(y, u_eff, step, f"Y ({name}, pre-refine)")
         f, pi = minimize_driver_grid(c, strat, y, Z, u_eff)
         y = E + dt * f
         pis += (pi,)
-    _check_positive(y, step, f"Y ({name})")
+    _check_domain(y, 0.0, step, f"Y ({name})")
     return y, Z, U, pis
 
 
@@ -294,11 +287,24 @@ def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
     euler = euler_factor_violation(model, quad.max_abs_node)
     if euler is not None:
         raise SolverError(f"solver: {euler}")
+    return (*terminal_rows(model, claims, space), _regimes(model, space, quad))
+
+
+def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
+    """exp(-gamma xi) on the grid: [0] post-default, [1] pre-default, row b for claims[b].
+    Raises SolverError naming the leg b and gamma*xi where that is no finite
+    positive double (gamma*xi below -709.78 or above 745.13, or NaN)."""
     s_nodes = model.s0 * np.exp(space.nodes)
-    y_post, y_pre = (np.exp(-model.gamma * np.array(
-        [np.asarray(claim.payoff(s_nodes, n), dtype=float) for claim in claims]))
-        for n in (1, 0))
-    return y_post, y_pre, _regimes(model, space, quad)
+    gxi = model.gamma * np.array([[claim.payoff(s_nodes, n) for claim in claims]
+                                  for n in (1, 0)], dtype=float)
+    with np.errstate(over="ignore"):
+        rows = np.exp(-gxi)
+    bad = np.argwhere(~(rows > 0.0) | np.isinf(rows))
+    if bad.size:
+        n, b, j = bad[0].tolist()
+        raise SolverError(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite positive "
+                          f"double at gamma*xi = {gxi[n, b, j]:g}, node {j}, N_T = {1 - n}")
+    return rows
 
 
 def _pair(regimes: tuple, strat: StrategySet, dt: float, y_post: np.ndarray,
@@ -399,12 +405,18 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadr
     return j0, bound
 
 
-def _check_positive(arr: np.ndarray, step: int, what: str) -> None:
-    if not arr.min() > 0.0:  # a NaN minimum fails as well
-        j = int(np.argmin(arr)) % arr.shape[-1]
-        raise SolverError(
-            f"solver: {what} positivity violated at step {step}, node {j} "
-            "(grid too coarse or L too small)")
+def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:
+    """Raise SolverError naming the step and node unless (y, u) is in the
+    driver's domain: y > 0 and, where u is a row, not the scalar 0.0,
+    y + u >= 0.  A NaN fails either test."""
+    bad, rule = y, f"{what} positivity"
+    if y.min() > 0.0:
+        if not isinstance(u, np.ndarray) or (y + u).min() >= 0.0:
+            return
+        bad, rule = y + u, "Y + U >= 0"
+    j = int(np.argmin(bad)) % bad.shape[-1]
+    raise SolverError(f"solver: {rule} violated at step {step}, node {j} "
+                      "(grid too coarse or L too small)")
 
 
 def extract_optimal_strategy(surface: ValueSurface):

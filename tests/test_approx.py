@@ -7,7 +7,7 @@ import pytest
 from defaultbsde import (CoeffSnapshot, Constant, DefaultIndicator, MarketModel,
                          NonConvergenceError, PiecewiseConstant, RegimeCoefficients,
                          SolverError, StockPayoff, StrategySet, TimeGrid, converge,
-                         indifference_price, k_sweep, solve_bsde, solver,
+                         approx, indifference_price, k_sweep, solve_bsde, solver,
                          surface_at_origin)
 from defaultbsde.approx import converge_legs
 from defaultbsde.driver import minimize_driver_grid
@@ -121,14 +121,14 @@ class TestConverge:
         with pytest.raises(ValueError):
             converge(model, ZERO_CLAIM, space, quad, k0=1.0, tol_rel=0.0)
 
-    def test_nonconvergence_reports_sequence(self):
+    def test_nonconvergence_reports_sequence(self, monkeypatch):
         # Merton J0(k) still changes materially between k = 0.125 and 0.5, so a
         # one-doubling cap cannot meet a 1e-9 Cauchy tolerance
+        monkeypatch.setattr(approx, "MAX_DOUBLINGS", 1)
         model = merton_model(50)
         space, quad = solve_setup(model, m_space=30)
         with pytest.raises(NonConvergenceError) as exc:
-            converge(model, ZERO_CLAIM, space, quad, k0=0.125, tol_rel=1e-9,
-                     max_doublings=1)
+            converge(model, ZERO_CLAIM, space, quad, k0=0.125, tol_rel=1e-9)
         assert len(exc.value.ks) == 2
         assert len(exc.value.j0s) == 2
         assert exc.value.j0s[1] < exc.value.j0s[0]
@@ -401,6 +401,34 @@ class TestSharedRows:
         assert rep.diagnostics["ks"] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
         assert rep.diagnostics["bound_per_k"] == [[True] * 4 + [False] * 2] * 3
         assert "bound" not in str(rep.to_json_dict())
+
+
+class TestDriverContract:
+    """The driver checks nothing: every call the solver makes keeps its shape
+    rule and its domain, because the solver checks them first."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_every_call_keeps_the_contract(self, monkeypatch, market, refine):
+        real, calls = solver.minimize_driver_grid, []
+
+        def driver(c, strat, y, z, u):
+            assert isinstance(y, np.ndarray) and isinstance(z, np.ndarray)
+            assert y.dtype == z.dtype == np.float64 and y.shape == z.shape
+            if isinstance(u, np.ndarray):
+                assert u.dtype == np.float64 and u.shape == y.shape
+            else:
+                assert type(u) is float and u == 0.0
+            assert np.all(y > 0.0) and np.all(y + u >= 0.0)
+            calls.append(y.shape)
+            return real(c, strat, y, z, u)
+
+        monkeypatch.setattr(solver, "minimize_driver_grid", driver)
+        model, claim = market()
+        space, quad = solve_setup(model, m_space=40)
+        indifference_price(model, claim, space, quad, 0.25, 1e-6, refine=refine)
+        solve_bsde(model, claim, StrategySet.symmetric(2.0), space, quad, refine=refine)
+        assert len(calls) >= 2 * (1 + refine) * model.grid.n_steps * 2
 
 
 def fail_columns_above(monkeypatch, k_fail, node=17):

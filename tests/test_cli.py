@@ -65,6 +65,14 @@ class TestValidate:
         assert main(["solve", str(cfg)]) == 2
         assert "Euler factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [800.0, -800.0])
+    def test_terminal_row_out_of_range_exits_2(self, tmp_path, capsys, value):
+        # exp(-gamma xi) leaves the doubles: validate rejects what solve rejects
+        cfg = write_config(tmp_path, claim={"variant": "constant", "value": value})
+        for subcommand in ("validate", "solve"):
+            assert main([subcommand, str(cfg)]) == 2
+            assert f"gamma*xi = {value:g}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand, block, key, value", [
         ("oracle", "oracle", "n_paths", "many"),
         ("validate", "numerics", "M", "x"),

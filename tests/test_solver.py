@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from defaultbsde import (Constant, DefaultIndicator, MarketModel, Quadrature,
                          RegimeCoefficients, SolverError, SpaceGrid, StockPayoff,
                          StrategySet, TimeGrid, extract_optimal_strategy, solve_bsde,
                          surface_at_origin)
+
+from defaultbsde.solver import _regimes, _step
 
 from conftest import BOND_CLAIM, BOND_J0, MERTON_J0, bond_model, merton_model
 
@@ -111,6 +114,38 @@ class TestInvariants:
                             gamma=1.0)
         with pytest.raises(SolverError, match=r"step \d+"):
             solve(model, DefaultIndicator(0.0, 20.0), m_space=20)
+
+    def test_refine_call_domain_located(self):
+        # the first-pass Y of the pre-default regime has Y + U < 0 at node 0:
+        # the solver, not the driver, reports where
+        model = MarketModel(grid=TimeGrid(1.0, 4),
+                            coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
+                                                               beta=0.5, lam=3.0),
+                            gamma=1)
+        with pytest.raises(SolverError, match=r"Y \+ U >= 0 violated at step 3, node 0"):
+            solve(model, DefaultIndicator(0, 1), k=4.0, m_space=20, refine=True)
+
+    def test_post_default_mean_positivity_located(self):
+        model = bond_model(4)
+        space = SpaceGrid.for_model(model, 20)
+        post, _ = _regimes(model, space, Quadrature.gauss_hermite(7))[3]
+        with pytest.raises(SolverError,
+                           match=r"E \(post-default\) positivity violated at step 3, node 0"):
+            _step(post, StrategySet.symmetric(1.0), model.grid.dt, np.zeros((1, 21)),
+                  None, 3, False)
+
+    @pytest.mark.parametrize("claim, where", [
+        (Constant(800.0), "800, node 0, N_T = 1"),
+        (Constant(-800.0), "-800, node 0, N_T = 1"),
+        # the survival row underflows to 0 while the default row is fine
+        (DefaultIndicator(800.0, 0.0), "800, node 0, N_T = 0"),
+    ])
+    def test_terminal_row_out_of_range(self, claim, where):
+        # exp(-800) underflows to 0 and exp(800) overflows; either is caught
+        # where the row is built, with no RuntimeWarning (tier-1 makes it an error)
+        with pytest.raises(SolverError, match=rf"leg 0 \({re.escape(repr(claim))}\): "
+                                              rf".* gamma\*xi = {where}$"):
+            solve(bond_model(4), claim, m_space=20)
 
     def test_euler_factor_checked_at_quadrature_width(self):
         # sigma sqrt(dt) = 0.15: 7 nodes (largest 3.75) are fine, 20 (7.62) are not
