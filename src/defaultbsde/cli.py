@@ -26,7 +26,7 @@ from .model import (Claim, Constant, DefaultIndicator, MarketModel,
                     TimeGrid, ValidationReport, euler_factor_violation,
                     validate_model)
 from .oracle import DPTree, brute_force_dp, martingale_check, monte_carlo_violation
-from .pricing import PriceReport, indifference_price
+from .pricing import PriceReport, indifference_price, price_legs
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
                      solve_bsde, surface_at_origin, terminal_rows)
 
@@ -205,14 +205,17 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _validate(cfg: RunConfig) -> ValidationReport:
-    """validate_model plus the solver's Euler-factor and terminal-row checks."""
+def _validate(cfg: RunConfig, legs: tuple = ()) -> ValidationReport:
+    """validate_model plus the solver's Euler-factor and terminal-row checks.
+
+    The terminal rows checked are those of ``legs``, or of the claim alone,
+    which is what `solve`, `converge` and `oracle` solve."""
     rep = validate_model(cfg.model)
     euler = euler_factor_violation(cfg.model, cfg.quad.max_abs_node)
     if euler is not None:
         rep.violations.append(f"solver: {euler}")
     try:
-        terminal_rows(cfg.model, (cfg.claim,), cfg.space)
+        terminal_rows(cfg.model, legs or (cfg.claim,), cfg.space)
     except SolverError as exc:
         rep.violations.append(str(exc))
     return rep
@@ -234,8 +237,8 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_valid(cfg: RunConfig) -> None:
-    rep = _validate(cfg)
+def _require_valid(cfg: RunConfig, legs: tuple = ()) -> None:
+    rep = _validate(cfg, legs)
     if not rep.ok:
         raise ConfigError("model: " + "; ".join(rep.violations))
 
@@ -266,7 +269,8 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 
 def _cmd_price(cfg: RunConfig) -> int:
-    _require_valid(cfg)
+    # every leg of the pass, the negated claim too, so its rows fail here with exit 2
+    _require_valid(cfg, price_legs(cfg.claim)[0])
     report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad,
                                 cfg.k0, cfg.tol_rel, refine=cfg.refine)
     _diag(f"price: buy={report.buy_price:.12g} sell="

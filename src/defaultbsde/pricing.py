@@ -20,7 +20,8 @@ from .approx import converge_legs, solve_j0  # noqa: F401
 from .model import Claim, Constant, MarketModel
 from .solver import Quadrature, SpaceGrid
 
-__all__ = ["PriceReport", "indifference_price", "selling_price", "wealth_scaling"]
+__all__ = ["PriceReport", "indifference_price", "price_legs", "selling_price",
+           "wealth_scaling"]
 
 
 @dataclass
@@ -55,6 +56,16 @@ def wealth_scaling(x: float, v0: float, gamma: float) -> float:
     return math.exp(-gamma * x) * v0
 
 
+def price_legs(claim: Claim, with_selling: bool = True) -> tuple[tuple, tuple]:
+    """(claims, names) of the legs that `indifference_price` solves, in pass order:
+    the zero claim, the claim and, when the selling price is wanted and the
+    claim is bounded above, the negated claim."""
+    claims, names = (Constant(0.0), claim), ("zero", "claim")
+    if with_selling and math.isfinite(claim.bounds()[1]):
+        claims, names = claims + (claim.negated(),), names + ("negated claim",)
+    return claims, names
+
+
 def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
                        quad: Quadrature, k0: float, tol_rel: float,
                        refine: bool = False,
@@ -66,13 +77,10 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
     identical numerical settings; p^k = (1/gamma) ln(J^{k,0} / J^{k,xi})
     converges to the price.  Both prices come from the loop's final k.
     """
-    lo, hi = claim.bounds()
-    if not math.isfinite(lo):
+    if not math.isfinite(claim.bounds()[0]):
         raise ValueError("pricing: claim must be bounded below")
     gamma = model.gamma
-    claims, names = (Constant(0.0), claim), ("zero", "claim")
-    if with_selling and math.isfinite(hi):
-        claims, names = claims + (claim.negated(),), names + ("negated claim",)
+    claims, names = price_legs(claim, with_selling)
     legs = converge_legs(model, claims, names, space, quad, k0, tol_rel, refine=refine)
     zero, held, *sold = legs
     per_k = [(k, math.log(a / b) / gamma) for k, a, b in zip(zero.ks, zero.j0s, held.j0s)]

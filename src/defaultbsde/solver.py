@@ -25,6 +25,15 @@ condition and its own C = [-k, k].  `solve_bsde` is the one-row case that
 keeps the whole surface; `solve_j0_batch` keeps only the current rows, lets
 the ks of one claim share a row until their constraint binds, and returns
 J0 per column (claim, k).
+
+The coefficients depend on t only, so a claim paid on the default alone
+(a bond, a constant, the zero leg of a price) has a value function of
+(t, N_t) only: its rows are flat in x.  When every terminal row of a pass is
+flat, the pass runs on rows two nodes wide whose gathers all read node 0,
+with the full grid's taps.  Each node then does a full-width node's
+arithmetic, so the rows stay flat and equal the full-width rows bit for bit.
+The width is 2, not 1, because numpy sends a one-column matmul to another
+BLAS kernel, whose sums differ in the last bits.
 """
 from __future__ import annotations
 
@@ -49,6 +58,10 @@ __all__ = [
     "extract_optimal_strategy",
     "surface_at_origin",
 ]
+
+
+# the smallest normal double: below it Y keeps fewer than 53 significant bits
+TINY = float(np.finfo(float).tiny)
 
 
 class SolverError(RuntimeError):
@@ -208,26 +221,29 @@ def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.nda
     return out[()]
 
 
-def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray):
+def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray, flat: bool):
     """(idx, taps) with taps @ rows[..., idx] = sum_m weights[:, m] rows(x + moves[m]).
 
     On the uniform grid a move is o + a cells, 0 <= a < 1, read as
     (1 - a) y[j + o] + a y[j + o + 1]; indices clipped to the grid give the
     flat extrapolation of np.interp.  The product is one fixed-shape matmul
-    per row, so a row's result does not depend on the batch width.
+    per row, so a row's result does not depend on the batch width.  With
+    ``flat``, idx has two columns that read node 0 only, for rows flat in x.
     """
     m = x.size - 1
     cells = moves * (m / (x[m] - x[0]))
     o = np.floor(cells)
     a = cells - o
     idx = np.concatenate([o, o + 1.0]).astype(np.intp)[:, None] + np.arange(m + 1)
-    return np.clip(idx, 0, m), np.concatenate([weights * (1.0 - a), weights * a], axis=1)
+    idx = np.zeros_like(idx[:, :2]) if flat else np.clip(idx, 0, m)
+    return idx, np.concatenate([weights * (1.0 - a), weights * a], axis=1)
 
 
-def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature) -> list:
+def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
     """Per step i < N, the (post-default, pre-default) (snapshot, p, diffusion, jump).
 
-    One snapshot and one pair of stencils per distinct coefficient tuple.
+    One snapshot and one pair of stencils per distinct coefficient tuple;
+    ``flat`` builds them for rows two nodes wide (see `_stencil`).
     """
     g, c, x = model.grid, model.coeffs, space.nodes
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
@@ -236,8 +252,8 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature) -> list:
     def regime(mu, sigma, lam, beta):
         moves = np.log(1.0 + mu * g.dt + sigma * math.sqrt(g.dt) * quad.nodes)
         return (CoeffSnapshot(mu, sigma, lam, beta, gamma=model.gamma),
-                1.0 - math.exp(-lam * g.dt), _stencil(x, moves, weights),
-                _stencil(x, np.array([math.log1p(beta)]), np.ones((1, 1))))
+                1.0 - math.exp(-lam * g.dt), _stencil(x, moves, weights, flat),
+                _stencil(x, np.array([math.log1p(beta)]), np.ones((1, 1)), flat))
 
     t = g.times()[:-1]
     cols = [_on_times(pc, t).tolist() for pc in (c.mu_post, c.sigma_post, c.mu_pre,
@@ -281,28 +297,38 @@ def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
 
 def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
     """Check the scheme's step conditions; return the terminal (post, pre)
-    rows, row b for claims[b], and the per-step regime pairs of `_regimes`."""
+    rows, row b for claims[b], and the per-step regime pairs of `_regimes`.
+
+    When every row equals its node 0, the rows are cut to two nodes and the
+    regimes gather from node 0 (see the module docstring)."""
     if model.grid.dt * model.coeffs.lam.vmax() >= 1.0:
         raise SolverError("solver: dt * max(lambda) must be < 1")
     euler = euler_factor_violation(model, quad.max_abs_node)
     if euler is not None:
         raise SolverError(f"solver: {euler}")
-    return (*terminal_rows(model, claims, space), _regimes(model, space, quad))
+    rows = terminal_rows(model, claims, space)
+    flat = bool(np.all(rows == rows[..., :1]))
+    if flat:
+        # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
+        # kernel, while two columns reproduce the full-width product bit for bit
+        rows = rows[..., :2]
+    return (*rows, _regimes(model, space, quad, flat))
 
 
 def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
     """exp(-gamma xi) on the grid: [0] post-default, [1] pre-default, row b for claims[b].
     Raises SolverError naming the leg b and gamma*xi where that is no finite
-    positive double (gamma*xi below -709.78 or above 745.13, or NaN)."""
+    normal double (gamma*xi below -709.78 or above 708.39, or NaN): below the
+    smallest normal double the scheme silently loses relative precision."""
     s_nodes = model.s0 * np.exp(space.nodes)
     gxi = model.gamma * np.array([[claim.payoff(s_nodes, n) for claim in claims]
                                   for n in (1, 0)], dtype=float)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)
-    bad = np.argwhere(~(rows > 0.0) | np.isinf(rows))
+    bad = np.argwhere(~(rows >= TINY) | np.isinf(rows))
     if bad.size:
         n, b, j = bad[0].tolist()
-        raise SolverError(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite positive "
+        raise SolverError(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite normal "
                           f"double at gamma*xi = {gxi[n, b, j]:g}, node {j}, N_T = {1 - n}")
     return rows
 
@@ -325,22 +351,25 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     first-pass Y instead of the conditional mean E.
 
     Raises SolverError when a diffusion move has a nonpositive Euler factor
-    at some quadrature node, or when an iterate violates Y > 0 or
-    Y + U >= 0, reporting the offending step and node.
+    at some quadrature node, or when an iterate violates Y >= TINY (a
+    positive normal double) or Y + U >= 0, reporting the offending step and
+    node.  A flat claim is solved two nodes wide and spread over the grid.
     """
-    n_steps, m1 = model.grid.n_steps, space.nodes.size
-    Y = np.empty((n_steps + 1, m1, 2))
-    Z = np.full((n_steps + 1, m1, 2), np.nan)
-    U = np.full((n_steps + 1, m1), np.nan)
-    pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
-
     y_post, y_pre, regimes = _start(model, (claim,), space, quad)
+    n_steps, m1, w = model.grid.n_steps, space.nodes.size, y_pre.shape[-1]
+    Y = np.empty((n_steps + 1, w, 2))
+    Z = np.full((n_steps + 1, w, 2), np.nan)
+    U = np.full((n_steps + 1, w), np.nan)
+    pi_hat = np.full((n_steps + 1, w, 2), np.nan)
+
     Y[n_steps, :, 1], Y[n_steps, :, 0] = y_post[0], y_pre[0]
     for i in reversed(range(n_steps)):
         (y_post, z1, _, p1), (y_pre, z0, u0, p0) = _pair(regimes[i], strat, model.grid.dt,
                                                          y_post, y_pre, i, refine)
         Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y_post[0], z1[0], p1[-1][0]
         Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y_pre[0], z0[0], u0[0], p0[-1][0]
+    if w < m1:  # a flat claim's two-node rows, spread over the grid
+        Y, Z, U, pi_hat = (np.repeat(a[:, :1], m1, axis=1) for a in (Y, Z, U, pi_hat))
 
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
@@ -400,23 +429,24 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadr
         if len(cols) > len(strat.hi):
             strat = bounds(range(len(cols)))
     j0 = np.empty(ks.size)
-    for g, row in zip(cols, y_pre):
-        j0[g] = np.interp(0.0, space.nodes, row)
+    for g, row in zip(cols, y_pre):  # a two-node row is flat: node 0 is J0
+        j0[g] = row[0] if row.size < space.nodes.size else np.interp(0.0, space.nodes, row)
     return j0, bound
 
 
 def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:
     """Raise SolverError naming the step and node unless (y, u) is in the
-    driver's domain: y > 0 and, where u is a row, not the scalar 0.0,
-    y + u >= 0.  A NaN fails either test."""
-    bad, rule = y, f"{what} positivity"
-    if y.min() > 0.0:
+    driver's domain: y >= TINY, a positive normal double, and, where u is a
+    row, not the scalar 0.0, y + u >= 0.  A NaN fails either test."""
+    bad, rule, cause = y, f"{what} positivity", "grid too coarse or L too small"
+    if y.min() >= TINY:
         if not isinstance(u, np.ndarray) or (y + u).min() >= 0.0:
             return
         bad, rule = y + u, "Y + U >= 0"
+    elif y.min() > 0.0:
+        rule, cause = f"{what} >= {TINY:g}", "subnormal: gamma*xi too large"
     j = int(np.argmin(bad)) % bad.shape[-1]
-    raise SolverError(f"solver: {rule} violated at step {step}, node {j} "
-                      "(grid too coarse or L too small)")
+    raise SolverError(f"solver: {rule} violated at step {step}, node {j} ({cause})")
 
 
 def extract_optimal_strategy(surface: ValueSurface):

@@ -288,14 +288,16 @@ LOG_CLAIM = StockPayoff((0.1, 10.0), (0.5 * math.log(0.1), 0.5 * math.log(10.0))
 def recorded_pass(monkeypatch, model, claims, ks, refine):
     """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and binding
     flag checked bit for bit against a one-column pass.  Returns, per _pair
-    call, (step, k per row, reach[regime][driver call] per row = max |pi|)."""
+    call, (step, k per row, reach[regime][driver call] per row = max |pi|,
+    width of the rows)."""
     space, quad = solve_setup(model, m_space=40)
     calls, real = [], solver._pair
 
     def pair(regimes, strat, dt, y_post, y_pre, step, refine):
         outs = real(regimes, strat, dt, y_post, y_pre, step, refine)
         calls.append((step, strat.hi[:, 0],
-                      [[np.abs(pi).max(axis=-1) for pi in out[3]] for out in outs]))
+                      [[np.abs(pi).max(axis=-1) for pi in out[3]] for out in outs],
+                      y_post.shape[-1]))
         return outs
 
     with monkeypatch.context() as patch:
@@ -361,7 +363,7 @@ class TestSharedRows:
         model, _ = jump_market()
         calls, _ = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [0.6, 1.0], refine)
         assert split_steps(calls) == [49]
-        _, k, (post, pre) = calls[0]
+        _, k, (post, pre), _ = calls[0]
         assert all(r >= k for r in post) and not any(r >= k for r in pre)
 
     def test_split_only_the_first_refine_call_triggers(self, monkeypatch):
@@ -369,13 +371,13 @@ class TestSharedRows:
         # the reaches of the unbound row at the first step: the first driver
         # call reaches further than the refine call, in both regimes
         calls, _ = recorded_pass(monkeypatch, model, [LOG_CLAIM], [1e3], True)
-        _, _, reach = calls[0]
+        _, _, reach, _ = calls[0]
         first, second = (max(r[call][0] for r in reach) for call in (0, 1))
         assert first > second
         k = 0.5 * (first + second)
         calls, bound = recorded_pass(monkeypatch, model, [LOG_CLAIM] * 2, [k, 2 * k], True)
         assert split_steps(calls) == [49] and bound.tolist() == [True, False]
-        _, _, reach = calls[0]
+        _, _, reach, _ = calls[0]
         assert any(r[0] >= k for r in reach) and not any(r[1] >= k for r in reach)
 
     @pytest.mark.parametrize("refine", [False, True])
@@ -432,12 +434,15 @@ class TestDriverContract:
 
 
 def fail_columns_above(monkeypatch, k_fail, node=17):
-    """Make the driver push Y below 0 at one node of every column with k > k_fail."""
+    """Make the driver push Y below 0 at one node (every node if None) of
+    every column with k > k_fail."""
     real = solver.minimize_driver_grid
 
     def driver(c, strat, y, z, u):
         f, pi = real(c, strat, y, z, u)
-        bad = (np.asarray(strat.hi) > k_fail) & (np.arange(f.shape[-1]) == node)
+        bad = np.asarray(strat.hi) > k_fail
+        if node is not None:
+            bad = bad & (np.arange(f.shape[-1]) == node)
         return np.where(bad, -1e9, f), pi
 
     monkeypatch.setattr(solver, "minimize_driver_grid", driver)
@@ -447,12 +452,13 @@ class TestBlockFailures:
     """A failing pass is solved again one k at a time, as a serial run would meet it."""
 
     def setup_method(self):
-        # k0 = 0.5 stops at k* = 8: the second pass holds 4, 8 and 16
-        self.model, self.claim = drifted_bond_market()
+        # a claim that depends on S keeps the pass M+1 nodes wide, so node 17
+        # exists; k0 = 0.5 stops at k* = 8, and k <= 2 binds at step 49
+        self.model, _ = drifted_bond_market()
         self.space, self.quad = solve_setup(self.model, m_space=40)
 
-    def legs(self):
-        return converge_legs(self.model, (ZERO_CLAIM, self.claim), ("zero", "claim"),
+    def legs(self, claim=LOG_CLAIM):
+        return converge_legs(self.model, (ZERO_CLAIM, claim), ("zero", "claim"),
                              self.space, self.quad, 0.5, 1e-6)
 
     def test_failure_past_k_star_is_never_raised(self, monkeypatch):
@@ -472,5 +478,70 @@ class TestBlockFailures:
     def test_node_counted_within_the_failing_column(self, monkeypatch):
         fail_columns_above(monkeypatch, 3.0)
         with pytest.raises(SolverError, match=r"step 49, node 17 "):
-            solve_j0_batch(self.model, [self.claim] * 3, [1.0, 2.0, 4.0],
+            solve_j0_batch(self.model, [LOG_CLAIM] * 3, [1.0, 2.0, 4.0],
                            self.space, self.quad)
+
+    def test_flat_pass_names_node_0(self, monkeypatch):
+        # the bond's pass runs two nodes wide; a full-width flat row names
+        # node 0 as well, since argmin over equal values returns the first
+        assert self.legs(BOND_CLAIM)[0].ks == [0.5, 1.0, 2.0, 4.0, 8.0]
+        fail_columns_above(monkeypatch, 3.0, node=None)
+        with pytest.raises(SolverError, match=r"^k=4: solver: Y \(post-default\) "
+                                              r"positivity violated at step 49, node 0 "):
+            self.legs(BOND_CLAIM)
+
+
+FLAT_LEGS = (ZERO_CLAIM, BOND_CLAIM, BOND_CLAIM.negated())
+
+
+class TestFlatRows:
+    """A pass whose terminal rows are all flat in x runs two nodes wide, and
+    gives the full-width pass's numbers bit for bit."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_rows_two_wide_until_one_leg_depends_on_s(self, monkeypatch, market, refine):
+        model, claim = market()
+        calls, _ = recorded_pass(monkeypatch, model, list(FLAT_LEGS), [0.5, 1.0, 2.0], refine)
+        assert {width for *_, width in calls} == {2}
+        calls, _ = recorded_pass(monkeypatch, model, [*FLAT_LEGS, PUT], [0.5, 1.0, 2.0, 1.0],
+                                 refine)
+        assert {width for *_, width in calls} == {41}
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_flat_columns_equal_full_width_columns(self, market, refine):
+        model, _ = market()
+        space, quad = solve_setup(model, m_space=40)
+        ks = np.repeat([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], len(FLAT_LEGS))
+        flat = [leg for _ in range(6) for leg in FLAT_LEGS]
+        narrow = solve_j0_batch(model, flat, ks, space, quad, refine=refine)
+        # the PUT columns keep this pass M+1 nodes wide
+        wide = solve_j0_batch(model, flat + [PUT] * 6, np.concatenate([ks, ks[::3]]),
+                              space, quad, refine=refine)
+        for a, b in zip(narrow, wide):
+            assert a.tobytes() == b[:ks.size].tobytes()
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_surface_spread_over_the_grid(self, refine):
+        model, _ = jump_market()
+        space, quad = solve_setup(model, m_space=40)
+        surface = solve_bsde(model, BOND_CLAIM, StrategySet.symmetric(1.0), space, quad,
+                             refine=refine)
+        n1 = model.grid.n_steps + 1
+        assert surface.Y.shape == surface.Z.shape == surface.pi_hat.shape == (n1, 41, 2)
+        assert surface.U.shape == (n1, 41)
+        for a in (surface.Y, surface.Z, surface.U, surface.pi_hat):
+            np.testing.assert_array_equal(a, np.broadcast_to(a[:, :1], a.shape))
+        j0, _ = solve_j0_batch(model, [BOND_CLAIM], [1.0], space, quad, refine=refine)
+        assert surface_at_origin(surface) == j0[0]
+
+    def test_constant_stock_payoff_collapses_like_default_indicator(self, monkeypatch):
+        model, _ = piecewise_market()
+        table = StockPayoff(S_NODES, (0.8,) * len(S_NODES), (0.3,) * len(S_NODES))
+        calls, _ = recorded_pass(monkeypatch, model, [table], [1.0], False)
+        assert {width for *_, width in calls} == {2}
+        space, quad = solve_setup(model, m_space=40)
+        want, _ = solve_j0_batch(model, [DefaultIndicator(0.8, 0.3)], [1.0], space, quad)
+        got, _ = solve_j0_batch(model, [table], [1.0], space, quad)
+        assert got[0] == want[0]

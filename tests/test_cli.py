@@ -65,9 +65,9 @@ class TestValidate:
         assert main(["solve", str(cfg)]) == 2
         assert "Euler factor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [800.0, -800.0])
+    @pytest.mark.parametrize("value", [800.0, -800.0, 740.0])
     def test_terminal_row_out_of_range_exits_2(self, tmp_path, capsys, value):
-        # exp(-gamma xi) leaves the doubles: validate rejects what solve rejects
+        # exp(-gamma xi) leaves the normal doubles: validate rejects what solve rejects
         cfg = write_config(tmp_path, claim={"variant": "constant", "value": value})
         for subcommand in ("validate", "solve"):
             assert main([subcommand, str(cfg)]) == 2
@@ -96,6 +96,8 @@ class TestValidate:
         ("oracle", "oracle", "G", 102, "strategy grid count must be in"),
         ("solve", "numerics", "k", -2, "k must be positive"),
         ("validate", "numerics", "quad_nodes", 400, "Gauss-Hermite rule is not finite"),
+        # a constant claim: its negated leg's row exp(-709) is subnormal
+        ("price", "claim", "value", -709.0, "leg 2 (Constant(value=709.0))"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                      subcommand, block, key, value,
@@ -109,12 +111,15 @@ class TestValidate:
         monkeypatch.setattr(approx, "solve_j0_batch", no_work)
         monkeypatch.setattr(cli, "solve_bsde", no_work)
         monkeypatch.setattr(cli, "brute_force_dp", no_work)
-        cfg = write_config(tmp_path, **{block: {key: value}})
+        fields = {key: value, "variant": "constant"} if block == "claim" else {key: value}
+        cfg = write_config(tmp_path, **{block: fields})
         assert main([subcommand, str(cfg)]) == 2
         assert message in capsys.readouterr().err
         if block == "numerics":  # the oracle block is checked by oracle only
             assert main(["validate", str(cfg)]) == 2
             assert message in capsys.readouterr().err
+        if block == "claim":  # validate checks what solve solves: the claim alone
+            assert main(["validate", str(cfg)]) == 0
 
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4

@@ -128,17 +128,37 @@ class TestInvariants:
     def test_post_default_mean_positivity_located(self):
         model = bond_model(4)
         space = SpaceGrid.for_model(model, 20)
-        post, _ = _regimes(model, space, Quadrature.gauss_hermite(7))[3]
+        post, _ = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
         with pytest.raises(SolverError,
                            match=r"E \(post-default\) positivity violated at step 3, node 0"):
             _step(post, StrategySet.symmetric(1.0), model.grid.dt, np.zeros((1, 21)),
                   None, 3, False)
+
+    def test_subnormal_y_located(self):
+        # exp(-708) is a normal double, but Y decays by exp(-theta^2 (T - t) / 2)
+        # below the smallest one before t = 0
+        with pytest.raises(SolverError, match=r"Y \(post-default\) >= 2.22507e-308 violated "
+                                              r"at step 20, node 0 \(subnormal"):
+            solve(merton_model(100), Constant(708.0))
+
+    def test_normal_terminal_row_exact(self):
+        # the largest gamma*xi a terminal row takes is 708.39; at 708 the
+        # solve is exp(-708) J0(0) to rounding
+        model = MarketModel(grid=TimeGrid(1.0, 20),
+                            coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
+                                                               beta=-0.3, lam=0.3),
+                            gamma=1.0)
+        j0 = surface_at_origin(solve(model, Constant(0.0), m_space=20))
+        got = surface_at_origin(solve(model, Constant(708.0), m_space=20))
+        assert got == pytest.approx(math.exp(-708.0) * j0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("claim, where", [
         (Constant(800.0), "800, node 0, N_T = 1"),
         (Constant(-800.0), "-800, node 0, N_T = 1"),
         # the survival row underflows to 0 while the default row is fine
         (DefaultIndicator(800.0, 0.0), "800, node 0, N_T = 0"),
+        # exp(-740) is subnormal: the scheme would lose 2% with no error
+        (Constant(740.0), "740, node 0, N_T = 1"),
     ])
     def test_terminal_row_out_of_range(self, claim, where):
         # exp(-800) underflows to 0 and exp(800) overflows; either is caught
