@@ -293,14 +293,15 @@ def _cmd_oracle(cfg: RunConfig) -> int:
                          cfg.space, cfg.quad, refine=cfg.refine)
     j0 = surface_at_origin(surface)
     strategy = extract_optimal_strategy(surface)
+    paths_csv = cfg.output.get("paths_csv")
     drift = martingale_check(cfg.model, cfg.claim, surface, strategy,
-                             cfg.n_paths, cfg.seed)
+                             cfg.n_paths, cfg.seed, keep_paths=bool(paths_csv))
     _diag(f"oracle: dp={dp:.12g} solver={j0:.12g} "
           f"rel_gap={abs(dp - j0) / abs(dp):.3g}")
     _diag(f"oracle: drift mean={drift.aggregate_mean:.6g} "
           f"se={drift.aggregate_se:.6g} within_3se={drift.within(3.0)}")
-    if cfg.output.get("paths_csv"):
-        emit_report(drift.ensemble, cfg.output.get("paths_csv"))
+    if paths_csv:
+        emit_report(drift.ensemble, paths_csv)
     emit_report(drift, cfg.output.get("drift_csv"))
     return 0
 

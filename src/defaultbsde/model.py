@@ -45,7 +45,8 @@ __all__ = [
 
 # truncation of Gaussian increments in the forward scheme, in units of sqrt(dt)
 DW_CLIP = 6.0
-# paths per draw when the Gaussian block is stored time-major
+# paths per draw of the Gaussian and the default-uniform blocks, each stored
+# time-major: bounds the draw temporary at _DRAW_CHUNK * N floats
 _DRAW_CHUNK = 512
 
 
@@ -382,7 +383,8 @@ class PathEnsemble:
     (n_paths, N+1).  simulate_paths stores all four time-major and hands out
     transposed views, so the column ``[:, i]`` of step i is contiguous and
     a row ``[p]`` is strided.  ``tau_step[p]`` is the step index in which
-    path p defaulted, or -1.
+    path p defaulted, or -1.  About 27 bytes per path-step; a caller that
+    reads each step once passes simulate_paths a visitor instead.
     """
 
     times: np.ndarray
@@ -420,7 +422,8 @@ Strategy = Callable[[float, np.ndarray, np.ndarray], np.ndarray | float]
 
 
 def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
-                   seed: int, n_threads: int = 1) -> PathEnsemble:
+                   seed: int, n_threads: int = 1,
+                   visit: Callable[..., None] | None = None) -> PathEnsemble | None:
     """Euler forward simulation of (S, X) under a bounded strategy pi(t, s, n).
 
     Per step, default occurs with probability 1 - exp(-lambda*dt) if it has
@@ -430,13 +433,17 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     Output is bit-identical for identical (seed, n_paths).  ``n_threads``
     has no effect and is kept for compatibility.
 
-    ``dW``, ``n_path``, ``stock`` and ``wealth`` are allocated time-major,
-    (N, n_paths) or (N+1, n_paths), and returned as (n_paths, ...) views:
-    every step reads and writes contiguous rows, and callers index paths as
-    before.  The Gaussian block is drawn a chunk of paths at a time and
-    stored transposed, which reads the same stream as one path-major draw.
-    The coefficients of each step are looked up once, before the loop, and
-    a step's arithmetic runs in place in preallocated rows.
+    Without ``visit``, ``dW``, ``n_path``, ``stock`` and ``wealth`` are
+    allocated time-major, (N, n_paths) or (N+1, n_paths), and returned as
+    (n_paths, ...) views: every step reads and writes contiguous rows, and
+    callers index paths as before.  With ``visit``, it is called as
+    ``visit(i, n_row, s_row, w_row)`` for i = 0..N as each state row is
+    produced; the states live in a two-row ring (row i at ``i % 2``), so
+    only dW and the default table are held per path-step (9 bytes), and
+    None is returned.  Both draw blocks are drawn a chunk of paths at a time
+    and stored transposed, which reads the same stream as one path-major
+    draw.  The coefficients of each step are looked up once, before the
+    loop, and a step's arithmetic runs in place in preallocated rows.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -448,22 +455,23 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     sq = math.sqrt(dt)
+    chunks = [(a, min(a + _DRAW_CHUNK, n_paths)) for a in range(0, n_paths, _DRAW_CHUNK)]
     # the path-major Gaussian block, stored time-major a chunk of paths at a
     # time, so no second full block is held
     dW = np.empty((n, n_paths))
-    for a in range(0, n_paths, _DRAW_CHUNK):
-        b = min(a + _DRAW_CHUNK, n_paths)
+    for a, b in chunks:
         dW[:, a:b] = gen.standard_normal((b - a, n)).T
     dW *= sq
     np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
     c = model.coeffs
     t = times[:-1]
     # default draws: step i defaults a live path when its uniform is below
-    # 1 - exp(-lambda(t_i) dt); compared once into a time-major table, so the
-    # uniform block is freed before the state arrays are allocated
+    # 1 - exp(-lambda(t_i) dt); each chunk of uniforms is compared into a
+    # time-major table, so no full uniform block is held
     p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, t)])
     hits = np.empty((n, n_paths), dtype=bool)
-    np.less(gen.random((n_paths, n)).T, p_def[:, None], out=hits)
+    for a, b in chunks:
+        np.less(gen.random((b - a, n)).T, p_def[:, None], out=hits[:, a:b])
 
     # per step: (pre-default, post-default) 1 + mu dt and sigma, read per
     # path through its default state, and the jump factor 1 + beta
@@ -472,38 +480,44 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     vol = np.stack([_on_times(c.sigma_pre, t), _on_times(c.sigma_post, t)], axis=1)
     jump = 1.0 + _on_times(c.beta, t)
 
-    n_path = np.zeros((n + 1, n_paths), dtype=np.int8)
-    stock = np.empty((n + 1, n_paths))
-    wealth = np.zeros((n + 1, n_paths))
-    tau_step = np.full(n_paths, -1, dtype=np.int64)
+    rows = n + 1 if visit is None else 2  # state row of step i: i % rows
+    n_path = np.zeros((rows, n_paths), dtype=np.int8)
+    stock = np.empty((rows, n_paths))
+    wealth = np.zeros((rows, n_paths))
     stock[0] = model.s0
-    regime = np.empty(n_paths, dtype=np.intp)  # n_path[i] as take indices
     alive = np.empty(n_paths, dtype=bool)
     jumps = np.empty(n_paths, dtype=bool)
     ret = np.empty(n_paths)
-    level = np.empty(n_paths)
 
     for i in range(n):
-        np.copyto(regime, n_path[i])
+        r, r1 = i % rows, (i + 1) % rows
+        if visit is not None:
+            visit(i, n_path[r], stock[r], wealth[r])
+        regime = n_path[r]  # 0 or 1, as take indices
         np.equal(regime, 0, out=alive)
         np.logical_and(alive, hits[i], out=jumps)
-        tau_step[jumps] = i
 
-        pi = strategy(float(times[i]), stock[i], n_path[i])  # per path, or one scalar
         # ret = (1 + mu dt + sigma dW)(1 + beta dN) - 1: the jump composed
         # multiplicatively keeps S > 0 for every beta > -1 and makes the
         # self-financing identity dX = pi * dS/S exact per step
         # indices are 0 or 1; mode="clip" skips the copy that "raise" makes of out
         np.take(vol[i], regime, out=ret, mode="clip")
         ret *= dW[i]
-        ret += np.take(drift[i], regime, out=level, mode="clip")
+        ret += np.take(drift[i], regime, mode="clip")
         np.multiply(ret, jump[i], out=ret, where=jumps)
         ret -= 1.0
-        np.add(ret, 1.0, out=stock[i + 1])
-        stock[i + 1] *= stock[i]
-        np.multiply(ret, pi, out=wealth[i + 1])
-        wealth[i + 1] += wealth[i]
-        np.logical_or(n_path[i], jumps, out=n_path[i + 1])
+        np.add(ret, 1.0, out=stock[r1])
+        stock[r1] *= stock[r]
+        # pi per path, or one scalar; read inline so no pi row outlives the step
+        np.multiply(ret, strategy(float(times[i]), stock[r], n_path[r]), out=wealth[r1])
+        wealth[r1] += wealth[r]
+        np.logical_or(n_path[r], jumps, out=n_path[r1])
 
+    if visit is not None:
+        r = n % rows
+        visit(n, n_path[r], stock[r], wealth[r])
+        return None
+    # N stays 1 after a default, so a default in step i leaves N - i ones
+    tau_step = np.where(n_path[n] == 1, n - n_path.sum(axis=0, dtype=np.int64), -1)
     return PathEnsemble(times=times, dW=dW.T, n_path=n_path.T, stock=stock.T,
                         wealth=wealth.T, tau_step=tau_step, seed=seed)

@@ -32,10 +32,10 @@ MAX_Q = 9
 MAX_G = 101
 NODE_BUDGET = 2_000_000
 MIN_PATHS = 1000
-# martingale_check peaks near 27 bytes per path-step (n_paths * N): 26 for
-# dW, the default table and the three state arrays, and the rest for per-path
-# work rows (measured 26.9 at N = 100, 27.8 at N = 50); so this caps the path
-# arrays near 1.1 GB
+# martingale_check holds dW and the default table, 9 bytes per path-step
+# (n_paths * N), plus per-path rows (peak 9.9 at N = 100, 10.9 at N = 50).
+# With keep_paths (the CLI's paths_csv) the three state arrays add 17, near
+# 27 in all (26.6 at N = 100), and that case sets this cap near 1.1 GB
 PATH_STEP_BUDGET = 40_000_000
 
 
@@ -168,7 +168,10 @@ def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, dt: float,
 
 @dataclass
 class DriftReport:
-    """Per-step and aggregate drift of exp(-gamma X_t) Y(t, S_t, N_t)."""
+    """Per-step and aggregate drift of exp(-gamma X_t) Y(t, S_t, N_t).
+
+    ``ensemble`` holds the paths if martingale_check kept them, else None.
+    """
 
     times: np.ndarray          # left endpoints of the step intervals
     step_mean: np.ndarray
@@ -176,7 +179,7 @@ class DriftReport:
     aggregate_mean: float
     aggregate_se: float
     n_paths: int
-    ensemble: PathEnsemble     # the paths the drift was computed from
+    ensemble: PathEnsemble | None
 
     def within(self, n_se: float = 3.0) -> bool:
         return abs(self.aggregate_mean) <= n_se * self.aggregate_se
@@ -203,7 +206,7 @@ def monte_carlo_violation(model: MarketModel, n_paths: int, seed: int) -> str | 
 
 def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
                      strategy, n_paths: int, seed: int,
-                     n_threads: int = 1) -> DriftReport:
+                     n_threads: int = 1, keep_paths: bool = False) -> DriftReport:
     """Monte Carlo drift of V_t = exp(-gamma X_t) Y(t, S_t, N_t) along paths.
 
     V must be a submartingale under any bounded strategy and a martingale
@@ -211,34 +214,42 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     V_T - V_0 averaged over paths, with its standard error.  ``n_threads``
     has no effect and is kept for compatibility.
 
-    Steps are streamed in time order: only V at the previous step and V_0
-    are held, and each step's mean and standard error are taken from its
-    increment, so no (n_paths, N+1) value matrix is built.
+    One visitor takes the steps in time order, holding only V_0 and V at
+    the previous step, and takes each step's moments from its increment.
+    By default it consumes the simulation row by row and no path is stored;
+    with ``keep_paths`` it runs over the columns of one stored simulation,
+    returned in the report.  Both give the same bits.
     """
     bad = monte_carlo_violation(model, n_paths, seed)
     if bad is not None:
         raise ValueError(f"oracle: {bad}")
     if surface.model != model or surface.claim != claim:
         raise ValueError("oracle: surface was solved on a different model or claim")
-    ens = simulate_paths(model, strategy, n_paths, seed)
-
-    def value(i: int) -> np.ndarray:
-        y = surface.y_at(i, ens.stock[:, i], ens.n_path[:, i])
-        return np.exp(-model.gamma * ens.wealth[:, i]) * y
-
     n = model.grid.n_steps
     sq = math.sqrt(n_paths)
     step_mean, step_se = np.empty(n), np.empty(n)
-    v0 = v = value(0)
-    for i in range(n):
-        v_next = value(i + 1)
-        inc = v_next - v
-        step_mean[i] = inc.mean()
-        step_se[i] = inc.std(ddof=1) / sq
-        v = v_next
-    totals = v - v0
+    v = [None, None]  # V_0, V at the last visited step
+
+    def visit(i: int, n_row: np.ndarray, s_row: np.ndarray, w_row: np.ndarray) -> None:
+        v_i = surface.y_at(i, s_row, n_row)
+        v_i *= np.exp(-model.gamma * w_row)
+        if i == 0:
+            v[0] = v_i
+        else:
+            inc = v_i - v[1]
+            step_mean[i - 1] = inc.mean()
+            step_se[i - 1] = inc.std(ddof=1) / sq
+        v[1] = v_i
+
+    if keep_paths:
+        ens = simulate_paths(model, strategy, n_paths, seed)
+        for i in range(n + 1):
+            visit(i, ens.n_path[:, i], ens.stock[:, i], ens.wealth[:, i])
+    else:
+        ens = simulate_paths(model, strategy, n_paths, seed, visit=visit)  # None
+    totals = v[1] - v[0]
     return DriftReport(
-        times=ens.times[:-1],
+        times=model.grid.times()[:-1],
         step_mean=step_mean,
         step_se=step_se,
         aggregate_mean=float(totals.mean()),

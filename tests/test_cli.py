@@ -252,6 +252,19 @@ class TestOracleInputs:
         assert len(calls) == 1
         assert len(paths.read_text().splitlines()) == 1 + 1000 * 11
 
+    def test_drift_csv_same_bytes_with_paths_csv(self, tmp_path):
+        # paths_csv keeps the paths; the drift is the streamed one's, bit for bit
+        drifts = []
+        for name, extra in (("plain", {}), ("kept", {"paths_csv": str(tmp_path / "p.csv")})):
+            drift = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, f"{name}.json",
+                               model={"N": 10, "pre_default": {"mu": 0.05, "sigma": 0.2,
+                                                               "lambda": 2.0, "beta": -0.3}},
+                               numerics={"M": 30}, output={"drift_csv": str(drift), **extra})
+            assert main(["oracle", str(cfg)]) == 0
+            drifts.append(drift.read_bytes())
+        assert drifts[0] == drifts[1]
+
     @pytest.mark.parametrize("oracle_block, message", [
         ({"n_paths": 999}, "n_paths >= 1000"),
         ({"seed": -1}, "seed must be in"),

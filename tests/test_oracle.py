@@ -218,10 +218,11 @@ class TestMartingaleCheck:
         return model, claim, surf, extract_optimal_strategy(surf)
 
     def test_streamed_moments_match_value_matrix(self):
-        # reference: the (n_paths, N+1) value matrix and its column moments
+        # reference: the (n_paths, N+1) value matrix of the same paths, stored
+        # by simulate_paths, and its column moments
         model, claim, surf, strategy = self.jump_market_setup()
         drift = martingale_check(model, claim, surf, strategy, 5_000, seed=4)
-        ens = drift.ensemble
+        ens = simulate_paths(model, strategy, 5_000, seed=4)
         v = np.empty(ens.stock.shape)
         for i in range(v.shape[1]):
             v[:, i] = (np.exp(-model.gamma * ens.wealth[:, i])
@@ -236,6 +237,44 @@ class TestMartingaleCheck:
         assert drift.aggregate_mean == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
         assert drift.aggregate_se == pytest.approx(totals.std(ddof=1) / sq,
                                                    rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def piecewise_market_setup():
+        model = piecewise_model(40)
+        claim = stock_claim()
+        space, quad = solve_setup(model, m_space=60)
+        surf = solve_bsde(model, claim, StrategySet(-2, 2), space, quad)
+        return model, claim, surf, extract_optimal_strategy(surf)
+
+    @pytest.mark.parametrize("setup", ["jump_market_setup", "piecewise_market_setup"])
+    def test_streamed_equals_stored(self, setup):
+        # the visitor over simulated rows and over kept columns: same bits
+        model, claim, surf, strategy = getattr(self, setup)()
+        streamed = martingale_check(model, claim, surf, strategy, 3_000, seed=6)
+        stored = martingale_check(model, claim, surf, strategy, 3_000, seed=6,
+                                  keep_paths=True)
+        assert streamed.ensemble is None
+        ens = stored.ensemble
+        assert ens.n_paths == 3_000 and np.any(ens.tau_step >= 0)
+        for name in ("times", "step_mean", "step_se"):
+            assert np.array_equal(getattr(streamed, name), getattr(stored, name)), name
+        assert streamed.aggregate_mean == stored.aggregate_mean
+        assert streamed.aggregate_se == stored.aggregate_se
+
+    def test_streamed_memory_per_path_step(self):
+        # only dW (8 bytes) and the default table (1 byte) are held per
+        # path-step; the state rows and per-path work add about 2 at N = 50,
+        # and keeping the three state arrays would add 17
+        model, claim, surf, strategy = self.jump_market_setup()
+        n_paths = 20_000
+        martingale_check(model, claim, surf, strategy, 1_000, seed=4)  # one-time set-up
+        tracemalloc.start()
+        try:
+            martingale_check(model, claim, surf, strategy, n_paths, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * n_paths * model.grid.n_steps
 
     def test_holds_no_path_by_step_matrix(self):
         # the check's peak is the simulation's own: a value or increment
