@@ -14,7 +14,7 @@ from .model import (Claim, Constant, DefaultIndicator, MarketModel, PathEnsemble
                     PiecewiseConstant, RegimeCoefficients, StockPayoff, TimeGrid,
                     ValidationReport, claim_payoff, simulate_paths, validate_model)
 from .oracle import DPTree, DriftReport, brute_force_dp, martingale_check
-from .pricing import PriceReport, indifference_price, selling_price, wealth_scaling
+from .pricing import PriceReport, indifference_price, wealth_scaling
 from .solver import (Quadrature, SolverError, SpaceGrid, ValueSurface,
                      extract_optimal_strategy, solve_bsde, surface_at_origin)
 
@@ -29,7 +29,7 @@ __all__ = [
     "Quadrature", "SpaceGrid", "ValueSurface", "SolverError", "solve_bsde",
     "extract_optimal_strategy", "surface_at_origin",
     "KSweepResult", "NonConvergenceError", "k_sweep", "converge",
-    "PriceReport", "indifference_price", "selling_price", "wealth_scaling",
+    "PriceReport", "indifference_price", "wealth_scaling",
     "DPTree", "DriftReport", "brute_force_dp", "martingale_check",
     "__version__",
 ]

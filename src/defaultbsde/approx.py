@@ -2,9 +2,10 @@
 
 The value function with unconstrained strategies is the nonincreasing limit
 of the value functions over strategies bounded by k.  Each k gives a
-Lipschitz BSDE solved by the grid scheme; the unconstrained value is reached
-by geometric doubling of k with a relative Cauchy stopping rule (once the
-constraint stops binding, J0(k) flattens exponentially fast).
+Lipschitz BSDE, solved by the one explicit scheme of `solver`; the
+unconstrained value is reached by geometric doubling of k with a relative
+Cauchy stopping rule (once the constraint stops binding, J0(k) flattens
+exponentially fast).
 
 `converge_legs` is the one doubling loop: it solves each claim (leg) once per
 k on a shared schedule; `converge` runs one leg, `pricing` the legs of a price.
@@ -84,7 +85,7 @@ def check_schedule(ks: list[float]) -> None:
 
 
 def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
-                ks: list[float], refine: bool):
+                ks: list[float]):
     """Yield (k, J0 and bound per leg, runtime_ms) in k order from one pass over every (leg, k).
 
     runtime_ms is the k's share of the pass's wall time.  A failed pass is
@@ -94,12 +95,12 @@ def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
     t0 = time.perf_counter()
     try:
         j0, bound = solve_j0_batch(model, [claim for _ in ks for claim in claims],
-                                   np.repeat(ks, len(claims)), space, quad, refine=refine)
+                                   np.repeat(ks, len(claims)), space, quad)
     except (SolverError, ValueError) as exc:
         if len(ks) == 1:
             raise type(exc)(f"k={ks[0]:g}: {exc}") from exc
         for k in ks:
-            yield from _solve_pass(model, claims, space, quad, [k], refine)
+            yield from _solve_pass(model, claims, space, quad, [k])
         return
     ms = 1e3 * (time.perf_counter() - t0) / len(ks)
     shape = (len(ks), len(claims))
@@ -108,9 +109,9 @@ def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
 
 
 def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-             k: float, refine: bool = False) -> tuple[float, float]:
+             k: float) -> tuple[float, float]:
     """One solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
-    _, (j0,), _, ms = next(_solve_pass(model, (claim,), space, quad, [k], refine))
+    _, (j0,), _, ms = next(_solve_pass(model, (claim,), space, quad, [k]))
     return j0, ms
 
 
@@ -124,7 +125,7 @@ def _finalize(res: KSweepResult) -> KSweepResult:
 
 
 def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-            ks: list[float], refine: bool = False) -> KSweepResult:
+            ks: list[float]) -> KSweepResult:
     """Solve every k of an increasing positive schedule in one pass; record J0 and runtime.
 
     Monotone nonincrease of J0 is checked within 1e-9 plus the reported noise
@@ -133,7 +134,7 @@ def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature
     """
     check_schedule(ks)
     res = KSweepResult(ks=list(ks), j0s=[], runtimes_ms=[])
-    for _, (j0,), (hit,), ms in _solve_pass(model, (claim,), space, quad, res.ks, refine):
+    for _, (j0,), (hit,), ms in _solve_pass(model, (claim,), space, quad, res.ks):
         res.j0s.append(j0)
         res.bound.append(hit)
         res.runtimes_ms.append(ms)
@@ -146,8 +147,8 @@ def _cauchy(res: KSweepResult, tol_rel: float) -> bool:
 
 
 def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[str, ...],
-                  space: SpaceGrid, quad: Quadrature, k0: float, tol_rel: float,
-                  refine: bool = False) -> list[KSweepResult]:
+                  space: SpaceGrid, quad: Quadrature, k0: float,
+                  tol_rel: float) -> list[KSweepResult]:
     """Double k from k0, solving every leg once per k, until all legs are Cauchy.
 
     Stops at the first k where each leg has |J0(2k) - J0(k)| <= tol_rel * J0(k);
@@ -159,7 +160,7 @@ def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[st
     check_doubling(k0, tol_rel)
     legs = [KSweepResult(ks=[], j0s=[], runtimes_ms=[]) for _ in claims]
     ks = [k0 * 2.0 ** i for i in range(MAX_DOUBLINGS + 1)]
-    for k, j0s, hits, ms in _solve_pass(model, claims, space, quad, ks, refine):
+    for k, j0s, hits, ms in _solve_pass(model, claims, space, quad, ks):
         for res, j0, hit in zip(legs, j0s, hits):
             res.ks.append(k)
             res.j0s.append(j0)
@@ -179,13 +180,12 @@ def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[st
 
 
 def converge(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-             k0: float, tol_rel: float, refine: bool = False) -> tuple[float, KSweepResult]:
+             k0: float, tol_rel: float) -> tuple[float, KSweepResult]:
     """Double k from k0 until |J0(2k) - J0(k)| <= tol_rel * J0(k).
 
     The one-leg case of `converge_legs`.  Returns the last value as the
     unconstrained J(0) together with the sweep.  Raises NonConvergenceError
     (with the full sequence) after MAX_DOUBLINGS doublings.
     """
-    (res,) = converge_legs(model, (claim,), ("claim",), space, quad, k0, tol_rel,
-                           refine=refine)
+    (res,) = converge_legs(model, (claim,), ("claim",), space, quad, k0, tol_rel)
     return res.j0s[-1], res

@@ -49,7 +49,6 @@ class RunConfig:
     k0: float
     tol_rel: float
     ks: list[float]
-    refine: bool
     n_small: int
     q: int
     g: int
@@ -58,18 +57,33 @@ class RunConfig:
     output: dict = field(default_factory=dict)
 
 
-def _need(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"config: missing '{key}' in {where}")
-    return block[key]
+def _block(block, where: str, required, optional=()) -> dict:
+    """``block``, once it is an object with every key of ``required`` and no key
+    outside ``required`` and ``optional``: a key that the loader does not read
+    is rejected, never silently ignored."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"config: {where} must be a JSON object")
+    extra = sorted(set(block) - set(required) - set(optional))
+    if extra:
+        raise ConfigError(f"config: {where}: unknown keys {extra}")
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"config: missing '{key}' in {where}")
+    return block
 
 
 def _number(kind, raw, key: str, where: str):
-    """``raw`` converted by int or float; a value that is no number names its key."""
+    """``raw`` converted by int or float; a value that is no number, or an int
+    key's value with a fractional part (20.7, where 20.0 passes), names its key."""
+    if kind is int and isinstance(raw, int):
+        return int(raw)
     try:
-        return kind(raw)
+        value = float(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: '{key}' in {where} must be a number, got {raw!r}") from exc
+    if kind is int and not value.is_integer():
+        raise ConfigError(f"config: '{key}' in {where} must be an integer, got {raw!r}")
+    return kind(value)
 
 
 def _coefficient(raw, name: str) -> PiecewiseConstant:
@@ -84,58 +98,59 @@ def _coefficient(raw, name: str) -> PiecewiseConstant:
     raise ConfigError(f"config: coefficient '{name}' must be a number or [[t, value], ...]")
 
 
-def _build_claim(block: dict) -> Claim:
-    variant = _need(block, "variant", "claim")
+def _floats(raw) -> tuple:
+    return tuple(float(v) for v in raw)
+
+
+# per claim variant: the class, the conversion of each field, the fields in argument order
+CLAIMS = {
+    "constant": (Constant, float, ("value",)),
+    "default_indicator": (DefaultIndicator, float, ("pays_survival", "pays_default")),
+    "stock_payoff": (StockPayoff, _floats, ("s_nodes", "survive_values", "default_values")),
+}
+
+
+def _build_claim(block) -> Claim:
+    variant = block.get("variant") if isinstance(block, dict) else None
+    if not isinstance(variant, str) or variant not in CLAIMS:
+        raise ConfigError(f"config: claim 'variant' must be one of {list(CLAIMS)}, "
+                          f"got {variant!r}")
+    kind, convert, fields = CLAIMS[variant]
+    _block(block, f"claim ({variant})", fields, ("variant",))
     try:
-        if variant == "constant":
-            return Constant(float(_need(block, "value", "claim")))
-        if variant == "default_indicator":
-            return DefaultIndicator(float(_need(block, "pays_survival", "claim")),
-                                    float(_need(block, "pays_default", "claim")))
-        if variant == "stock_payoff":
-            return StockPayoff(tuple(float(v) for v in _need(block, "s_nodes", "claim")),
-                               tuple(float(v) for v in _need(block, "survive_values", "claim")),
-                               tuple(float(v) for v in _need(block, "default_values", "claim")))
-    except ConfigError:
-        raise
+        return kind(*(convert(block[key]) for key in fields))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: claim: {exc}") from exc
-    raise ConfigError(f"config: unknown claim variant '{variant}'")
 
 
 def load_config(raw: dict) -> RunConfig:
     """Validate the configuration dict and build the run objects."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    known = {"model", "claim", "numerics", "oracle", "output"}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"config: unknown top-level keys {sorted(extra)}")
-
-    mb = _need(raw, "model", "config")
-    pre = _need(mb, "pre_default", "model")
-    post = mb.get("post_default", {})
-    horizon = _number(float, _need(mb, "T", "model"), "T", "model")
-    n_steps = _number(int, _need(mb, "N", "model"), "N", "model")
+    _block(raw, "top level", ("model", "claim"), ("numerics", "oracle", "output"))
+    mb = _block(raw["model"], "model", ("T", "N", "gamma", "pre_default"), ("s0", "post_default"))
+    pre = _block(mb["pre_default"], "model.pre_default", ("mu", "sigma"), ("beta", "lambda"))
+    post = _block(mb.get("post_default", {}), "model.post_default", (), ("mu", "sigma"))
+    horizon = _number(float, mb["T"], "T", "model")
+    n_steps = _number(int, mb["N"], "N", "model")
     try:
         grid = TimeGrid(horizon, n_steps)
     except ValueError as exc:
         raise ConfigError(f"config: model: {exc}") from exc
     coeffs = RegimeCoefficients(
-        mu_pre=_coefficient(_need(pre, "mu", "model.pre_default"), "pre mu"),
-        sigma_pre=_coefficient(_need(pre, "sigma", "model.pre_default"), "pre sigma"),
+        mu_pre=_coefficient(pre["mu"], "pre mu"),
+        sigma_pre=_coefficient(pre["sigma"], "pre sigma"),
         mu_post=_coefficient(post.get("mu", pre["mu"]), "post mu"),
         sigma_post=_coefficient(post.get("sigma", pre["sigma"]), "post sigma"),
         beta=_coefficient(pre.get("beta", 0.0), "beta"),
         lam=_coefficient(pre.get("lambda", 0.0), "lambda"),
     )
     model = MarketModel(grid=grid, coeffs=coeffs,
-                        gamma=_number(float, _need(mb, "gamma", "model"), "gamma", "model"),
+                        gamma=_number(float, mb["gamma"], "gamma", "model"),
                         s0=_number(float, mb.get("s0", 1.0), "s0", "model"))
 
-    claim = _build_claim(_need(raw, "claim", "config"))
+    claim = _build_claim(raw["claim"])
 
-    nm = raw.get("numerics", {})
+    nm = _block(raw.get("numerics", {}), "numerics", (),
+                ("M", "L_mult", "quad_nodes", "k0", "tol_rel", "k", "ks"))
     ks = nm.get("ks", [])
     if not isinstance(ks, list):
         raise ConfigError(f"config: 'ks' in numerics must be a list of numbers, got {ks!r}")
@@ -156,15 +171,14 @@ def load_config(raw: dict) -> RunConfig:
             check_schedule(ks)
     except ValueError as exc:
         raise ConfigError(f"config: numerics: {exc}") from exc
-    ob = raw.get("oracle", {})
-    out = raw.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("config: output must be an object of path strings")
+    ob = _block(raw.get("oracle", {}), "oracle", (), ("N_small", "q", "G", "n_paths", "seed"))
+    out = _block(raw.get("output", {}), "output", (), ("validation_json", "surface_csv",
+                                                       "sweep_csv", "price_json", "drift_csv",
+                                                       "paths_csv"))
 
     return RunConfig(
         model=model, claim=claim, space=space, quad=quad,
         k=k, k0=k0, tol_rel=tol_rel, ks=ks,
-        refine=bool(nm.get("refine", False)),
         n_small=_number(int, ob.get("N_small", 8), "N_small", "oracle"),
         q=_number(int, ob.get("q", 7), "q", "oracle"),
         g=_number(int, ob.get("G", 81), "G", "oracle"),
@@ -246,7 +260,7 @@ def _require_valid(cfg: RunConfig, legs: tuple = ()) -> None:
 def _cmd_solve(cfg: RunConfig) -> int:
     _require_valid(cfg)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
-                         cfg.space, cfg.quad, refine=cfg.refine)
+                         cfg.space, cfg.quad)
     _diag(f"solve: k={cfg.k:g} J0={surface_at_origin(surface):.12g}")
     emit_report(surface, cfg.output.get("surface_csv"))
     return 0
@@ -255,11 +269,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _cmd_converge(cfg: RunConfig) -> int:
     _require_valid(cfg)
     if cfg.ks:
-        res = k_sweep(cfg.model, cfg.claim, cfg.space, cfg.quad, cfg.ks,
-                      refine=cfg.refine)
+        res = k_sweep(cfg.model, cfg.claim, cfg.space, cfg.quad, cfg.ks)
     else:
         _, res = converge(cfg.model, cfg.claim, cfg.space, cfg.quad,
-                          cfg.k0, cfg.tol_rel, refine=cfg.refine)
+                          cfg.k0, cfg.tol_rel)
     for k1, k2, excess in res.monotone_violations:
         _diag(f"converge: J0 increased from k={k1:g} to k={k2:g} "
               f"by {excess:.3g} beyond tolerance")
@@ -272,7 +285,7 @@ def _cmd_price(cfg: RunConfig) -> int:
     # every leg of the pass, the negated claim too, so its rows fail here with exit 2
     _require_valid(cfg, price_legs(cfg.claim)[0])
     report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad,
-                                cfg.k0, cfg.tol_rel, refine=cfg.refine)
+                                cfg.k0, cfg.tol_rel)
     _diag(f"price: buy={report.buy_price:.12g} sell="
           f"{'-' if report.sell_price is None else format(report.sell_price, '.12g')}")
     emit_report(report, cfg.output.get("price_json"))
@@ -290,7 +303,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     _require_valid(cfg)
     dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
-                         cfg.space, cfg.quad, refine=cfg.refine)
+                         cfg.space, cfg.quad)
     j0 = surface_at_origin(surface)
     strategy = extract_optimal_strategy(surface)
     paths_csv = cfg.output.get("paths_csv")

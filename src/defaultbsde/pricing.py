@@ -1,14 +1,16 @@
 """Hodges indifference prices from value functions on one k schedule.
 
 Buying price: p = (1/gamma) ln(J(0,0) / J(0,xi)); selling price: p* = -p(-xi).
-The legs of a price -- the zero claim, the claim and, for the selling price,
-the negated claim -- run through one k-doubling loop (`approx.converge_legs`).
-They share the grid, the quadrature, the k schedule and the stopping rule, so
-the discretization bias largely cancels in the ratio; the loop stops only
-when every leg meets the relative Cauchy criterion, and the zero leg is
-solved once per k for both prices.  Each (leg, k) pair is one column of
-one backward pass over the whole k schedule (`diagnostics["bound_per_k"]`
-records, per leg and k, whether the constraint bound).
+`indifference_price` reports both, the selling price when the claim is
+bounded above.  The legs of a price -- the zero claim, the claim and, for
+the selling price, the negated claim -- run through one k-doubling loop
+(`approx.converge_legs`).  They share the grid, the quadrature, the k
+schedule and the stopping rule, so the discretization bias largely cancels
+in the ratio; the loop stops only when every leg meets the relative Cauchy
+criterion, and the zero leg is solved once per k for both prices.  Each
+(leg, k) pair is one column of one backward pass over the whole k schedule
+(`diagnostics["bound_per_k"]` records, per leg and k, whether the constraint
+bound).
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ from .approx import converge_legs, solve_j0  # noqa: F401
 from .model import Claim, Constant, MarketModel
 from .solver import Quadrature, SpaceGrid
 
-__all__ = ["PriceReport", "indifference_price", "price_legs", "selling_price",
-           "wealth_scaling"]
+__all__ = ["PriceReport", "indifference_price", "price_legs", "wealth_scaling"]
 
 
 @dataclass
@@ -68,7 +69,6 @@ def price_legs(claim: Claim, with_selling: bool = True) -> tuple[tuple, tuple]:
 
 def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
                        quad: Quadrature, k0: float, tol_rel: float,
-                       refine: bool = False,
                        with_selling: bool = True) -> PriceReport:
     """Hodges buying price of a claim bounded below, with per-k approximations.
 
@@ -81,7 +81,7 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
         raise ValueError("pricing: claim must be bounded below")
     gamma = model.gamma
     claims, names = price_legs(claim, with_selling)
-    legs = converge_legs(model, claims, names, space, quad, k0, tol_rel, refine=refine)
+    legs = converge_legs(model, claims, names, space, quad, k0, tol_rel)
     zero, held, *sold = legs
     per_k = [(k, math.log(a / b) / gamma) for k, a, b in zip(zero.ks, zero.j0s, held.j0s)]
     diagnostics = {"ks": zero.ks, "J0_zero_per_k": zero.j0s,
@@ -102,15 +102,3 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
                   "quad_nodes": int(quad.nodes.size), "tol_rel": tol_rel},
         diagnostics=diagnostics,
     )
-
-
-def selling_price(model: MarketModel, claim: Claim, space: SpaceGrid,
-                  quad: Quadrature, k0: float, tol_rel: float,
-                  refine: bool = False) -> float:
-    """Hodges selling price p* = -p_buy(-xi); requires the claim bounded above."""
-    if not math.isfinite(claim.bounds()[1]):
-        raise ValueError("pricing: selling price needs a claim bounded above")
-    zero, sold = converge_legs(model, (Constant(0.0), claim.negated()),
-                               ("zero", "negated claim"), space, quad, k0, tol_rel,
-                               refine=refine)
-    return -math.log(zero.j0s[-1] / sold.j0s[-1]) / model.gamma

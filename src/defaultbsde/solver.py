@@ -15,8 +15,10 @@ Per step i and node x_j (pre-default):
     Y[i] = E + dt * f_min(coeffs(t_i), C, E, Z, U)
 
 with linear interpolation in x and flat extrapolation beyond [-L, L].  The
-diffusion move is the no-jump branch of the forward Euler step, so the solver
-and the path simulator discretize the same dynamics.
+driver is called once per regime and step, at the conditional mean E: the
+scheme is explicit and first order in dt.  The diffusion move is the no-jump
+branch of the forward Euler step, so the solver and the path simulator
+discretize the same dynamics.
 
 On the uniform grid every move is a fixed stencil of taps, built once per
 coefficient interval together with its coefficient snapshot.  The backward
@@ -263,13 +265,13 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
 
 
 def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
-          y_jump: np.ndarray | None, step: int, refine: bool):
-    """One backward step of one regime; returns (Y, Z, U, pis), (B, M+1) each.
+          y_jump: np.ndarray | None, step: int):
+    """One backward step of one regime; returns (Y, Z, U, pi), (B, M+1) each.
 
     Row b is batch column b, with its own bounds in ``strat``.  ``y_jump``
     holds the post-default rows that the pre-default regime jumps to; the
     post-default regime passes None and c.lam = 0, and its U is None.
-    ``pis`` holds the argmin of each driver call, the last one the strategy.
+    ``pi`` is the driver's argmin, the strategy.
     """
     c, p, (idx, taps), (jump_idx, jump_taps) = regime
     name = "post-default" if y_jump is None else "pre-default"
@@ -285,14 +287,8 @@ def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
     _check_domain(E, u_eff, step, f"E ({name})")
     f, pi = minimize_driver_grid(c, strat, E, Z, u_eff)
     y = E + dt * f
-    pis = (pi,)
-    if refine:
-        _check_domain(y, u_eff, step, f"Y ({name}, pre-refine)")
-        f, pi = minimize_driver_grid(c, strat, y, Z, u_eff)
-        y = E + dt * f
-        pis += (pi,)
     _check_domain(y, 0.0, step, f"Y ({name})")
-    return y, Z, U, pis
+    return y, Z, U, pi
 
 
 def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
@@ -334,21 +330,20 @@ def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
 
 
 def _pair(regimes: tuple, strat: StrategySet, dt: float, y_post: np.ndarray,
-          y_pre: np.ndarray, step: int, refine: bool):
+          y_pre: np.ndarray, step: int):
     """Step i of both regimes from the step-(i+1) rows: the post-default
     _step result, then the pre-default one, which jumps to y_post."""
     post, pre = regimes
-    return (_step(post, strat, dt, y_post, None, step, refine),
-            _step(pre, strat, dt, y_pre, y_post, step, refine))
+    return (_step(post, strat, dt, y_post, None, step),
+            _step(pre, strat, dt, y_pre, y_post, step))
 
 
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
-               space: SpaceGrid, quad: Quadrature, refine: bool = False) -> ValueSurface:
+               space: SpaceGrid, quad: Quadrature) -> ValueSurface:
     """Backward induction for the constrained BSDE; see the module docstring.
 
-    The one-column case of the backward pass that keeps every step.
-    ``refine`` adds one fixed-point pass, re-evaluating the driver at the
-    first-pass Y instead of the conditional mean E.
+    The one-column case of the backward pass that keeps every step: one
+    driver call per regime and step, at the conditional mean E.
 
     Raises SolverError when a diffusion move has a nonpositive Euler factor
     at some quadrature node, or when an iterate violates Y >= TINY (a
@@ -365,9 +360,9 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     Y[n_steps, :, 1], Y[n_steps, :, 0] = y_post[0], y_pre[0]
     for i in reversed(range(n_steps)):
         (y_post, z1, _, p1), (y_pre, z0, u0, p0) = _pair(regimes[i], strat, model.grid.dt,
-                                                         y_post, y_pre, i, refine)
-        Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y_post[0], z1[0], p1[-1][0]
-        Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y_pre[0], z0[0], u0[0], p0[-1][0]
+                                                         y_post, y_pre, i)
+        Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y_post[0], z1[0], p1[0]
+        Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y_pre[0], z0[0], u0[0], p0[0]
     if w < m1:  # a flat claim's two-node rows, spread over the grid
         Y, Z, U, pi_hat = (np.repeat(a[:, :1], m1, axis=1) for a in (Y, Z, U, pi_hat))
 
@@ -376,14 +371,12 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
 
 
 def _reach(outs) -> np.ndarray:
-    """Per row of the _pair results ``outs``, max |pi| over the nodes, both
-    regimes and every driver call."""
-    return functools.reduce(np.maximum, (np.abs(pi).max(axis=-1)
-                                         for out in outs for pi in out[3]))
+    """Per row of the _pair results ``outs``, max |pi| over the nodes and both regimes."""
+    return np.maximum(*(np.abs(out[3]).max(axis=-1) for out in outs))
 
 
-def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadrature,
-                   refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
+                   quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
     """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward
     pass, and whether the column's strategy reached +-ks[b] at some node and step.
 
@@ -408,7 +401,7 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadr
     strat = bounds(range(len(cols)))
     limit = strat.hi[:, 0].copy()  # a row's k; inf once it binds, as no wider k is left
     for i in reversed(range(len(regimes))):
-        outs = _pair(regimes[i], strat, dt, y_post, y_pre, i, refine)
+        outs = _pair(regimes[i], strat, dt, y_post, y_pre, i)
         new_post, new_pre = outs[0][0], outs[1][0]
         rows = src = np.arange(len(cols))  # src: each row's row at step i+1
         while (hit := np.flatnonzero(_reach(outs) >= limit[rows])).size:
@@ -422,7 +415,7 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid, quad: Quadr
             src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
             batch = bounds(rows)
             limit = np.concatenate([limit, batch.hi[:, 0]])
-            outs = _pair(regimes[i], batch, dt, y_post[src], y_pre[src], i, refine)
+            outs = _pair(regimes[i], batch, dt, y_post[src], y_pre[src], i)
             new_post = np.concatenate([new_post, outs[0][0]])
             new_pre = np.concatenate([new_pre, outs[1][0]])
         y_post, y_pre = new_post, new_pre

@@ -159,7 +159,13 @@ class TestConverge:
                 assert j_claim >= lower - 1e-9
 
 
-def reference_step(c, strat, x, quad, dt, y_next, y_jump, refine):
+# The scheme once had an optional refinement pass, and these cases ran with
+# and without it; the one-valued parametrization keeps their "[False]" ids
+# (the unrefined case each still checks), so their history stays under one name.
+ONE_SCHEME = pytest.mark.parametrize("refined", [False])
+
+
+def reference_step(c, strat, x, quad, dt, y_next, y_jump):
     """One regime of one column by np.interp at every move: the step before stencils."""
     sqdt = math.sqrt(dt)
     moves = np.log(1.0 + c.mu * dt + c.sigma * sqdt * quad.nodes)
@@ -177,14 +183,10 @@ def reference_step(c, strat, x, quad, dt, y_next, y_jump, refine):
         if c.lam > 0.0:
             u_eff = vjump - nojump
     f, _ = minimize_driver_grid(c, strat, E, Z, u_eff)
-    y = E + dt * f
-    if refine:
-        f, _ = minimize_driver_grid(c, strat, y, Z, u_eff)
-        y = E + dt * f
-    return y
+    return E + dt * f
 
 
-def reference_j0(model, claim, k, space, quad, refine):
+def reference_j0(model, claim, k, space, quad):
     """Serial J0 on C = [-k, k], coefficients looked up at every step."""
     x, strat, dt = space.nodes, StrategySet.symmetric(k), model.grid.dt
     s = model.s0 * np.exp(x)
@@ -193,8 +195,8 @@ def reference_j0(model, claim, k, space, quad, refine):
     for t in model.grid.times()[-2::-1]:
         c_post = CoeffSnapshot(*model.coeffs.at(t, defaulted=True), gamma=model.gamma)
         c_pre = CoeffSnapshot(*model.coeffs.at(t, defaulted=False), gamma=model.gamma)
-        post, pre = (reference_step(c_post, strat, x, quad, dt, post, None, refine),
-                     reference_step(c_pre, strat, x, quad, dt, pre, post, refine))
+        post, pre = (reference_step(c_post, strat, x, quad, dt, post, None),
+                     reference_step(c_pre, strat, x, quad, dt, pre, post))
     return float(np.interp(0.0, x, pre))
 
 
@@ -234,31 +236,29 @@ def piecewise_market():
 class TestBatchedPass:
     """Price legs and doublings share one backward pass, column by column."""
 
-    @pytest.mark.parametrize("refine", [False, True])
+    @ONE_SCHEME
     @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
-    def test_per_k_j0_matches_interp_reference(self, market, refine):
+    def test_per_k_j0_matches_interp_reference(self, market, refined):
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
-        diag = indifference_price(model, claim, space, quad, 0.25, 1e-6,
-                                  refine=refine).diagnostics
+        diag = indifference_price(model, claim, space, quad, 0.25, 1e-6).diagnostics
         assert len(diag["ks"]) > 2
         for key, leg in (("J0_zero_per_k", ZERO_CLAIM), ("J0_claim_per_k", claim),
                          ("J0_negated_per_k", claim.negated())):
-            want = [reference_j0(model, leg, k, space, quad, refine) for k in diag["ks"]]
+            want = [reference_j0(model, leg, k, space, quad) for k in diag["ks"]]
             np.testing.assert_allclose(diag[key], want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_column_bit_identical_across_batch_widths(self, refine):
+    @ONE_SCHEME
+    def test_column_bit_identical_across_batch_widths(self, refined):
         model, claim = piecewise_market()
         space, quad = solve_setup(model, m_space=40)
         legs = [ZERO_CLAIM, claim, claim.negated()]
         ks = [0.5, 1.0, 2.0]
         nine, _ = solve_j0_batch(model, [c for _ in ks for c in legs], np.repeat(ks, 3),
-                                 space, quad, refine=refine)
-        three, _ = solve_j0_batch(model, legs, [1.0] * 3, space, quad, refine=refine)
-        one, _ = solve_j0_batch(model, [claim], [1.0], space, quad, refine=refine)
-        surface = solve_bsde(model, claim, StrategySet.symmetric(1.0), space, quad,
-                             refine=refine)
+                                 space, quad)
+        three, _ = solve_j0_batch(model, legs, [1.0] * 3, space, quad)
+        one, _ = solve_j0_batch(model, [claim], [1.0], space, quad)
+        surface = solve_bsde(model, claim, StrategySet.symmetric(1.0), space, quad)
         assert one[0] == three[1] == nine[4] == surface_at_origin(surface)
 
     def test_price_holds_no_surface(self):
@@ -279,32 +279,29 @@ class TestBatchedPass:
         assert peak <= 0.5 * 101 * 101 * 9 * 8
 
 
-# a claim linear in log S over the whole grid: its Z never vanishes, so on the
-# drifted bond market the refine call's strategy reaches less far than the first
+# a claim linear in log S over the whole grid: it keeps a pass M+1 nodes wide
 LOG_CLAIM = StockPayoff((0.1, 10.0), (0.5 * math.log(0.1), 0.5 * math.log(10.0)),
                         (0.5 * math.log(0.1), 0.5 * math.log(10.0)))
 
 
-def recorded_pass(monkeypatch, model, claims, ks, refine):
+def recorded_pass(monkeypatch, model, claims, ks):
     """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and binding
     flag checked bit for bit against a one-column pass.  Returns, per _pair
-    call, (step, k per row, reach[regime][driver call] per row = max |pi|,
-    width of the rows)."""
+    call, (step, k per row, reach[regime] per row = max |pi|, width of the rows)."""
     space, quad = solve_setup(model, m_space=40)
     calls, real = [], solver._pair
 
-    def pair(regimes, strat, dt, y_post, y_pre, step, refine):
-        outs = real(regimes, strat, dt, y_post, y_pre, step, refine)
-        calls.append((step, strat.hi[:, 0],
-                      [[np.abs(pi).max(axis=-1) for pi in out[3]] for out in outs],
+    def pair(regimes, strat, dt, y_post, y_pre, step):
+        outs = real(regimes, strat, dt, y_post, y_pre, step)
+        calls.append((step, strat.hi[:, 0], [np.abs(out[3]).max(axis=-1) for out in outs],
                       y_post.shape[-1]))
         return outs
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_pair", pair)
-        j0, bound = solve_j0_batch(model, claims, ks, space, quad, refine=refine)
+        j0, bound = solve_j0_batch(model, claims, ks, space, quad)
     for b, (claim, k) in enumerate(zip(claims, ks)):
-        one_j0, one_bound = solve_j0_batch(model, [claim], [k], space, quad, refine=refine)
+        one_j0, one_bound = solve_j0_batch(model, [claim], [k], space, quad)
         assert (j0[b], bound[b]) == (one_j0[0], one_bound[0])
     return calls, bound
 
@@ -317,74 +314,60 @@ def split_steps(calls):
 class TestSharedRows:
     """A claim's ks share one row until their constraint binds; each column stays exact."""
 
-    @pytest.mark.parametrize("refine", [False, True])
+    @ONE_SCHEME
     @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
-    def test_price_legs_equal_one_column_solves(self, market, refine):
+    def test_price_legs_equal_one_column_solves(self, market, refined):
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
         legs = (ZERO_CLAIM, claim, claim.negated())
         got = converge_legs(model, legs, ("zero", "claim", "negated claim"), space, quad,
-                            0.25, 1e-6, refine=refine)
+                            0.25, 1e-6)
         # the serial run: one column per solve, the stopping rule k by k
         ks, want = [], [[] for _ in legs]
         while len(ks) < 2 or any(abs(w[-1][0] - w[-2][0]) > 1e-6 * abs(w[-2][0])
                                  for w in want):
             ks.append(0.25 * 2.0 ** len(ks))
             for w, leg in zip(want, legs):
-                j0, bound = solve_j0_batch(model, [leg], [ks[-1]], space, quad, refine=refine)
+                j0, bound = solve_j0_batch(model, [leg], [ks[-1]], space, quad)
                 w.append((j0[0], bound[0]))
         for res, w in zip(got, want):
             assert (res.ks, res.k_star) == (ks, ks[-1])
             assert list(zip(res.j0s, res.bound)) == w
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_nested_split_within_one_step(self, monkeypatch, refine):
+    @ONE_SCHEME
+    def test_nested_split_within_one_step(self, monkeypatch, refined):
         # the drifted bond's strategy 2.5 binds k = 0.25, 0.5, 1 and 2 at the first step
         model, claim = drifted_bond_market()
         calls, bound = recorded_pass(monkeypatch, model, [claim] * 5,
-                                     [0.25, 0.5, 1.0, 2.0, 4.0], refine)
+                                     [0.25, 0.5, 1.0, 2.0, 4.0])
         assert split_steps(calls) == [49] * 4
         assert bound.tolist() == [True] * 4 + [False]
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_split_at_a_coefficient_break(self, monkeypatch, refine):
+    @ONE_SCHEME
+    def test_split_at_a_coefficient_break(self, monkeypatch, refined):
         # piecewise market, zero claim: the pre-default strategy passes 1.5 only
         # once mu_pre switches at t = 0.7, i.e. from step 34 on
         model, _ = piecewise_market()
-        calls, bound = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [1.5, 3.0], refine)
+        calls, bound = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [1.5, 3.0])
         assert split_steps(calls)[0] == 34
         assert model.grid.times()[34] < 0.7 < model.grid.times()[35]
         assert bound[0]
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_split_only_the_post_default_regime_triggers(self, monkeypatch, refine):
+    @ONE_SCHEME
+    def test_split_only_the_post_default_regime_triggers(self, monkeypatch, refined):
         # jump market, zero claim: post-default strategy mu / (gamma sigma^2) = 0.8,
         # pre-default one below 0.46
         model, _ = jump_market()
-        calls, _ = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [0.6, 1.0], refine)
+        calls, _ = recorded_pass(monkeypatch, model, [ZERO_CLAIM] * 2, [0.6, 1.0])
         assert split_steps(calls) == [49]
         _, k, (post, pre), _ = calls[0]
         assert all(r >= k for r in post) and not any(r >= k for r in pre)
 
-    def test_split_only_the_first_refine_call_triggers(self, monkeypatch):
-        model, _ = drifted_bond_market()
-        # the reaches of the unbound row at the first step: the first driver
-        # call reaches further than the refine call, in both regimes
-        calls, _ = recorded_pass(monkeypatch, model, [LOG_CLAIM], [1e3], True)
-        _, _, reach, _ = calls[0]
-        first, second = (max(r[call][0] for r in reach) for call in (0, 1))
-        assert first > second
-        k = 0.5 * (first + second)
-        calls, bound = recorded_pass(monkeypatch, model, [LOG_CLAIM] * 2, [k, 2 * k], True)
-        assert split_steps(calls) == [49] and bound.tolist() == [True, False]
-        _, _, reach, _ = calls[0]
-        assert any(r[0] >= k for r in reach) and not any(r[1] >= k for r in reach)
-
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_one_column_per_claim_never_splits(self, monkeypatch, refine):
+    @ONE_SCHEME
+    def test_one_column_per_claim_never_splits(self, monkeypatch, refined):
         model, claim = piecewise_market()
         calls, _ = recorded_pass(monkeypatch, model, [ZERO_CLAIM, claim, claim.negated()],
-                                 [0.5, 1.0, 2.0], refine)
+                                 [0.5, 1.0, 2.0])
         assert [step for step, *_ in calls] == list(range(49, -1, -1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -409,9 +392,9 @@ class TestDriverContract:
     """The driver checks nothing: every call the solver makes keeps its shape
     rule and its domain, because the solver checks them first."""
 
-    @pytest.mark.parametrize("refine", [False, True])
+    @ONE_SCHEME
     @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
-    def test_every_call_keeps_the_contract(self, monkeypatch, market, refine):
+    def test_every_call_keeps_the_contract(self, monkeypatch, market, refined):
         real, calls = solver.minimize_driver_grid, []
 
         def driver(c, strat, y, z, u):
@@ -428,9 +411,9 @@ class TestDriverContract:
         monkeypatch.setattr(solver, "minimize_driver_grid", driver)
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
-        indifference_price(model, claim, space, quad, 0.25, 1e-6, refine=refine)
-        solve_bsde(model, claim, StrategySet.symmetric(2.0), space, quad, refine=refine)
-        assert len(calls) >= 2 * (1 + refine) * model.grid.n_steps * 2
+        indifference_price(model, claim, space, quad, 0.25, 1e-6)
+        solve_bsde(model, claim, StrategySet.symmetric(2.0), space, quad)
+        assert len(calls) >= 2 * model.grid.n_steps * 2
 
 
 def fail_columns_above(monkeypatch, k_fail, node=17):
@@ -498,48 +481,46 @@ class TestFlatRows:
     """A pass whose terminal rows are all flat in x runs two nodes wide, and
     gives the full-width pass's numbers bit for bit."""
 
-    @pytest.mark.parametrize("refine", [False, True])
+    @ONE_SCHEME
     @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
-    def test_rows_two_wide_until_one_leg_depends_on_s(self, monkeypatch, market, refine):
+    def test_rows_two_wide_until_one_leg_depends_on_s(self, monkeypatch, market, refined):
         model, claim = market()
-        calls, _ = recorded_pass(monkeypatch, model, list(FLAT_LEGS), [0.5, 1.0, 2.0], refine)
+        calls, _ = recorded_pass(monkeypatch, model, list(FLAT_LEGS), [0.5, 1.0, 2.0])
         assert {width for *_, width in calls} == {2}
-        calls, _ = recorded_pass(monkeypatch, model, [*FLAT_LEGS, PUT], [0.5, 1.0, 2.0, 1.0],
-                                 refine)
+        calls, _ = recorded_pass(monkeypatch, model, [*FLAT_LEGS, PUT], [0.5, 1.0, 2.0, 1.0])
         assert {width for *_, width in calls} == {41}
 
-    @pytest.mark.parametrize("refine", [False, True])
+    @ONE_SCHEME
     @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
-    def test_flat_columns_equal_full_width_columns(self, market, refine):
+    def test_flat_columns_equal_full_width_columns(self, market, refined):
         model, _ = market()
         space, quad = solve_setup(model, m_space=40)
         ks = np.repeat([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], len(FLAT_LEGS))
         flat = [leg for _ in range(6) for leg in FLAT_LEGS]
-        narrow = solve_j0_batch(model, flat, ks, space, quad, refine=refine)
+        narrow = solve_j0_batch(model, flat, ks, space, quad)
         # the PUT columns keep this pass M+1 nodes wide
         wide = solve_j0_batch(model, flat + [PUT] * 6, np.concatenate([ks, ks[::3]]),
-                              space, quad, refine=refine)
+                              space, quad)
         for a, b in zip(narrow, wide):
             assert a.tobytes() == b[:ks.size].tobytes()
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_surface_spread_over_the_grid(self, refine):
+    @ONE_SCHEME
+    def test_surface_spread_over_the_grid(self, refined):
         model, _ = jump_market()
         space, quad = solve_setup(model, m_space=40)
-        surface = solve_bsde(model, BOND_CLAIM, StrategySet.symmetric(1.0), space, quad,
-                             refine=refine)
+        surface = solve_bsde(model, BOND_CLAIM, StrategySet.symmetric(1.0), space, quad)
         n1 = model.grid.n_steps + 1
         assert surface.Y.shape == surface.Z.shape == surface.pi_hat.shape == (n1, 41, 2)
         assert surface.U.shape == (n1, 41)
         for a in (surface.Y, surface.Z, surface.U, surface.pi_hat):
             np.testing.assert_array_equal(a, np.broadcast_to(a[:, :1], a.shape))
-        j0, _ = solve_j0_batch(model, [BOND_CLAIM], [1.0], space, quad, refine=refine)
+        j0, _ = solve_j0_batch(model, [BOND_CLAIM], [1.0], space, quad)
         assert surface_at_origin(surface) == j0[0]
 
     def test_constant_stock_payoff_collapses_like_default_indicator(self, monkeypatch):
         model, _ = piecewise_market()
         table = StockPayoff(S_NODES, (0.8,) * len(S_NODES), (0.3,) * len(S_NODES))
-        calls, _ = recorded_pass(monkeypatch, model, [table], [1.0], False)
+        calls, _ = recorded_pass(monkeypatch, model, [table], [1.0])
         assert {width for *_, width in calls} == {2}
         space, quad = solve_setup(model, m_space=40)
         want, _ = solve_j0_batch(model, [DefaultIndicator(0.8, 0.3)], [1.0], space, quad)

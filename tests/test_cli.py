@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,7 +26,8 @@ def write_config(tmp_path, name="config.json", **overrides):
         "output": {},
     }
     for key, val in overrides.items():
-        if isinstance(val, dict) and key in cfg:
+        # a claim override names its variant, so it replaces the whole claim
+        if isinstance(val, dict) and key in cfg and key != "claim":
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -98,6 +101,27 @@ class TestValidate:
         ("validate", "numerics", "quad_nodes", 400, "Gauss-Hermite rule is not finite"),
         # a constant claim: its negated leg's row exp(-709) is subnormal
         ("price", "claim", "value", -709.0, "leg 2 (Constant(value=709.0))"),
+        # a key that no block reads, a misspelt one included, is never ignored
+        ("validate", "model", "pre_default", {"mu": 0.0, "sigma": 0.2, "lamda": 0.5},
+         "model.pre_default: unknown keys ['lamda']"),
+        ("validate", "model", "post_default", {"mu": 0.0, "sigmaa": 0.2},
+         "model.post_default: unknown keys ['sigmaa']"),
+        ("validate", "model", "gama", 1.0, "model: unknown keys ['gama']"),
+        ("price", "numerics", "tol_rell", 1e-9, "numerics: unknown keys ['tol_rell']"),
+        ("price", "numerics", "refine", True, "numerics: unknown keys ['refine']"),
+        ("oracle", "oracle", "n_path", 5000, "oracle: unknown keys ['n_path']"),
+        ("price", "output", "price_jsn", "p.json", "output: unknown keys ['price_jsn']"),
+        ("price", "claim", "pays_survival", 1.0,
+         "claim (constant): unknown keys ['pays_survival']"),
+        # an integer key is never truncated
+        ("validate", "model", "N", 20.7, "'N' in model must be an integer, got 20.7"),
+        ("validate", "numerics", "M", 20.9, "'M' in numerics must be an integer"),
+        ("validate", "numerics", "quad_nodes", 7.5, "'quad_nodes' in numerics must be an integer"),
+        ("oracle", "oracle", "N_small", 6.5, "'N_small' in oracle must be an integer"),
+        ("oracle", "oracle", "q", 5.5, "'q' in oracle must be an integer"),
+        ("oracle", "oracle", "G", 41.5, "'G' in oracle must be an integer"),
+        ("oracle", "oracle", "n_paths", 1000.5, "'n_paths' in oracle must be an integer"),
+        ("oracle", "oracle", "seed", 1.5, "'seed' in oracle must be an integer"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                      subcommand, block, key, value,
@@ -118,8 +142,26 @@ class TestValidate:
         if block == "numerics":  # the oracle block is checked by oracle only
             assert main(["validate", str(cfg)]) == 2
             assert message in capsys.readouterr().err
-        if block == "claim":  # validate checks what solve solves: the claim alone
+        if (block, key) == ("claim", "value"):
+            # validate checks what solve solves: the claim alone
             assert main(["validate", str(cfg)]) == 0
+
+    def test_integral_float_runs_as_its_integer(self, tmp_path):
+        outs = [tmp_path / "int.json", tmp_path / "float.json"]
+        for out, n in zip(outs, (20, 20.0)):
+            cfg = write_config(tmp_path, f"cfg_{out.name}", model={"N": n},
+                               numerics={"M": n}, output={"price_json": str(out)})
+            assert main(["price", str(cfg)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_readme_example_config_validates(self, tmp_path, capsys):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        raw = json.loads(re.search(r"Configuration example:\s*```json\n(.*?)```", readme,
+                                   re.S).group(1))
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4
@@ -134,6 +176,12 @@ class TestValidate:
         path.write_text(json.dumps({"model": {}, "claim": {}, "bogus": 1}))
         assert main(["validate", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("claim", [5, {"variant": ["constant"], "value": 1.0}])
+    def test_claim_without_a_known_variant_exits_2(self, tmp_path, capsys, claim):
+        cfg = write_config(tmp_path, claim=claim)
+        assert main(["validate", str(cfg)]) == 2
+        assert "claim 'variant' must be one of" in capsys.readouterr().err
 
 
 class TestPrice:

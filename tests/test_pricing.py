@@ -6,8 +6,8 @@ import pytest
 
 from defaultbsde import (Claim, Constant, DefaultIndicator, MarketModel,
                          NonConvergenceError, RegimeCoefficients, SolverError, TimeGrid,
-                         approx, converge, indifference_price, selling_price,
-                         solver, wealth_scaling)
+                         approx, converge, indifference_price, solver,
+                         wealth_scaling)
 from defaultbsde.cli import emit_report
 
 from conftest import (BOND_BUY, BOND_CLAIM, BOND_SELL, bond_model, merton_model,
@@ -74,12 +74,13 @@ class TestSellPrice:
     def test_selling_is_negated_buying(self):
         model = bond_model(50)
         space, quad = solve_setup(model, m_space=60)
-        sell = selling_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6)
+        sell = indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6).sell_price
         buy_of_neg = indifference_price(model, BOND_CLAIM.negated(), space, quad,
                                         0.25, 1e-6, with_selling=False).buy_price
         assert sell == pytest.approx(-buy_of_neg, abs=1e-12)
 
     def test_rejects_unbounded_above(self):
+        # the sell side is declined: no sell price, no negated leg
         class UnboundedClaim(Claim):
             def payoff(self, s, n):
                 return np.maximum(np.asarray(s, dtype=float) - 1.0, 0.0)
@@ -93,10 +94,9 @@ class TestSellPrice:
             def describe(self):
                 return "unbounded call"
 
-        model = bond_model(20)
-        space, quad = solve_setup(model, m_space=20)
-        with pytest.raises(ValueError, match="bounded above"):
-            selling_price(model, UnboundedClaim(), space, quad, 0.25, 1e-6)
+        rep = price(bond_model(20), UnboundedClaim(), m_space=20)
+        assert rep.sell_price is None and rep.buy_price > 0.0
+        assert "J0_negated_per_k" not in rep.diagnostics
 
 
 class TestOneLoop:

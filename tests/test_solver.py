@@ -14,10 +14,10 @@ from defaultbsde.solver import _regimes, _step
 from conftest import BOND_CLAIM, BOND_J0, MERTON_J0, bond_model, merton_model
 
 
-def solve(model, claim, k=2.0, m_space=100, quad_nodes=7, refine=False):
+def solve(model, claim, k=2.0, m_space=100, quad_nodes=7):
     space = SpaceGrid.for_model(model, m_space)
     quad = Quadrature.gauss_hermite(quad_nodes)
-    return solve_bsde(model, claim, StrategySet.symmetric(k), space, quad, refine=refine)
+    return solve_bsde(model, claim, StrategySet.symmetric(k), space, quad)
 
 
 class TestClosedForms:
@@ -50,14 +50,14 @@ class TestClosedForms:
             errs.append(abs(surface_at_origin(surf) - MERTON_J0))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_refine_flag_tightens_merton(self):
-        # one fixed-point pass flips the scheme from (1 - dt/2) to 1/(1 + dt/2) growth
-        j_plain = surface_at_origin(solve(merton_model(100), Constant(0.0), m_space=50))
-        j_ref = surface_at_origin(solve(merton_model(100), Constant(0.0), m_space=50,
-                                        refine=True))
-        assert abs(j_plain - MERTON_J0) < 1e-3
-        assert abs(j_ref - MERTON_J0) < 1e-3
-        assert j_ref != j_plain
+    def test_merton_first_order_in_dt(self):
+        # the explicit step grows Y by (1 - theta^2 dt / 2) where the exact
+        # factor is exp(-theta^2 dt / 2): J0 lies below MERTON_J0 by O(dt)
+        errs = [surface_at_origin(solve(merton_model(n), Constant(0.0), m_space=n)) - MERTON_J0
+                for n in (50, 100, 200)]
+        assert all(e < 0.0 for e in errs)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.9 <= coarse / fine <= 2.1
 
 
 class TestInvariants:
@@ -115,16 +115,6 @@ class TestInvariants:
         with pytest.raises(SolverError, match=r"step \d+"):
             solve(model, DefaultIndicator(0.0, 20.0), m_space=20)
 
-    def test_refine_call_domain_located(self):
-        # the first-pass Y of the pre-default regime has Y + U < 0 at node 0:
-        # the solver, not the driver, reports where
-        model = MarketModel(grid=TimeGrid(1.0, 4),
-                            coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
-                                                               beta=0.5, lam=3.0),
-                            gamma=1)
-        with pytest.raises(SolverError, match=r"Y \+ U >= 0 violated at step 3, node 0"):
-            solve(model, DefaultIndicator(0, 1), k=4.0, m_space=20, refine=True)
-
     def test_post_default_mean_positivity_located(self):
         model = bond_model(4)
         space = SpaceGrid.for_model(model, 20)
@@ -132,7 +122,7 @@ class TestInvariants:
         with pytest.raises(SolverError,
                            match=r"E \(post-default\) positivity violated at step 3, node 0"):
             _step(post, StrategySet.symmetric(1.0), model.grid.dt, np.zeros((1, 21)),
-                  None, 3, False)
+                  None, 3)
 
     def test_subnormal_y_located(self):
         # exp(-708) is a normal double, but Y decays by exp(-theta^2 (T - t) / 2)
