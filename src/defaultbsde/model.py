@@ -5,6 +5,10 @@ jumps by a relative amount beta at a single default time with intensity
 lambda.  Coefficients are deterministic, piecewise constant in time, and
 switch between a pre-default and a post-default regime, so the state
 (S_t, N_t) is Markov and the value function admits a grid representation.
+Every layer reads them one way: `RegimeCoefficients.table` gives, at each of
+a set of times, the (mu, sigma, lam, beta) of regime n = N_t, with
+lam = beta = 0 in the post-default regime n = 1.  The schemes read it at
+the step times t_0..t_{N-1}, through `MarketModel.step_table`.
 
 Forward dynamics (Euler, multiplicative; dW truncated at +-6*sqrt(dt)):
 
@@ -17,6 +21,7 @@ keyed by the seed, so results depend only on (seed, n_paths).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -71,15 +76,11 @@ class PiecewiseConstant:
     def flat(cls, value: float) -> "PiecewiseConstant":
         return cls((0.0,), (float(value),))
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """The value in force at time t: a float, or an array for an array t."""
         i = np.searchsorted(self.breaks, t, side="right") - 1
-        return self.values[max(int(i), 0)]
-
-    def vmin(self) -> float:
-        return min(self.values)
-
-    def vmax(self) -> float:
-        return max(self.values)
+        out = np.asarray(self.values)[np.maximum(i, 0)]
+        return out if np.ndim(t) else float(out)
 
 
 def _as_pc(v) -> PiecewiseConstant:
@@ -114,7 +115,8 @@ class RegimeCoefficients:
     """Piecewise-constant drift/volatility per regime, jump size and intensity.
 
     The post-default regime has no further jump: ``lam`` and ``beta`` belong
-    to the pre-default regime only.
+    to the pre-default regime only.  Callers outside this module read the
+    coefficients through `table`.
     """
 
     mu_pre: PiecewiseConstant
@@ -138,11 +140,17 @@ class RegimeCoefficients:
             lam=_as_pc(lam),
         )
 
-    def at(self, t: float, defaulted: bool) -> tuple[float, float, float, float]:
-        """(mu, sigma, lam, beta) in force at time t for the given regime."""
-        if defaulted:
-            return self.mu_post(t), self.sigma_post(t), 0.0, 0.0
-        return self.mu_pre(t), self.sigma_pre(t), self.lam(t), self.beta(t)
+    def table(self, t) -> np.ndarray:
+        """(len(t), 2, 4): at each time t, for regime n = N_t (0 pre-default,
+        1 post-default), the values (mu, sigma, lam, beta) in force; lam and
+        beta are 0 for n = 1."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((t.size, 2, 4))
+        for n, fields in enumerate(((self.mu_pre, self.sigma_pre, self.lam, self.beta),
+                                    (self.mu_post, self.sigma_post))):
+            for f, pc in enumerate(fields):
+                out[:, n, f] = pc(t)
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,14 @@ class MarketModel:
     coeffs: RegimeCoefficients
     gamma: float
     s0: float = 1.0
+
+    @functools.cached_property
+    def step_table(self) -> np.ndarray:
+        """``coeffs.table`` at the step times t_0..t_{N-1}, where every scheme
+        reads the coefficients; looked up once per model, read-only."""
+        tab = self.coeffs.table(self.grid.times()[:-1])
+        tab.flags.writeable = False
+        return tab
 
 
 class Claim:
@@ -304,24 +320,24 @@ def validate_model(model: MarketModel) -> ValidationReport:
     if not model.s0 > 0:
         rep.violations.append("s0 must be positive")
 
-    for name, pc in (("mu_pre", c.mu_pre), ("sigma_pre", c.sigma_pre),
-                     ("mu_post", c.mu_post), ("sigma_post", c.sigma_post),
-                     ("beta", c.beta), ("lambda", c.lam)):
+    named = (("mu_pre", c.mu_pre), ("sigma_pre", c.sigma_pre), ("mu_post", c.mu_post),
+             ("sigma_post", c.sigma_post), ("beta", c.beta), ("lambda", c.lam))
+    for name, pc in named:
         if pc.breaks[0] != 0.0:
             rep.violations.append(f"{name}: breakpoints must start at 0")
         if pc.breaks[-1] > g.horizon:
             rep.violations.append(f"{name}: breakpoint beyond the horizon")
 
     for name, pc in (("sigma_pre", c.sigma_pre), ("sigma_post", c.sigma_post)):
-        if pc.vmin() <= 0:
+        if min(pc.values) <= 0:
             rep.violations.append(f"{name}: sigma must be positive")
-    if c.beta.vmin() <= -1.0:
+    if min(c.beta.values) <= -1.0:
         rep.violations.append("beta must exceed -1")
-    if c.lam.vmin() < 0.0:
+    if min(c.lam.values) < 0.0:
         rep.violations.append("lambda must be nonnegative")
 
-    dt = g.dt
-    if dt * c.lam.vmax() >= 1.0:
+    # lambda at the step times t_0..t_{N-1}, where every scheme reads it
+    if g.dt * model.step_table[:, 0, 2].max() >= 1.0:
         rep.violations.append("dt * max(lambda) must be < 1 (refine the time grid)")
 
     # positivity of the truncated Euler factor of the forward simulation
@@ -329,11 +345,9 @@ def validate_model(model: MarketModel) -> ValidationReport:
     if euler is not None:
         rep.violations.append(euler)
 
-    starts = sorted({b for pc in (c.mu_pre, c.sigma_pre, c.mu_post, c.sigma_post,
-                                  c.beta, c.lam) for b in pc.breaks})
-    for t in starts:
-        mu0, s0_, lam0, beta0 = c.at(t, defaulted=False)
-        mu1, s1_, _, _ = c.at(t, defaulted=True)
+    starts = sorted({b for _, pc in named for b in pc.breaks})
+    for t, ((mu0, s0_, lam0, beta0), (mu1, s1_, _, _)) in zip(starts,
+                                                             c.table(starts).tolist()):
         a_pre = (mu0 + lam0 * beta0) / s0_ if s0_ != 0 else math.inf
         a_post = mu1 / s1_ if s1_ != 0 else math.inf
         rep.alpha_pre.append((t, a_pre))
@@ -341,12 +355,6 @@ def validate_model(model: MarketModel) -> ValidationReport:
         if not math.isfinite(a_pre) or not math.isfinite(a_post):
             rep.violations.append(f"market price of risk non-finite at t={t:g}")
     return rep
-
-
-def _on_times(pc: PiecewiseConstant, t: np.ndarray) -> np.ndarray:
-    """pc evaluated elementwise at the times t."""
-    idx = np.searchsorted(pc.breaks, t, side="right") - 1
-    return np.asarray(pc.values)[np.maximum(idx, 0)]
 
 
 def euler_factor_violation(model: MarketModel, shock: float) -> str | None:
@@ -358,20 +366,18 @@ def euler_factor_violation(model: MarketModel, shock: float) -> str | None:
     where both schemes read their coefficients.  Returns a message naming the
     latest offending step (the first a backward sweep meets), or None.
     """
-    g, c = model.grid, model.coeffs
-    t = g.times()[:-1]
+    g, tab = model.grid, model.step_table
     worst = None
-    for regime, mu, sig in (("post", c.mu_post, c.sigma_post),
-                            ("pre", c.mu_pre, c.sigma_pre)):
-        bad = np.flatnonzero(1.0 + _on_times(mu, t) * g.dt
-                             - _on_times(sig, t) * math.sqrt(g.dt) * shock <= 0.0)
+    for n, regime in ((1, "post"), (0, "pre")):
+        bad = np.flatnonzero(1.0 + tab[:, n, 0] * g.dt
+                             - tab[:, n, 1] * math.sqrt(g.dt) * shock <= 0.0)
         if bad.size and (worst is None or bad[-1] > worst[1]):
             worst = (regime, int(bad[-1]))
     if worst is None:
         return None
     regime, i = worst
     return (f"{regime}-default Euler factor 1 + mu*dt - {shock:.4g}*sigma*sqrt(dt) "
-            f"is nonpositive at step {i} (t={t[i]:g}): dt too coarse for this sigma")
+            f"is nonpositive at step {i} (t={g.times()[i]:g}): dt too coarse for this sigma")
 
 
 @dataclass
@@ -422,16 +428,14 @@ Strategy = Callable[[float, np.ndarray, np.ndarray], np.ndarray | float]
 
 
 def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
-                   seed: int, n_threads: int = 1,
-                   visit: Callable[..., None] | None = None) -> PathEnsemble | None:
+                   seed: int, visit: Callable[..., None] | None = None) -> PathEnsemble | None:
     """Euler forward simulation of (S, X) under a bounded strategy pi(t, s, n).
 
     Per step, default occurs with probability 1 - exp(-lambda*dt) if it has
     not occurred yet; S and X are updated with the same dW and dN.  All draws
     come from one Philox stream keyed by ``seed``: first the (n_paths, N)
     Gaussian block, path by path, then the (n_paths, N) default uniforms.
-    Output is bit-identical for identical (seed, n_paths).  ``n_threads``
-    has no effect and is kept for compatibility.
+    Output is bit-identical for identical (seed, n_paths).
 
     Without ``visit``, ``dW``, ``n_path``, ``stock`` and ``wealth`` are
     allocated time-major, (N, n_paths) or (N+1, n_paths), and returned as
@@ -442,8 +446,8 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     only dW and the default table are held per path-step (9 bytes), and
     None is returned.  Both draw blocks are drawn a chunk of paths at a time
     and stored transposed, which reads the same stream as one path-major
-    draw.  The coefficients of each step are looked up once, before the
-    loop, and a step's arithmetic runs in place in preallocated rows.
+    draw.  The coefficients of each step are read from one table, before
+    the loop, and a step's arithmetic runs in place in preallocated rows.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -463,22 +467,20 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
         dW[:, a:b] = gen.standard_normal((b - a, n)).T
     dW *= sq
     np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
-    c = model.coeffs
-    t = times[:-1]
+    tab = model.step_table
     # default draws: step i defaults a live path when its uniform is below
     # 1 - exp(-lambda(t_i) dt); each chunk of uniforms is compared into a
     # time-major table, so no full uniform block is held
-    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, t)])
+    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in tab[:, 0, 2]])
     hits = np.empty((n, n_paths), dtype=bool)
     for a, b in chunks:
         np.less(gen.random((b - a, n)).T, p_def[:, None], out=hits[:, a:b])
 
-    # per step: (pre-default, post-default) 1 + mu dt and sigma, read per
-    # path through its default state, and the jump factor 1 + beta
-    drift = np.stack([1.0 + _on_times(c.mu_pre, t) * dt,
-                      1.0 + _on_times(c.mu_post, t) * dt], axis=1)
-    vol = np.stack([_on_times(c.sigma_pre, t), _on_times(c.sigma_post, t)], axis=1)
-    jump = 1.0 + _on_times(c.beta, t)
+    # per step and regime n: 1 + mu dt and sigma, read per path through
+    # its default state, and the jump factor 1 + beta
+    drift = 1.0 + tab[:, :, 0] * dt
+    vol = tab[:, :, 1]
+    jump = 1.0 + tab[:, 0, 3]
 
     rows = n + 1 if visit is None else 2  # state row of step i: i % rows
     n_path = np.zeros((rows, n_paths), dtype=np.int8)

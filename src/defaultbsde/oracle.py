@@ -94,6 +94,8 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     dw, w = tree.increments(dt)
     pis = tree.strategy_grid()
     gamma = model.gamma
+    # per step i and regime n, (mu, sigma, lam, beta) at the tree's own times i * dt
+    tab = model.coeffs.table(np.arange(n_small) * dt).tolist()
 
     if isinstance(claim, StockPayoff):
         leaves = (2 * q) ** n_small
@@ -101,19 +103,17 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
             raise ValueError(
                 f"oracle: tree of {leaves} leaves exceeds the node budget "
                 f"{NODE_BUDGET}; reduce n_small or q")
-        return _dp_stock_tree(model, claim, tree, dt, dw, w, pis)
+        return _dp_stock_tree(model, claim, tree, tab, dt, dw, w, pis)
 
     # payoff independent of S_T: state collapses to the default flag
     v0 = math.exp(-gamma * float(claim.payoff(model.s0, 0)))
     v1 = math.exp(-gamma * float(claim.payoff(model.s0, 1)))
     for i in range(n_small - 1, -1, -1):
-        t = i * dt
-        mu1, s1, _, _ = model.coeffs.at(t, defaulted=True)
+        (mu0, s0c, lam, beta), (mu1, s1, _, _) = tab[i]
         ret1 = mu1 * dt + s1 * dw                      # (q,)
         growth1 = np.exp(-gamma * pis[:, None] * ret1[None, :]) @ w
         v1_new = float(np.min(growth1)) * v1
 
-        mu0, s0c, lam, beta = model.coeffs.at(t, defaulted=False)
         p = 1.0 - math.exp(-lam * dt)
         ret_nj = mu0 * dt + s0c * dw
         ret_j = (1.0 + ret_nj) * (1.0 + beta) - 1.0   # jump composed as in the simulator
@@ -124,9 +124,10 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     return v0
 
 
-def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, dt: float,
+def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, tab: list, dt: float,
                    dw: np.ndarray, w: np.ndarray, pis: np.ndarray) -> float:
-    """Full-tree recursion for stock-dependent payoffs (small trees only).
+    """Full-tree recursion for stock-dependent payoffs (small trees only);
+    ``tab[i][n]`` is (mu, sigma, lam, beta) of regime n at step i.
 
     A node's expected next-step factor under strategy pi_g is
     sum_m child[m] w[m] exp(-gamma pi_g ret[m]): the child values times a
@@ -148,16 +149,14 @@ def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, dt: float,
     def value(i: int, x: np.ndarray, n: int) -> np.ndarray:
         if i == n_small:
             return np.exp(-gamma * np.asarray(claim.payoff(s0 * np.exp(x), n), dtype=float))
-        t = i * dt
+        mu, sig, lam, beta = tab[i][n]
         if n == 1:
-            mu1, s1, _, _ = model.coeffs.at(t, defaulted=True)
-            mv, ret = log_moves(mu1, s1, 0.0)
+            mv, ret = log_moves(mu, sig, 0.0)
             child = value(i + 1, (x[:, None] + mv[None, :]).ravel(), 1).reshape(x.size, -1)
             return (child @ weights(ret)).min(axis=1)
-        mu0, s0c, lam, beta = model.coeffs.at(t, defaulted=False)
         p = 1.0 - math.exp(-lam * dt)
-        mv_nj, ret_nj = log_moves(mu0, s0c, 0.0)
-        mv_j, ret_j = log_moves(mu0, s0c, beta)
+        mv_nj, ret_nj = log_moves(mu, sig, 0.0)
+        mv_j, ret_j = log_moves(mu, sig, beta)
         child_nj = value(i + 1, (x[:, None] + mv_nj[None, :]).ravel(), 0).reshape(x.size, -1)
         child_j = value(i + 1, (x[:, None] + mv_j[None, :]).ravel(), 1).reshape(x.size, -1)
         return ((1.0 - p) * (child_nj @ weights(ret_nj))
@@ -206,13 +205,12 @@ def monte_carlo_violation(model: MarketModel, n_paths: int, seed: int) -> str | 
 
 def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
                      strategy, n_paths: int, seed: int,
-                     n_threads: int = 1, keep_paths: bool = False) -> DriftReport:
+                     keep_paths: bool = False) -> DriftReport:
     """Monte Carlo drift of V_t = exp(-gamma X_t) Y(t, S_t, N_t) along paths.
 
     V must be a submartingale under any bounded strategy and a martingale
     under the optimal one; the aggregate drift is the per-path total
-    V_T - V_0 averaged over paths, with its standard error.  ``n_threads``
-    has no effect and is kept for compatibility.
+    V_T - V_0 averaged over paths, with its standard error.
 
     One visitor takes the steps in time order, holding only V_0 and V at
     the previous step, and takes each step's moments from its increment.

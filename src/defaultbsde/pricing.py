@@ -35,7 +35,6 @@ class PriceReport:
     buy_price: float
     sell_price: float | None
     per_k: list[tuple[float, float]]
-    claim_desc: str = ""
     settings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -97,7 +96,6 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
         buy_price=math.log(zero.j0s[-1] / held.j0s[-1]) / gamma,
         sell_price=-math.log(zero.j0s[-1] / sold[0].j0s[-1]) / gamma if sold else None,
         per_k=per_k,
-        claim_desc=claim.describe(),
         settings={"N": model.grid.n_steps, "M": space.m_intervals,
                   "quad_nodes": int(quad.nodes.size), "tol_rel": tol_rel},
         diagnostics=diagnostics,

@@ -20,13 +20,15 @@ scheme is explicit and first order in dt.  The diffusion move is the no-jump
 branch of the forward Euler step, so the solver and the path simulator
 discretize the same dynamics.
 
-On the uniform grid every move is a fixed stencil of taps, built once per
-coefficient interval together with its coefficient snapshot.  The backward
-pass carries a leading batch axis: each row of Y has its own terminal
-condition and its own C = [-k, k].  `solve_bsde` is the one-row case that
-keeps the whole surface; `solve_j0_batch` keeps only the current rows, lets
-the ks of one claim share a row until their constraint binds, and returns
-J0 per column (claim, k).
+Every pair of regimes, rows or results is a list indexed by the default
+state n = N_t (0 pre-default, 1 post-default), as the coefficient table
+(`RegimeCoefficients.table`) and the surface are.  On the uniform grid
+every move is a fixed stencil of taps, built once per coefficient interval
+together with its coefficient snapshot.  The backward pass carries a
+leading batch axis: each row of Y has its own terminal condition and its own
+C = [-k, k].  `solve_bsde` is the one-row case that keeps the whole surface;
+`solve_j0_batch` keeps only the current rows, lets the ks of one claim share
+a row until their constraint binds, and returns J0 per column (claim, k).
 
 The coefficients depend on t only, so a claim paid on the default alone
 (a bond, a constant, the zero leg of a price) has a value function of
@@ -47,7 +49,7 @@ import numpy as np
 
 from ._util import open_output
 from .driver import CoeffSnapshot, StrategySet, minimize_driver_grid
-from .model import Claim, MarketModel, _on_times, euler_factor_violation
+from .model import Claim, MarketModel, euler_factor_violation
 
 __all__ = [
     "SpaceGrid",
@@ -106,9 +108,9 @@ class SpaceGrid:
 
     @classmethod
     def for_model(cls, model: MarketModel, m: int, l_mult: float = 6.0) -> "SpaceGrid":
-        """Half-width l_mult * sigma_max * sqrt(T)."""
-        c = model.coeffs
-        sig_max = max(c.sigma_pre.vmax(), c.sigma_post.vmax())
+        """Half-width l_mult * sigma_max * sqrt(T), sigma_max over both regimes
+        at the step times t_0..t_{N-1}, where the schemes read sigma."""
+        sig_max = float(model.step_table[:, :, 1].max())
         half_width = l_mult * sig_max * math.sqrt(model.grid.horizon)
         if not half_width > 0:
             raise ValueError(f"grid half-width L_mult * sigma_max * sqrt(T) = {half_width:g} "
@@ -242,12 +244,13 @@ def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray, flat: bool):
 
 
 def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
-    """Per step i < N, the (post-default, pre-default) (snapshot, p, diffusion, jump).
+    """Per step i < N, the list [pre-default, post-default] of
+    (snapshot, p, diffusion, jump), from the coefficient table at t_i.
 
     One snapshot and one pair of stencils per distinct coefficient tuple;
     ``flat`` builds them for rows two nodes wide (see `_stencil`).
     """
-    g, c, x = model.grid, model.coeffs, space.nodes
+    g, x = model.grid, space.nodes
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
 
     @functools.cache
@@ -257,11 +260,8 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
                 1.0 - math.exp(-lam * g.dt), _stencil(x, moves, weights, flat),
                 _stencil(x, np.array([math.log1p(beta)]), np.ones((1, 1)), flat))
 
-    t = g.times()[:-1]
-    cols = [_on_times(pc, t).tolist() for pc in (c.mu_post, c.sigma_post, c.mu_pre,
-                                                 c.sigma_pre, c.lam, c.beta)]
-    return [(regime(mu1, sig1, 0.0, 0.0), regime(mu0, sig0, lam, beta))
-            for mu1, sig1, mu0, sig0, lam, beta in zip(*cols)]
+    return [[regime(*coeffs) for coeffs in step]
+            for step in model.step_table.tolist()]
 
 
 def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
@@ -292,12 +292,12 @@ def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
 
 
 def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
-    """Check the scheme's step conditions; return the terminal (post, pre)
-    rows, row b for claims[b], and the per-step regime pairs of `_regimes`.
+    """Check the scheme's step conditions; return the terminal rows as a list
+    indexed by n, row b for claims[b], and the per-step regimes of `_regimes`.
 
     When every row equals its node 0, the rows are cut to two nodes and the
     regimes gather from node 0 (see the module docstring)."""
-    if model.grid.dt * model.coeffs.lam.vmax() >= 1.0:
+    if model.grid.dt * model.step_table[:, 0, 2].max() >= 1.0:
         raise SolverError("solver: dt * max(lambda) must be < 1")
     euler = euler_factor_violation(model, quad.max_abs_node)
     if euler is not None:
@@ -308,34 +308,34 @@ def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
         # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
         # kernel, while two columns reproduce the full-width product bit for bit
         rows = rows[..., :2]
-    return (*rows, _regimes(model, space, quad, flat))
+    return list(rows), _regimes(model, space, quad, flat)
 
 
 def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
-    """exp(-gamma xi) on the grid: [0] post-default, [1] pre-default, row b for claims[b].
+    """exp(-gamma xi) on the grid: [n] for N_T = n, row b for claims[b].
     Raises SolverError naming the leg b and gamma*xi where that is no finite
     normal double (gamma*xi below -709.78 or above 708.39, or NaN): below the
     smallest normal double the scheme silently loses relative precision."""
     s_nodes = model.s0 * np.exp(space.nodes)
     gxi = model.gamma * np.array([[claim.payoff(s_nodes, n) for claim in claims]
-                                  for n in (1, 0)], dtype=float)
+                                  for n in (0, 1)], dtype=float)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)
-    bad = np.argwhere(~(rows >= TINY) | np.isinf(rows))
+    # post-default rows first, as the backward pass steps them first
+    bad = np.argwhere(~(rows[::-1] >= TINY) | np.isinf(rows[::-1]))
     if bad.size:
-        n, b, j = bad[0].tolist()
+        m, b, j = bad[0].tolist()
         raise SolverError(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite normal "
-                          f"double at gamma*xi = {gxi[n, b, j]:g}, node {j}, N_T = {1 - n}")
+                          f"double at gamma*xi = {gxi[1 - m, b, j]:g}, node {j}, N_T = {1 - m}")
     return rows
 
 
-def _pair(regimes: tuple, strat: StrategySet, dt: float, y_post: np.ndarray,
-          y_pre: np.ndarray, step: int):
-    """Step i of both regimes from the step-(i+1) rows: the post-default
-    _step result, then the pre-default one, which jumps to y_post."""
-    post, pre = regimes
-    return (_step(post, strat, dt, y_post, None, step),
-            _step(pre, strat, dt, y_pre, y_post, step))
+def _pair(regimes: list, strat: StrategySet, dt: float, ys: list, step: int) -> list:
+    """Step i of both regimes from the step-(i+1) rows ``ys[n]``; returns the
+    _step results indexed by n.  The post-default regime steps first; the
+    pre-default one jumps to the post-default rows ys[1]."""
+    post = _step(regimes[1], strat, dt, ys[1], None, step)
+    return [_step(regimes[0], strat, dt, ys[0], ys[1], step), post]
 
 
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
@@ -350,19 +350,20 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     positive normal double) or Y + U >= 0, reporting the offending step and
     node.  A flat claim is solved two nodes wide and spread over the grid.
     """
-    y_post, y_pre, regimes = _start(model, (claim,), space, quad)
-    n_steps, m1, w = model.grid.n_steps, space.nodes.size, y_pre.shape[-1]
+    ys, regimes = _start(model, (claim,), space, quad)
+    n_steps, m1, w = model.grid.n_steps, space.nodes.size, ys[0].shape[-1]
     Y = np.empty((n_steps + 1, w, 2))
     Z = np.full((n_steps + 1, w, 2), np.nan)
     U = np.full((n_steps + 1, w), np.nan)
     pi_hat = np.full((n_steps + 1, w, 2), np.nan)
 
-    Y[n_steps, :, 1], Y[n_steps, :, 0] = y_post[0], y_pre[0]
+    Y[n_steps] = np.stack(ys, axis=-1)[0]
     for i in reversed(range(n_steps)):
-        (y_post, z1, _, p1), (y_pre, z0, u0, p0) = _pair(regimes[i], strat, model.grid.dt,
-                                                         y_post, y_pre, i)
-        Y[i, :, 1], Z[i, :, 1], pi_hat[i, :, 1] = y_post[0], z1[0], p1[0]
-        Y[i, :, 0], Z[i, :, 0], U[i], pi_hat[i, :, 0] = y_pre[0], z0[0], u0[0], p0[0]
+        outs = _pair(regimes[i], strat, model.grid.dt, ys, i)
+        for n, (y, z, _, pi) in enumerate(outs):
+            Y[i, :, n], Z[i, :, n], pi_hat[i, :, n] = y[0], z[0], pi[0]
+        U[i] = outs[0][2][0]
+        ys = [out[0] for out in outs]
     if w < m1:  # a flat claim's two-node rows, spread over the grid
         Y, Z, U, pi_hat = (np.repeat(a[:, :1], m1, axis=1) for a in (Y, Z, U, pi_hat))
 
@@ -397,12 +398,12 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
     def bounds(rows):
         return StrategySet.symmetric(ks[[cols[r][0] for r in rows]][:, None])
 
-    y_post, y_pre, regimes = _start(model, [claims[g[0]] for g in cols], space, quad)
+    ys, regimes = _start(model, [claims[g[0]] for g in cols], space, quad)
     strat = bounds(range(len(cols)))
     limit = strat.hi[:, 0].copy()  # a row's k; inf once it binds, as no wider k is left
     for i in reversed(range(len(regimes))):
-        outs = _pair(regimes[i], strat, dt, y_post, y_pre, i)
-        new_post, new_pre = outs[0][0], outs[1][0]
+        outs = _pair(regimes[i], strat, dt, ys, i)
+        new = [out[0] for out in outs]
         rows = src = np.arange(len(cols))  # src: each row's row at step i+1
         while (hit := np.flatnonzero(_reach(outs) >= limit[rows])).size:
             bound[[cols[r][0] for r in rows[hit]]] = True
@@ -415,14 +416,13 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
             src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
             batch = bounds(rows)
             limit = np.concatenate([limit, batch.hi[:, 0]])
-            outs = _pair(regimes[i], batch, dt, y_post[src], y_pre[src], i)
-            new_post = np.concatenate([new_post, outs[0][0]])
-            new_pre = np.concatenate([new_pre, outs[1][0]])
-        y_post, y_pre = new_post, new_pre
+            outs = _pair(regimes[i], batch, dt, [y[src] for y in ys], i)
+            new = [np.concatenate([y, out[0]]) for y, out in zip(new, outs)]
+        ys = new
         if len(cols) > len(strat.hi):
             strat = bounds(range(len(cols)))
     j0 = np.empty(ks.size)
-    for g, row in zip(cols, y_pre):  # a two-node row is flat: node 0 is J0
+    for g, row in zip(cols, ys[0]):  # a two-node row is flat: node 0 is J0
         j0[g] = row[0] if row.size < space.nodes.size else np.interp(0.0, space.nodes, row)
     return j0, bound
 

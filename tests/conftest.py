@@ -39,6 +39,15 @@ def piecewise_model(n_steps: int = 60) -> MarketModel:
     return MarketModel(grid=TimeGrid(1.0, n_steps), coeffs=coeffs, gamma=1.3)
 
 
+def coeffs_in_force(model: MarketModel, t: float, n: int) -> tuple:
+    """(mu, sigma, lam, beta) of regime n = N_t at time t, read by scalar
+    PiecewiseConstant calls, so references do not share the model's table."""
+    c = model.coeffs
+    if n == 1:
+        return c.mu_post(t), c.sigma_post(t), 0.0, 0.0
+    return c.mu_pre(t), c.sigma_pre(t), c.lam(t), c.beta(t)
+
+
 BOND_CLAIM = DefaultIndicator(1.0, 0.0)
 ZERO_CLAIM = Constant(0.0)
 

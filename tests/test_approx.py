@@ -14,7 +14,8 @@ from defaultbsde.driver import minimize_driver_grid
 from defaultbsde.solver import solve_j0_batch
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
-                      merton_model, random_claim, random_mild_model, solve_setup)
+                      coeffs_in_force, merton_model, random_claim, random_mild_model,
+                      solve_setup)
 
 
 class TestKSweep:
@@ -193,8 +194,8 @@ def reference_j0(model, claim, k, space, quad):
     pre, post = (np.exp(-model.gamma * np.asarray(claim.payoff(s, n), dtype=float))
                  for n in (0, 1))
     for t in model.grid.times()[-2::-1]:
-        c_post = CoeffSnapshot(*model.coeffs.at(t, defaulted=True), gamma=model.gamma)
-        c_pre = CoeffSnapshot(*model.coeffs.at(t, defaulted=False), gamma=model.gamma)
+        c_post = CoeffSnapshot(*coeffs_in_force(model, t, 1), gamma=model.gamma)
+        c_pre = CoeffSnapshot(*coeffs_in_force(model, t, 0), gamma=model.gamma)
         post, pre = (reference_step(c_post, strat, x, quad, dt, post, None),
                      reference_step(c_pre, strat, x, quad, dt, pre, post))
     return float(np.interp(0.0, x, pre))
@@ -287,14 +288,14 @@ LOG_CLAIM = StockPayoff((0.1, 10.0), (0.5 * math.log(0.1), 0.5 * math.log(10.0))
 def recorded_pass(monkeypatch, model, claims, ks):
     """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and binding
     flag checked bit for bit against a one-column pass.  Returns, per _pair
-    call, (step, k per row, reach[regime] per row = max |pi|, width of the rows)."""
+    call, (step, k per row, (post, pre) reach per row = max |pi|, width of the rows)."""
     space, quad = solve_setup(model, m_space=40)
     calls, real = [], solver._pair
 
-    def pair(regimes, strat, dt, y_post, y_pre, step):
-        outs = real(regimes, strat, dt, y_post, y_pre, step)
-        calls.append((step, strat.hi[:, 0], [np.abs(out[3]).max(axis=-1) for out in outs],
-                      y_post.shape[-1]))
+    def pair(regimes, strat, dt, ys, step):
+        outs = real(regimes, strat, dt, ys, step)  # indexed by n: pre, post
+        calls.append((step, strat.hi[:, 0], [np.abs(out[3]).max(axis=-1) for out in outs[::-1]],
+                      ys[1].shape[-1]))
         return outs
 
     with monkeypatch.context() as patch:

@@ -204,6 +204,22 @@ class TestPrice:
         assert main(["price", str(cfg2), "--threads", "8"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("late", [1.0, 0.995])
+    def test_intensity_past_the_last_step_time_is_ignored(self, tmp_path, capsys, late):
+        # N = 100: lambda = 200 from t = 0.995 or T on is read at no step time,
+        # so dt * max(lambda) over the steps is 1e-3 and the price is lambda = 0.1's
+        outs = []
+        for name, lam in (("flat", 0.1), ("late", [[0.0, 0.1], [late, 200.0]])):
+            out = tmp_path / f"{name}.json"
+            cfg = write_config(tmp_path, f"{name}.cfg.json",
+                               model={"pre_default": {"mu": 0.0, "sigma": 0.2,
+                                                      "lambda": lam, "beta": 0.0}},
+                               output={"price_json": str(out)})
+            assert main(["validate", str(cfg)]) == 0
+            assert main(["price", str(cfg)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

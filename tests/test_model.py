@@ -7,9 +7,9 @@ import pytest
 from defaultbsde import (Constant, DefaultIndicator, MarketModel, PathEnsemble,
                          PiecewiseConstant, RegimeCoefficients, StockPayoff, TimeGrid,
                          claim_payoff, simulate_paths, validate_model)
-from defaultbsde.model import DW_CLIP, _DRAW_CHUNK, _on_times
+from defaultbsde.model import DW_CLIP, _DRAW_CHUNK
 
-from conftest import merton_model, piecewise_model
+from conftest import coeffs_in_force, merton_model, piecewise_model
 
 
 def flat_model(mu=0.1, sigma=0.2, beta=-0.3, lam=0.5, gamma=1.0, T=1.0, N=100):
@@ -30,8 +30,7 @@ def reference_simulate(model, strategy, n_paths, seed):
     dW = gen.standard_normal((n_paths, n))
     dW *= sq
     np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
-    c = model.coeffs
-    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in _on_times(c.lam, times[:-1])])
+    p_def = np.array([1.0 - math.exp(-model.coeffs.lam(t) * dt) for t in times[:-1]])
     hits = gen.random((n_paths, n)).T < p_def[:, None]
     n_path = np.zeros((n + 1, n_paths), dtype=np.int8)
     stock = np.empty((n + 1, n_paths))
@@ -41,8 +40,8 @@ def reference_simulate(model, strategy, n_paths, seed):
     for i in range(n):
         t = float(times[i])
         alive = n_path[i] == 0
-        mu0, s0_, _, beta0 = c.at(t, defaulted=False)
-        mu1, s1_, _, _ = c.at(t, defaulted=True)
+        mu0, s0_, _, beta0 = coeffs_in_force(model, t, 0)
+        mu1, s1_, _, _ = coeffs_in_force(model, t, 1)
         mu = np.where(alive, mu0, mu1)
         sig = np.where(alive, s0_, s1_)
         jumps = alive & hits[i]
@@ -91,6 +90,33 @@ class TestPiecewise:
         assert pc(0.499999) == 1.0
         assert pc(0.5) == 2.0
         assert pc(0.9) == 2.0
+        got = pc(np.array([0.0, 0.499999, 0.5, 0.9]))
+        assert isinstance(got, np.ndarray) and got.tolist() == [1.0, 1.0, 2.0, 2.0]
+
+    def test_table_by_default_state(self):
+        model = piecewise_model(7)
+        c = model.coeffs
+        fields = {(0, 0): c.mu_pre, (0, 1): c.sigma_pre, (0, 2): c.lam, (0, 3): c.beta,
+                  (1, 0): c.mu_post, (1, 1): c.sigma_post}
+        for (n, f), pc in fields.items():
+            # right-open: a break takes the new value, the double below it the old
+            breaks = np.array(pc.breaks[1:])
+            assert c.table(breaks)[:, n, f].tolist() == list(pc.values[1:])
+            below = np.nextafter(breaks, 0.0)
+            assert c.table(below)[:, n, f].tolist() == list(pc.values[:-1])
+        # mu_post switches at 0.6, between the grid times t_4 = 4/7 and t_5 = 5/7
+        t4, t5 = model.grid.times()[4:6]
+        assert c.table([t4, t5])[:, 1, 0].tolist() == [-0.1, 0.03]
+        # past the last break, and at T and beyond, the last values hold
+        tab = c.table([0.75, 1.0, 2.5])
+        assert np.all(tab == tab[:1]) and tab[0].tolist() == [[0.2, 0.35, 2.5, 0.6],
+                                                              [0.03, 0.15, 0.0, 0.0]]
+        # the post-default regime has no further jump
+        tab = c.table(model.grid.times())
+        assert tab.shape == (8, 2, 4) and np.all(tab[:, 1, 2:] == 0.0)
+        # the schemes' copy: the rows of t_0..t_{N-1}, looked up once, read-only
+        assert np.array_equal(model.step_table, tab[:-1])
+        assert model.step_table is model.step_table and not model.step_table.flags.writeable
 
     def test_unsorted_breaks_rejected(self):
         with pytest.raises(ValueError):
@@ -137,14 +163,6 @@ class TestSimulate:
         diffs = np.diff(ens.n_path.astype(int), axis=1)
         assert np.all(diffs >= 0)
         assert np.all(diffs.sum(axis=1) <= 1)
-
-    def test_thread_count_invariance(self):
-        m = flat_model()
-        a = simulate_paths(m, lambda t, s, n: 0.5, 500, seed=21, n_threads=1)
-        b = simulate_paths(m, lambda t, s, n: 0.5, 500, seed=21, n_threads=4)
-        for x, y in ((a.dW, b.dW), (a.stock, b.stock), (a.wealth, b.wealth),
-                     (a.n_path, b.n_path), (a.tau_step, b.tau_step)):
-            assert np.array_equal(x, y)
 
     def test_increments_mean_zero_variance_dt(self):
         m = flat_model(N=100)

@@ -10,7 +10,7 @@ from defaultbsde import (Constant, DPTree, MarketModel, RegimeCoefficients, Stoc
                          surface_at_origin)
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
-                      merton_model, piecewise_model, solve_setup)
+                      coeffs_in_force, merton_model, piecewise_model, solve_setup)
 
 
 class TestBruteForceDP:
@@ -99,7 +99,7 @@ def reference_stock_dp(model, claim, k, n_small, q, g):
             return np.exp(-gamma * np.asarray(claim.payoff(s0 * np.exp(x), n), dtype=float))
         t = i * dt
         if n == 1:
-            mu1, s1, _, _ = model.coeffs.at(t, defaulted=True)
+            mu1, s1, _, _ = coeffs_in_force(model, t, 1)
             mv, ret = log_moves(mu1, s1, 0.0)
             child = value(i + 1, (x[:, None] + mv[None, :]).ravel(), 1).reshape(x.size, -1)
             best = None
@@ -107,7 +107,7 @@ def reference_stock_dp(model, claim, k, n_small, q, g):
                 cand = (child * np.exp(-gamma * pi * ret)[None, :]) @ w
                 best = cand if best is None else np.minimum(best, cand)
             return best
-        mu0, s0c, lam, beta = model.coeffs.at(t, defaulted=False)
+        mu0, s0c, lam, beta = coeffs_in_force(model, t, 0)
         p = 1.0 - math.exp(-lam * dt)
         mv_nj, ret_nj = log_moves(mu0, s0c, 0.0)
         mv_j, ret_j = log_moves(mu0, s0c, beta)

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, Quadrature,
-                         RegimeCoefficients, SolverError, SpaceGrid, StockPayoff,
+from defaultbsde import (Constant, DefaultIndicator, MarketModel, PiecewiseConstant,
+                         Quadrature, RegimeCoefficients, SolverError, SpaceGrid, StockPayoff,
                          StrategySet, TimeGrid, extract_optimal_strategy, solve_bsde,
                          surface_at_origin)
 
@@ -118,7 +118,7 @@ class TestInvariants:
     def test_post_default_mean_positivity_located(self):
         model = bond_model(4)
         space = SpaceGrid.for_model(model, 20)
-        post, _ = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
+        _, post = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
         with pytest.raises(SolverError,
                            match=r"E \(post-default\) positivity violated at step 3, node 0"):
             _step(post, StrategySet.symmetric(1.0), model.grid.dt, np.zeros((1, 21)),
@@ -281,6 +281,18 @@ class TestExport:
         g = SpaceGrid.regular(10, 1.5)
         assert g.nodes[0] == -1.5 and g.nodes[-1] == 1.5
         assert abs(g.nodes[5]) == 0.0
+
+    def test_space_grid_sigma_max_at_the_step_times(self):
+        # sigma = 5 from t = T on is read by no step: the grid is the sigma = 0.2 one
+        def model(sigma):
+            return MarketModel(grid=TimeGrid(1.0, 100), gamma=1.0,
+                               coeffs=RegimeCoefficients.constant(mu=0.0, sigma=sigma,
+                                                                  beta=0.0, lam=0.1))
+
+        late = SpaceGrid.for_model(model(PiecewiseConstant((0.0, 1.0), (0.2, 5.0))), 40)
+        flat = SpaceGrid.for_model(model(0.2), 40)
+        assert late.half_width == pytest.approx(1.2, rel=1e-15)
+        assert np.array_equal(late.nodes, flat.nodes)
 
     def test_space_grid_must_be_uniform(self):
         x = np.linspace(-1.5, 1.5, 11)
