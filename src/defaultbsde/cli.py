@@ -15,20 +15,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 from .approx import (NonConvergenceError, check_doubling, check_schedule, converge,
                      k_sweep)
 from .driver import StrategySet
-from .model import (Claim, Constant, DefaultIndicator, MarketModel,
+from .model import (DW_CLIP, Claim, Constant, DefaultIndicator, MarketModel,
                     PiecewiseConstant, RegimeCoefficients, StockPayoff,
-                    TimeGrid, ValidationReport, euler_factor_violation,
-                    validate_model)
-from .oracle import DPTree, brute_force_dp, martingale_check, monte_carlo_violation
+                    TimeGrid, ValidationReport, validate_model)
+from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
+                     monte_carlo_violation)
 from .pricing import PriceReport, indifference_price, price_legs
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
-                     solve_bsde, surface_at_origin, terminal_rows)
+                     solve_bsde, surface_at_origin, surface_violation, terminal_rows)
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
 
@@ -189,7 +190,7 @@ def load_config(raw: dict) -> RunConfig:
 
 
 def _json_bytes(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(report, path) -> None:
@@ -220,14 +221,11 @@ def _diag(msg: str) -> None:
 
 
 def _validate(cfg: RunConfig, legs: tuple = ()) -> ValidationReport:
-    """validate_model plus the solver's Euler-factor and terminal-row checks.
+    """validate_model at the largest move of any scheme, plus the terminal-row checks.
 
     The terminal rows checked are those of ``legs``, or of the claim alone,
     which is what `solve`, `converge` and `oracle` solve."""
-    rep = validate_model(cfg.model)
-    euler = euler_factor_violation(cfg.model, cfg.quad.max_abs_node)
-    if euler is not None:
-        rep.violations.append(f"solver: {euler}")
+    rep = validate_model(cfg.model, max(DW_CLIP, cfg.quad.max_abs_node))
     try:
         terminal_rows(cfg.model, legs or (cfg.claim,), cfg.space)
     except SolverError as exc:
@@ -240,8 +238,9 @@ def _cmd_validate(cfg: RunConfig) -> int:
     payload = {
         "ok": rep.ok,
         "violations": rep.violations,
-        "alpha_pre": [{"t": t, "alpha": a} for t, a in rep.alpha_pre],
-        "alpha_post": [{"t": t, "alpha": a} for t, a in rep.alpha_post],
+        # strict JSON: a non-finite alpha is written as null
+        **{key: [{"t": t, "alpha": a if math.isfinite(a) else None} for t, a in rows]
+           for key, rows in (("alpha_pre", rep.alpha_pre), ("alpha_post", rep.alpha_post))},
     }
     emit_report(payload, cfg.output.get("validation_json"))
     if not rep.ok:
@@ -257,7 +256,14 @@ def _require_valid(cfg: RunConfig, legs: tuple = ()) -> None:
         raise ConfigError("model: " + "; ".join(rep.violations))
 
 
+def _require_surface(cfg: RunConfig) -> None:
+    bad = surface_violation(cfg.model, cfg.space)
+    if bad is not None:
+        raise ConfigError(f"solver: {bad}")
+
+
 def _cmd_solve(cfg: RunConfig) -> int:
+    _require_surface(cfg)
     _require_valid(cfg)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
                          cfg.space, cfg.quad)
@@ -297,10 +303,14 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     if bad is not None:
         raise ConfigError(f"oracle: {bad}")
     try:
-        DPTree(cfg.n_small, cfg.q, cfg.g, cfg.k)  # the DP oracle's own range checks
+        tree = DPTree(cfg.n_small, cfg.q, cfg.g, cfg.k)  # the DP oracle's own range checks
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from exc
+    _require_surface(cfg)
     _require_valid(cfg)
+    bad = dp_violations(cfg.model, cfg.claim, tree)
+    if bad:
+        raise ConfigError("oracle: " + "; ".join(bad))
     dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
                          cfg.space, cfg.quad)
@@ -319,9 +329,16 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {"validate": _cmd_validate, "solve": _cmd_solve, "converge": _cmd_converge,
+            "price": _cmd_price, "oracle": _cmd_oracle}
+
+
 def run(subcommand: str, config_path: str, seed: int | None = None,
         threads: int = 1) -> int:
     """Dispatch one subcommand; returns the process exit code (``threads`` is unused)."""
+    if subcommand not in COMMANDS:
+        _diag(f"cli: unknown subcommand '{subcommand}'")
+        return 2
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
@@ -336,18 +353,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         cfg = load_config(raw)
         if seed is not None:
             cfg.seed = seed
-        if subcommand == "validate":
-            return _cmd_validate(cfg)
-        if subcommand == "solve":
-            return _cmd_solve(cfg)
-        if subcommand == "converge":
-            return _cmd_converge(cfg)
-        if subcommand == "price":
-            return _cmd_price(cfg)
-        if subcommand == "oracle":
-            return _cmd_oracle(cfg)
-        _diag(f"cli: unknown subcommand '{subcommand}'")
-        return 2
+        return COMMANDS[subcommand](cfg)
     except ConfigError as exc:
         _diag(str(exc))
         return 2
@@ -363,8 +369,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="defaultbsde",
         description="Exponential-utility indifference pricing with default risk")
-    parser.add_argument("subcommand",
-                        choices=["validate", "solve", "converge", "price", "oracle"])
+    parser.add_argument("subcommand", choices=list(COMMANDS))
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's simulation seed")

@@ -43,7 +43,7 @@ __all__ = [
     "ValidationReport",
     "PathEnsemble",
     "validate_model",
-    "euler_factor_violation",
+    "coefficient_violations",
     "simulate_paths",
     "claim_payoff",
 ]
@@ -69,6 +69,8 @@ class PiecewiseConstant:
     def __post_init__(self):
         if len(self.breaks) != len(self.values) or not self.breaks:
             raise ValueError("breaks and values must be nonempty and of equal length")
+        if not all(math.isfinite(b) for b in self.breaks):
+            raise ValueError("breaks must be finite")
         if any(b >= a for a, b in zip(self.breaks[1:], self.breaks[:-1])):
             raise ValueError("breaks must be strictly increasing")
 
@@ -307,11 +309,12 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_model(model: MarketModel) -> ValidationReport:
+def validate_model(model: MarketModel, shock: float = DW_CLIP) -> ValidationReport:
     """Check model invariants; never raises, reports every violation.
 
-    Also computes the market price of risk alpha = (mu + lam*beta) / sigma on
-    every (regime, interval) and flags non-finite values.
+    The coefficients at the step times must pass `coefficient_violations`
+    at ``shock``, the largest Gaussian move read there.  The market price of
+    risk alpha = (mu + lam*beta) / sigma at every breakpoint is a report only.
     """
     rep = ValidationReport()
     g, c = model.grid, model.coeffs
@@ -327,57 +330,40 @@ def validate_model(model: MarketModel) -> ValidationReport:
             rep.violations.append(f"{name}: breakpoints must start at 0")
         if pc.breaks[-1] > g.horizon:
             rep.violations.append(f"{name}: breakpoint beyond the horizon")
-
-    for name, pc in (("sigma_pre", c.sigma_pre), ("sigma_post", c.sigma_post)):
-        if min(pc.values) <= 0:
-            rep.violations.append(f"{name}: sigma must be positive")
-    if min(c.beta.values) <= -1.0:
-        rep.violations.append("beta must exceed -1")
-    if min(c.lam.values) < 0.0:
-        rep.violations.append("lambda must be nonnegative")
-
-    # lambda at the step times t_0..t_{N-1}, where every scheme reads it
-    if g.dt * model.step_table[:, 0, 2].max() >= 1.0:
-        rep.violations.append("dt * max(lambda) must be < 1 (refine the time grid)")
-
-    # positivity of the truncated Euler factor of the forward simulation
-    euler = euler_factor_violation(model, DW_CLIP)
-    if euler is not None:
-        rep.violations.append(euler)
+    rep.violations += coefficient_violations(model, g, shock)
 
     starts = sorted({b for _, pc in named for b in pc.breaks})
     for t, ((mu0, s0_, lam0, beta0), (mu1, s1_, _, _)) in zip(starts,
                                                              c.table(starts).tolist()):
-        a_pre = (mu0 + lam0 * beta0) / s0_ if s0_ != 0 else math.inf
-        a_post = mu1 / s1_ if s1_ != 0 else math.inf
-        rep.alpha_pre.append((t, a_pre))
-        rep.alpha_post.append((t, a_post))
-        if not math.isfinite(a_pre) or not math.isfinite(a_post):
-            rep.violations.append(f"market price of risk non-finite at t={t:g}")
+        rep.alpha_pre.append((t, (mu0 + lam0 * beta0) / s0_ if s0_ != 0 else math.inf))
+        rep.alpha_post.append((t, mu1 / s1_ if s1_ != 0 else math.inf))
     return rep
 
 
-def euler_factor_violation(model: MarketModel, shock: float) -> str | None:
-    """Report a nonpositive no-jump Euler factor 1 + mu dt - shock sigma sqrt(dt).
-
-    ``shock`` is the largest normalized Gaussian move a scheme uses: DW_CLIP
-    for the forward simulation, the largest quadrature node for the backward
-    solver.  Both regimes are checked at the step start times t_0..t_{N-1},
-    where both schemes read their coefficients.  Returns a message naming the
-    latest offending step (the first a backward sweep meets), or None.
+def coefficient_violations(model: MarketModel, grid: TimeGrid,
+                           shock: float | None) -> list[str]:
+    """The bounded-coefficient rule at the times t_0..t_{n-1} of ``grid``, where
+    a scheme of step grid.dt reads the coefficients: every value finite,
+    sigma > 0, beta > -1, lambda >= 0, lambda dt < 1 and, given ``shock``, the
+    largest normalized Gaussian move read, 1 + mu dt - shock sigma sqrt(dt) > 0.
+    A NaN fails every test.  One message per failed test names its latest
+    step (the first a backward sweep meets) and that step's t.
     """
-    g, tab = model.grid, model.step_table
-    worst = None
-    for n, regime in ((1, "post"), (0, "pre")):
-        bad = np.flatnonzero(1.0 + tab[:, n, 0] * g.dt
-                             - tab[:, n, 1] * math.sqrt(g.dt) * shock <= 0.0)
-        if bad.size and (worst is None or bad[-1] > worst[1]):
-            worst = (regime, int(bad[-1]))
-    if worst is None:
-        return None
-    regime, i = worst
-    return (f"{regime}-default Euler factor 1 + mu*dt - {shock:.4g}*sigma*sqrt(dt) "
-            f"is nonpositive at step {i} (t={g.times()[i]:g}): dt too coarse for this sigma")
+    tab = model.step_table if grid == model.grid else model.coeffs.table(grid.times()[:-1])
+    dt = grid.dt
+    checks = [("coefficients must be finite", ~np.isfinite(tab).all(axis=(1, 2))),
+              ("beta must exceed -1", ~(tab[:, 0, 3] > -1.0)),
+              ("lambda must be nonnegative", ~(tab[:, 0, 2] >= 0.0)),
+              ("dt * max(lambda) must be < 1 (refine the time grid)", ~(tab[:, 0, 2] * dt < 1.0))]
+    for n, regime in enumerate(("pre", "post")):
+        checks.append((f"sigma_{regime}: sigma must be positive", ~(tab[:, n, 1] > 0.0)))
+        if shock is not None:
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails
+                factor = 1.0 + tab[:, n, 0] * dt - tab[:, n, 1] * math.sqrt(dt) * shock
+            checks.append((f"{regime}-default Euler factor 1 + mu*dt - {shock:.4g}*sigma*sqrt(dt)"
+                           " is nonpositive (dt too coarse for this sigma)", ~(factor > 0.0)))
+    return [f"{what} at step {i} (t={grid.times()[i]:g})" for what, bad in checks
+            for i in np.flatnonzero(bad)[-1:].tolist()]
 
 
 @dataclass

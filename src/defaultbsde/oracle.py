@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import open_output
-from .model import Claim, MarketModel, PathEnsemble, StockPayoff, simulate_paths
+from .model import (Claim, MarketModel, PathEnsemble, StockPayoff, TimeGrid,
+                    coefficient_violations, simulate_paths)
 from .solver import Quadrature, ValueSurface
 
-__all__ = ["DPTree", "DriftReport", "brute_force_dp", "martingale_check", "monte_carlo_violation"]
+__all__ = ["DPTree", "DriftReport", "brute_force_dp", "dp_violations", "martingale_check",
+           "monte_carlo_violation"]
 
 MAX_N_SMALL = 10
 MAX_Q = 9
@@ -76,6 +78,15 @@ class DPTree:
         return dw, w
 
 
+def dp_violations(model: MarketModel, claim: Claim, tree: DPTree) -> list[str]:
+    """`coefficient_violations` at the DP's times i T / n_small; the q-node
+    Euler factor for a StockPayoff only, whose tree alone takes a log of S."""
+    stock = isinstance(claim, StockPayoff)
+    shock = Quadrature.gauss_hermite(tree.q).max_abs_node if stock else None
+    return [f"DP {v}" for v in coefficient_violations(
+        model, TimeGrid(model.grid.horizon, tree.n_small), shock)]
+
+
 def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
                    q: int, g: int) -> float:
     """Exact backward recursion on the quantized tree; returns the root value.
@@ -87,15 +98,18 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     full tree and are rejected when (2q)^n_small exceeds NODE_BUDGET;
     there every node of a level is valued against the whole strategy grid
     at once, as one (nodes, q) @ (q, g) product per branch, and then
-    minimized over the grid.
+    minimized over the grid.  Raises ValueError on what `dp_violations` reports.
     """
     tree = DPTree(n_small=n_small, q=q, g=g, k=k)
+    bad = dp_violations(model, claim, tree)
+    if bad:
+        raise ValueError("oracle: " + "; ".join(bad))
     dt = model.grid.horizon / n_small
     dw, w = tree.increments(dt)
     pis = tree.strategy_grid()
     gamma = model.gamma
     # per step i and regime n, (mu, sigma, lam, beta) at the tree's own times i * dt
-    tab = model.coeffs.table(np.arange(n_small) * dt).tolist()
+    tab = model.coeffs.table(TimeGrid(model.grid.horizon, n_small).times()[:-1]).tolist()
 
     if isinstance(claim, StockPayoff):
         leaves = (2 * q) ** n_small
@@ -137,9 +151,8 @@ def _dp_stock_tree(model: MarketModel, claim: Claim, tree: DPTree, tab: list, dt
     n_small = tree.n_small
 
     def log_moves(mu: float, sig: float, jump: float) -> tuple[np.ndarray, np.ndarray]:
+        # positive: brute_force_dp checked the factors at the q nodes
         factors = (1.0 + mu * dt + sig * dw) * (1.0 + jump)
-        if np.any(factors <= 0.0):
-            raise ValueError("oracle: tree increment drives S nonpositive; refine dt")
         return np.log(factors), factors - 1.0
 
     def weights(ret: np.ndarray) -> np.ndarray:

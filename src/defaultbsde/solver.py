@@ -49,13 +49,15 @@ import numpy as np
 
 from ._util import open_output
 from .driver import CoeffSnapshot, StrategySet, minimize_driver_grid
-from .model import Claim, MarketModel, euler_factor_violation
+from .model import Claim, MarketModel, coefficient_violations
 
 __all__ = [
     "SpaceGrid",
     "Quadrature",
     "ValueSurface",
     "SolverError",
+    "SURFACE_NODE_BUDGET",
+    "surface_violation",
     "solve_bsde",
     "solve_j0_batch",
     "terminal_rows",
@@ -66,6 +68,10 @@ __all__ = [
 
 # the smallest normal double: below it Y keeps fewer than 53 significant bits
 TINY = float(np.finfo(float).tiny)
+# solve_bsde keeps Y, Z, pi_hat (both regimes) and U, 56 bytes per
+# node-step of the (N+1) x (M+1) surface; tracemalloc puts its peak at 56-61
+# (N = 100..400, M = 400..2000), so this cap holds it near 1.1 GB
+SURFACE_NODE_BUDGET = 19_000_000
 
 
 class SolverError(RuntimeError):
@@ -112,9 +118,9 @@ class SpaceGrid:
         at the step times t_0..t_{N-1}, where the schemes read sigma."""
         sig_max = float(model.step_table[:, :, 1].max())
         half_width = l_mult * sig_max * math.sqrt(model.grid.horizon)
-        if not half_width > 0:
+        if not 0 < half_width < math.inf:
             raise ValueError(f"grid half-width L_mult * sigma_max * sqrt(T) = {half_width:g} "
-                             "must be positive")
+                             "must be positive and finite")
         return cls.regular(m, half_width)
 
 
@@ -297,11 +303,9 @@ def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
 
     When every row equals its node 0, the rows are cut to two nodes and the
     regimes gather from node 0 (see the module docstring)."""
-    if model.grid.dt * model.step_table[:, 0, 2].max() >= 1.0:
-        raise SolverError("solver: dt * max(lambda) must be < 1")
-    euler = euler_factor_violation(model, quad.max_abs_node)
-    if euler is not None:
-        raise SolverError(f"solver: {euler}")
+    bad = coefficient_violations(model, model.grid, quad.max_abs_node)
+    if bad:
+        raise SolverError("solver: " + "; ".join(bad))
     rows = terminal_rows(model, claims, space)
     flat = bool(np.all(rows == rows[..., :1]))
     if flat:
@@ -345,11 +349,16 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     The one-column case of the backward pass that keeps every step: one
     driver call per regime and step, at the conditional mean E.
 
-    Raises SolverError when a diffusion move has a nonpositive Euler factor
-    at some quadrature node, or when an iterate violates Y >= TINY (a
-    positive normal double) or Y + U >= 0, reporting the offending step and
-    node.  A flat claim is solved two nodes wide and spread over the grid.
+    Raises ValueError, before any work, when the surface exceeds
+    SURFACE_NODE_BUDGET; SolverError when the coefficients at the step times
+    break `coefficient_violations` at the quadrature's largest node, or when
+    an iterate violates Y >= TINY (a positive normal double) or Y + U >= 0,
+    reporting the offending step and node.  A flat claim is solved two nodes
+    wide and spread over the grid.
     """
+    bad = surface_violation(model, space)
+    if bad is not None:
+        raise ValueError(f"solver: {bad}")
     ys, regimes = _start(model, (claim,), space, quad)
     n_steps, m1, w = model.grid.n_steps, space.nodes.size, ys[0].shape[-1]
     Y = np.empty((n_steps + 1, w, 2))
@@ -369,6 +378,16 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
 
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
+
+
+def surface_violation(model: MarketModel, space: SpaceGrid) -> str | None:
+    """Say why solve_bsde cannot keep the surface of this grid, or None."""
+    nodes = (model.grid.n_steps + 1) * space.nodes.size
+    if nodes > SURFACE_NODE_BUDGET:
+        return (f"{model.grid.n_steps + 1} steps x {space.nodes.size} nodes = {nodes} "
+                f"node-steps exceeds the surface budget {SURFACE_NODE_BUDGET}; "
+                "reduce N or M")
+    return None
 
 
 def _reach(outs) -> np.ndarray:

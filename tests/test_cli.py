@@ -57,6 +57,21 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "sigma" in captured.err
 
+    def test_sigma_read_at_no_step_time_validates_and_prices(self, tmp_path, capsys):
+        # sigma = 0 from t = T on is read by no step of N = 100; alpha there is
+        # infinite and written as null, so a strict parser reads the report
+        cfg = write_config(tmp_path, model={"pre_default": {
+            "mu": 0.0, "sigma": [[0, 0.2], [1.0, 0.0]], "lambda": 0.1, "beta": 0.0}})
+        assert main(["validate", str(cfg)]) == 0
+
+        def not_json(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=not_json)
+        assert payload["ok"] is True
+        assert payload["alpha_pre"][-1] == payload["alpha_post"][-1] == {"t": 1.0, "alpha": None}
+        assert main(["price", str(cfg)]) == 0
+
     def test_solver_euler_factor_exits_2(self, tmp_path, capsys):
         # 20 quadrature nodes reach 7.62 > DW_CLIP: 1 - 7.62 * 0.3 * sqrt(0.25) < 0
         cfg = write_config(tmp_path,
@@ -107,6 +122,12 @@ class TestValidate:
         ("validate", "model", "post_default", {"mu": 0.0, "sigmaa": 0.2},
          "model.post_default: unknown keys ['sigmaa']"),
         ("validate", "model", "gama", 1.0, "model: unknown keys ['gama']"),
+        # a breakpoint that is no finite time would be written into the report
+        ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0, 0.2], [math.nan, 0.3]]},
+         "coefficient 'pre sigma': breaks must be finite"),
+        # an infinite sigma at a step time leaves no grid to build
+        ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0, 0.2], [0.5, math.inf]]},
+         "sigma_max * sqrt(T) = inf must be positive and finite"),
         ("price", "numerics", "tol_rell", 1e-9, "numerics: unknown keys ['tol_rell']"),
         ("price", "numerics", "refine", True, "numerics: unknown keys ['refine']"),
         ("oracle", "oracle", "n_path", 5000, "oracle: unknown keys ['n_path']"),
@@ -162,6 +183,14 @@ class TestValidate:
         path.write_text(json.dumps(raw))
         assert main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_unknown_subcommand_exits_2(self, tmp_path):
+        from defaultbsde.cli import COMMANDS, run
+        assert sorted(COMMANDS) == ["converge", "oracle", "price", "solve", "validate"]
+        assert run("bogus", str(write_config(tmp_path))) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", str(write_config(tmp_path))])
+        assert exc.value.code == 2
 
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4
@@ -347,6 +376,46 @@ class TestOracleInputs:
         cfg = write_config(tmp_path, oracle=oracle_block)  # N = 100 steps
         assert main(["oracle", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestBeforeWork:
+    """Rejections that must come before any solve, DP or simulation."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        from defaultbsde import cli, oracle
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        monkeypatch.setattr(cli, "brute_force_dp", no_work)
+        monkeypatch.setattr(cli, "solve_bsde", no_work)
+        monkeypatch.setattr(oracle, "simulate_paths", no_work)
+
+    def test_value_read_by_the_dp_alone_exits_2(self, tmp_path, capsys, no_work):
+        # sigma = 5 on [0.165, 0.168) is read by no step of N = 100, but by the
+        # DP's step 1 at t = 1/6, where 5 nodes make the put's tree factor negative
+        cfg = write_config(tmp_path,
+                           model={"pre_default": {"mu": 0.0, "lambda": 0.1, "beta": 0.0,
+                                                  "sigma": [[0, 0.25], [0.165, 5.0],
+                                                            [0.168, 0.25]]}},
+                           claim={"variant": "stock_payoff", "s_nodes": [0.5, 1.0, 2.0],
+                                  "survive_values": [0.5, 0.0, 0.0],
+                                  "default_values": [0.5, 0.0, 0.0]},
+                           oracle={"N_small": 6, "q": 5, "G": 41})
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "oracle: DP pre-default Euler factor" in err and "step 1 (t=0.166667)" in err
+
+    @pytest.mark.parametrize("subcommand", ["solve", "oracle"])
+    def test_surface_budget_exits_2(self, tmp_path, capsys, no_work, subcommand):
+        cfg = write_config(tmp_path, model={"N": 20000}, numerics={"M": 2000})
+        assert main(["validate", str(cfg)]) == 0  # validate keeps no surface
+        capsys.readouterr()
+        assert main([subcommand, str(cfg)]) == 2
+        assert "node-steps exceeds the surface budget" in capsys.readouterr().err
 
 
 class TestRepeatability:

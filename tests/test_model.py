@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from defaultbsde import (Constant, DefaultIndicator, MarketModel, PathEnsemble,
                          PiecewiseConstant, RegimeCoefficients, StockPayoff, TimeGrid,
                          claim_payoff, simulate_paths, validate_model)
-from defaultbsde.model import DW_CLIP, _DRAW_CHUNK
+from defaultbsde.model import DW_CLIP, _DRAW_CHUNK, coefficient_violations
 
 from conftest import coeffs_in_force, merton_model, piecewise_model
 
@@ -76,6 +77,31 @@ class TestValidate:
         rep = validate_model(flat_model(lam=50.0, N=10))
         assert any("dt * max(lambda)" in v for v in rep.violations)
 
+    def test_nan_fails_every_test_of_the_rule(self):
+        model = flat_model(mu=math.nan, sigma=math.nan, beta=math.nan, lam=math.nan, N=10)
+        got = coefficient_violations(model, model.grid, DW_CLIP)
+        assert len(got) == 8 and all(v.endswith("at step 9 (t=0.9)") for v in got)
+
+    def test_rule_names_the_latest_step_read(self):
+        # sigma_pre = 0 on [0.3, 0.55): steps 3, 4, 5 of 10 read it, and t = 0.5 of a DP
+        # on 4 steps; a single step at t = 0 does not
+        model = flat_model(N=10)
+        model = dataclasses.replace(model, coeffs=dataclasses.replace(
+            model.coeffs, sigma_pre=PiecewiseConstant((0.0, 0.3, 0.55), (0.2, 0.0, 0.2))))
+        assert coefficient_violations(model, model.grid, None) == [
+            "sigma_pre: sigma must be positive at step 5 (t=0.5)"]
+        assert coefficient_violations(model, TimeGrid(1.0, 4), None) == [
+            "sigma_pre: sigma must be positive at step 2 (t=0.5)"]
+        assert coefficient_violations(model, TimeGrid(1.0, 1), None) == []
+
+    def test_value_read_at_no_step_time_is_no_violation(self):
+        # sigma = 0 from t = T on: alpha there is reported as infinite, not flagged
+        model = flat_model()
+        model = dataclasses.replace(model, coeffs=dataclasses.replace(
+            model.coeffs, sigma_pre=PiecewiseConstant((0.0, 1.0), (0.2, 0.0))))
+        rep = validate_model(model)
+        assert rep.ok and rep.alpha_pre[-1] == (1.0, math.inf)
+
     def test_gamma_and_s0(self):
         m = flat_model()
         rep = validate_model(MarketModel(grid=m.grid, coeffs=m.coeffs, gamma=-1.0, s0=0.0))
@@ -121,6 +147,11 @@ class TestPiecewise:
     def test_unsorted_breaks_rejected(self):
         with pytest.raises(ValueError):
             PiecewiseConstant((0.0, 0.5, 0.4), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_break_rejected(self, t):
+        with pytest.raises(ValueError, match="breaks must be finite"):
+            PiecewiseConstant((0.0, t), (0.2, 0.3))
 
 
 class TestSimulate:

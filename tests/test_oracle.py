@@ -1,13 +1,14 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DPTree, MarketModel, RegimeCoefficients, StockPayoff,
-                         StrategySet, TimeGrid, brute_force_dp, extract_optimal_strategy,
-                         martingale_check, simulate_paths, solve_bsde,
-                         surface_at_origin)
+from defaultbsde import (Constant, DPTree, MarketModel, PiecewiseConstant, RegimeCoefficients,
+                         StockPayoff, StrategySet, TimeGrid, brute_force_dp,
+                         extract_optimal_strategy, martingale_check, simulate_paths,
+                         solve_bsde, surface_at_origin, validate_model)
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
                       coeffs_in_force, merton_model, piecewise_model, solve_setup)
@@ -143,6 +144,20 @@ class TestStockTree:
         model = bond_model()
         with pytest.raises(ValueError, match="node budget"):
             brute_force_dp(model, stock_claim(), k=1.0, n_small=8, q=7, g=11)
+
+    def test_coefficients_checked_at_the_tree_times(self):
+        # sigma = 5 on [0.165, 0.168) is read by no step of N = 100, but by the
+        # tree's step 1 at t = 1/6, where 5 nodes make its Euler factor negative
+        flat = RegimeCoefficients.constant(mu=0.0, sigma=0.25, beta=0.0, lam=0.1)
+        sigma = PiecewiseConstant((0.0, 0.165, 0.168), (0.25, 5.0, 0.25))
+        model = MarketModel(grid=TimeGrid(1.0, 100), gamma=1.0, coeffs=dataclasses.replace(
+            flat, sigma_pre=sigma, sigma_post=sigma))
+        assert validate_model(model).ok
+        with pytest.raises(ValueError, match=r"DP pre-default Euler factor .* step 1 "
+                                             r"\(t=0.166667\)"):
+            brute_force_dp(model, stock_claim(), k=2.0, n_small=6, q=5, g=41)
+        # the two-state collapse takes no log of S: its factor is not checked
+        brute_force_dp(model, Constant(0.0), k=2.0, n_small=6, q=5, g=41)
 
     def test_small_tree_agrees_with_solver(self):
         coeffs = RegimeCoefficients.constant(mu=0.15, sigma=0.25, beta=-0.3, lam=0.4)

@@ -157,6 +157,12 @@ class TestInvariants:
                                               rf".* gamma\*xi = {where}$"):
             solve(bond_model(4), claim, m_space=20)
 
+    def test_surface_budget_checked_before_any_work(self):
+        # (20000 + 1) x (2000 + 1) node-steps would hold about 2.3 GB of surface
+        model = MarketModel(grid=TimeGrid(1.0, 20000), coeffs=bond_model().coeffs, gamma=1.0)
+        with pytest.raises(ValueError, match="40022001 node-steps exceeds the surface budget"):
+            solve(model, Constant(0.0), m_space=2000)
+
     def test_euler_factor_checked_at_quadrature_width(self):
         # sigma sqrt(dt) = 0.15: 7 nodes (largest 3.75) are fine, 20 (7.62) are not
         model = MarketModel(grid=TimeGrid(1.0, 4),
