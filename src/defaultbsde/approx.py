@@ -21,6 +21,7 @@ noise bound are recorded on the result rather than asserted away.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -69,19 +70,19 @@ class KSweepResult:
 
 
 def check_doubling(k0: float, tol_rel: float) -> None:
-    """Raise ValueError unless the doubling start k0 and tolerance are positive."""
-    if not k0 > 0:
-        raise ValueError("k0 must be positive")
-    if not tol_rel > 0:
-        raise ValueError("tol_rel must be positive")
+    """Raise ValueError unless the doubling start k0 and tolerance are positive and finite."""
+    if not 0 < k0 < math.inf:
+        raise ValueError("k0 must be positive and finite")
+    if not 0 < tol_rel < math.inf:
+        raise ValueError("tol_rel must be positive and finite")
 
 
 def check_schedule(ks: list[float]) -> None:
-    """Raise ValueError unless ks is nonempty, positive and strictly increasing."""
+    """Raise ValueError unless ks is nonempty, positive, finite and strictly increasing."""
     if not ks:
         raise ValueError("ks must be nonempty")
-    if any(not k > 0 for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly increasing and positive")
+    if any(not 0 < k < math.inf for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be strictly increasing, positive and finite")
 
 
 def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,

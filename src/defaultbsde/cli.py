@@ -24,7 +24,7 @@ from .approx import (NonConvergenceError, check_doubling, check_schedule, conver
 from .driver import StrategySet
 from .model import (DW_CLIP, Claim, Constant, DefaultIndicator, MarketModel,
                     PiecewiseConstant, RegimeCoefficients, StockPayoff,
-                    TimeGrid, ValidationReport, validate_model)
+                    TimeGrid, ValidationReport, coefficient_violations, validate_model)
 from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
                      monte_carlo_violation)
 from .pricing import PriceReport, indifference_price, price_legs
@@ -162,9 +162,14 @@ def load_config(raw: dict) -> RunConfig:
     k0 = _number(float, nm.get("k0", 0.25), "k0", "numerics")
     tol_rel = _number(float, nm.get("tol_rel", 1e-6), "tol_rel", "numerics")
     k = _number(float, nm.get("k", 2.0), "k", "numerics")
-    # the solver's and the k loop's own checks, so validate rejects what they reject
     try:
         space = SpaceGrid.for_model(model, m_space, l_mult)
+    except ValueError as exc:
+        # a coefficient that breaks the rule at a step time can leave no grid: name the rule too
+        raise ConfigError(f"config: numerics: {exc}" + "".join(
+            f"; model: {v}" for v in coefficient_violations(model, grid, None))) from exc
+    # the solver's and the k loop's own checks, so validate rejects what they reject
+    try:
         quad = Quadrature.gauss_hermite(quad_nodes)
         StrategySet.symmetric(k)
         check_doubling(k0, tol_rel)

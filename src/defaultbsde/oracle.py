@@ -79,12 +79,18 @@ class DPTree:
 
 
 def dp_violations(model: MarketModel, claim: Claim, tree: DPTree) -> list[str]:
-    """`coefficient_violations` at the DP's times i T / n_small; the q-node
-    Euler factor for a StockPayoff only, whose tree alone takes a log of S."""
+    """`coefficient_violations` at the DP's times i T / n_small; for a
+    StockPayoff only, whose full tree alone takes a log of S, the q-node Euler
+    factor and the (2q)^n_small leaves against NODE_BUDGET."""
     stock = isinstance(claim, StockPayoff)
     shock = Quadrature.gauss_hermite(tree.q).max_abs_node if stock else None
-    return [f"DP {v}" for v in coefficient_violations(
+    bad = [f"DP {v}" for v in coefficient_violations(
         model, TimeGrid(model.grid.horizon, tree.n_small), shock)]
+    leaves = (2 * tree.q) ** tree.n_small
+    if stock and leaves > NODE_BUDGET:
+        bad.append(f"tree of {leaves} leaves exceeds the node budget {NODE_BUDGET}; "
+                   "reduce n_small or q")
+    return bad
 
 
 def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
@@ -95,10 +101,9 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     equispaced strategies in [-k, k] (g = 1 means the zero strategy only,
     i.e. a plain expectation), with wealth updated by
     pi * (mu dt + sigma dW + beta dN).  Stock-dependent claims enumerate the
-    full tree and are rejected when (2q)^n_small exceeds NODE_BUDGET;
-    there every node of a level is valued against the whole strategy grid
-    at once, as one (nodes, q) @ (q, g) product per branch, and then
-    minimized over the grid.  Raises ValueError on what `dp_violations` reports.
+    full tree; there every node of a level is valued against the whole
+    strategy grid at once, as one (nodes, q) @ (q, g) product per branch, and
+    then minimized over the grid.  Raises ValueError on what `dp_violations` reports.
     """
     tree = DPTree(n_small=n_small, q=q, g=g, k=k)
     bad = dp_violations(model, claim, tree)
@@ -112,11 +117,6 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     tab = model.coeffs.table(TimeGrid(model.grid.horizon, n_small).times()[:-1]).tolist()
 
     if isinstance(claim, StockPayoff):
-        leaves = (2 * q) ** n_small
-        if leaves > NODE_BUDGET:
-            raise ValueError(
-                f"oracle: tree of {leaves} leaves exceeds the node budget "
-                f"{NODE_BUDGET}; reduce n_small or q")
         return _dp_stock_tree(model, claim, tree, tab, dt, dw, w, pis)
 
     # payoff independent of S_T: state collapses to the default flag

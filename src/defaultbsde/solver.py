@@ -80,48 +80,35 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpaceGrid:
-    """Uniform grid in x = log(S/s0), symmetric about 0."""
+    """Uniform grid in x = log(S/s0): M intervals on [-L, L].
 
-    nodes: np.ndarray
+    The two numbers define it; `nodes` is derived from them.  Grids compare
+    and hash by (M, L)."""
+
+    m_intervals: int
+    half_width: float
 
     def __post_init__(self):
-        x = self.nodes
-        if x.ndim != 1 or x.size < 3:
-            raise ValueError("need at least M+1 >= 3 nodes")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        h = (x[-1] - x[0]) / dx.size
-        # _interp_regimes locates cells arithmetically, which needs equal spacing
-        if np.any(np.abs(dx - h) > 1e-9 * h):
-            raise ValueError("nodes must be uniformly spaced")
-        if not np.allclose(x, -x[::-1], atol=1e-12 * max(1.0, abs(float(x[-1])))):
-            raise ValueError("nodes must be symmetric about 0")
-
-    @property
-    def m_intervals(self) -> int:
-        return self.nodes.size - 1
-
-    @property
-    def half_width(self) -> float:
-        return float(self.nodes[-1])
-
-    @classmethod
-    def regular(cls, m: int, half_width: float) -> "SpaceGrid":
-        if m < 2:
+        if not self.m_intervals >= 2:
             raise ValueError("m must be >= 2")
-        return cls(np.linspace(-half_width, half_width, m + 1))
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"grid half-width L = L_mult * sigma_max * sqrt(T) = "
+                             f"{self.half_width:g} must be positive and finite")
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """np.linspace(-L, L, M + 1): x[0] is -L and x[M] is L exactly; built
+        once per grid, read-only."""
+        x = np.linspace(-self.half_width, self.half_width, self.m_intervals + 1)
+        x.flags.writeable = False
+        return x
 
     @classmethod
     def for_model(cls, model: MarketModel, m: int, l_mult: float = 6.0) -> "SpaceGrid":
         """Half-width l_mult * sigma_max * sqrt(T), sigma_max over both regimes
         at the step times t_0..t_{N-1}, where the schemes read sigma."""
         sig_max = float(model.step_table[:, :, 1].max())
-        half_width = l_mult * sig_max * math.sqrt(model.grid.horizon)
-        if not 0 < half_width < math.inf:
-            raise ValueError(f"grid half-width L_mult * sigma_max * sqrt(T) = {half_width:g} "
-                             "must be positive and finite")
-        return cls.regular(m, half_width)
+        return cls(m, l_mult * sig_max * math.sqrt(model.grid.horizon))
 
 
 @dataclass(frozen=True)
@@ -178,7 +165,7 @@ class ValueSurface:
 
     def y_at(self, i: int, s, n) -> np.ndarray:
         """Interpolate Y[i] at stock levels s for per-element default states n."""
-        return _interp_regimes(self.space.nodes, self.Y[i], self.model.s0, s, n)
+        return _interp_regimes(self.space, self.Y[i], self.model.s0, s, n)
 
     def to_csv(self, path) -> None:
         """Columns i,t,j,x,s,n,Y,Z,U,pi_hat; U empty for n=1, decisions empty at i=N."""
@@ -200,20 +187,20 @@ class ValueSurface:
                                  f"{cell(u)},{cell(self.pi_hat[i, j, n])}\n")
 
 
-def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.ndarray:
-    """Read table[:, n] at log(s/s0), linear between the nodes x, flat beyond them.
+def _interp_regimes(space: SpaceGrid, table: np.ndarray, s0: float, s, n) -> np.ndarray:
+    """Read table[:, n] at log(s/s0), linear between the grid's nodes, flat beyond them.
 
-    The cell comes from arithmetic on the uniform grid x, not a search, and
+    The cell comes from arithmetic on M and L, not a search, and
     each query reads only its own regime's column of the (M+1, 2) table.
     ``n`` is a scalar or has the shape of ``s``; a scalar ``s`` gives a scalar.
     The arithmetic runs in place on a copy of s and on its cell index.
     """
-    m = x.size - 1
+    m, half = space.m_intervals, space.half_width
     u = np.array(s, dtype=float)
     u /= s0
     np.log(u, out=u)
-    u -= x[0]
-    u *= m / (x[m] - x[0])
+    u += half
+    u *= m / (half + half)
     np.clip(u, 0.0, m, out=u)
     j = u.astype(np.intp)  # the floor, as u >= 0
     np.minimum(j, m - 1, out=j)
@@ -231,7 +218,7 @@ def _interp_regimes(x: np.ndarray, table: np.ndarray, s0: float, s, n) -> np.nda
     return out[()]
 
 
-def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray, flat: bool):
+def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: bool):
     """(idx, taps) with taps @ rows[..., idx] = sum_m weights[:, m] rows(x + moves[m]).
 
     On the uniform grid a move is o + a cells, 0 <= a < 1, read as
@@ -240,8 +227,8 @@ def _stencil(x: np.ndarray, moves: np.ndarray, weights: np.ndarray, flat: bool):
     per row, so a row's result does not depend on the batch width.  With
     ``flat``, idx has two columns that read node 0 only, for rows flat in x.
     """
-    m = x.size - 1
-    cells = moves * (m / (x[m] - x[0]))
+    m = space.m_intervals
+    cells = moves * (m / (space.half_width + space.half_width))
     o = np.floor(cells)
     a = cells - o
     idx = np.concatenate([o, o + 1.0]).astype(np.intp)[:, None] + np.arange(m + 1)
@@ -256,15 +243,15 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
     One snapshot and one pair of stencils per distinct coefficient tuple;
     ``flat`` builds them for rows two nodes wide (see `_stencil`).
     """
-    g, x = model.grid, space.nodes
+    g = model.grid
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
 
     @functools.cache
     def regime(mu, sigma, lam, beta):
         moves = np.log(1.0 + mu * g.dt + sigma * math.sqrt(g.dt) * quad.nodes)
         return (CoeffSnapshot(mu, sigma, lam, beta, gamma=model.gamma),
-                1.0 - math.exp(-lam * g.dt), _stencil(x, moves, weights, flat),
-                _stencil(x, np.array([math.log1p(beta)]), np.ones((1, 1)), flat))
+                1.0 - math.exp(-lam * g.dt), _stencil(space, moves, weights, flat),
+                _stencil(space, np.array([math.log1p(beta)]), np.ones((1, 1)), flat))
 
     return [[regime(*coeffs) for coeffs in step]
             for step in model.step_table.tolist()]
@@ -469,13 +456,12 @@ def extract_optimal_strategy(surface: ValueSurface):
     model = surface.model
     strat = surface.strategy_set
     n_steps, dt = model.grid.n_steps, model.grid.dt
-    x = surface.space.nodes
-    pi = surface.pi_hat
+    pi, space = surface.pi_hat, surface.space
 
     def strategy(t: float, s, n):
         # small epsilon so grid times t_i map to step i despite rounding
         i = min(max(int(math.floor(t / dt + 1e-9)), 0), n_steps - 1)
-        return np.clip(_interp_regimes(x, pi[i], model.s0, s, n), strat.lo, strat.hi)
+        return np.clip(_interp_regimes(space, pi[i], model.s0, s, n), strat.lo, strat.hi)
 
     return strategy
 

@@ -65,6 +65,23 @@ class TestKSweep:
             res = k_sweep(model, claim, space, quad, ks)
             assert res.monotone_violations == []
 
+    def test_rise_beyond_tolerance_recorded(self, monkeypatch):
+        from defaultbsde import approx
+        # a rise of 1e-6 is recorded; one of 1e-12 is within MONOTONE_TOL
+        j0 = {0.5: 0.5, 1.0: 0.5 + 1e-6, 2.0: 0.5 + 1e-6 + 1e-12}
+
+        def rising(model, claims, ks, space, quad):
+            return np.array([j0[k] for k in ks]), np.zeros(len(ks), dtype=bool)
+
+        monkeypatch.setattr(approx, "solve_j0_batch", rising)
+        model = bond_model(10)
+        space, quad = solve_setup(model, m_space=20)
+        res = k_sweep(model, BOND_CLAIM, space, quad, [0.5, 1.0, 2.0])
+        ((k1, k2, excess),) = res.monotone_violations
+        assert (k1, k2) == (0.5, 1.0)
+        assert excess == pytest.approx(1e-6 - approx.MONOTONE_TOL - res.noise_bound,
+                                       rel=1e-9)
+
     def test_solver_failure_tagged_with_k(self):
         from defaultbsde import (DefaultIndicator, MarketModel, RegimeCoefficients,
                                  SolverError, TimeGrid)

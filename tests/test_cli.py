@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from defaultbsde.cli import main
@@ -128,6 +129,22 @@ class TestValidate:
         # an infinite sigma at a step time leaves no grid to build
         ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0, 0.2], [0.5, math.inf]]},
          "sigma_max * sqrt(T) = inf must be positive and finite"),
+        # nor does a NaN one, and the message names the coefficient rule
+        ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0, 0.2], [0.5, math.nan]]},
+         "coefficients must be finite at step 99 (t=0.99)"),
+        # written as Infinity, which a JSON reader parses as it parses 1e400
+        ("price", "numerics", "k0", math.inf, "k0 must be positive and finite"),
+        ("price", "numerics", "tol_rel", math.inf, "tol_rel must be positive and finite"),
+        ("converge", "numerics", "ks", [1.0, math.inf], "positive and finite"),
+        ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0.1, 0.2]]},
+         "sigma_pre: breakpoints must start at 0"),
+        ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0, 0.2], [2.0, 0.3]]},
+         "sigma_pre: breakpoint beyond the horizon"),
+        ("validate", "model", "T", 0, "horizon must be positive"),
+        ("validate", "claim", "variant", {"variant": "stock_payoff", "s_nodes": [0.5, 1.0],
+                                          "survive_values": [0.5, 0.0, 0.0],
+                                          "default_values": [0.5, 0.0]},
+         "table columns must have equal length"),
         ("price", "numerics", "tol_rell", 1e-9, "numerics: unknown keys ['tol_rell']"),
         ("price", "numerics", "refine", True, "numerics: unknown keys ['refine']"),
         ("oracle", "oracle", "n_path", 5000, "oracle: unknown keys ['n_path']"),
@@ -156,7 +173,9 @@ class TestValidate:
         monkeypatch.setattr(approx, "solve_j0_batch", no_work)
         monkeypatch.setattr(cli, "solve_bsde", no_work)
         monkeypatch.setattr(cli, "brute_force_dp", no_work)
-        fields = {key: value, "variant": "constant"} if block == "claim" else {key: value}
+        fields = {key: value}
+        if block == "claim":  # a constant claim's field, or a whole claim
+            fields = value if isinstance(value, dict) else {key: value, "variant": "constant"}
         cfg = write_config(tmp_path, **{block: fields})
         assert main([subcommand, str(cfg)]) == 2
         assert message in capsys.readouterr().err
@@ -283,6 +302,21 @@ class TestConverge:
         last_j0 = float(lines[-1].split(",")[1])
         assert abs(last_j0 - MERTON_J0) < 1e-3
 
+    def test_monotone_violation_reported(self, tmp_path, capsys, monkeypatch):
+        from defaultbsde import approx
+        j0 = {0.5: 0.5, 1.0: 0.5 + 1e-6, 2.0: 0.5 + 1e-6 + 1e-12}
+
+        def rising(model, claims, ks, space, quad):
+            return np.array([j0[k] for k in ks]), np.zeros(len(ks), dtype=bool)
+
+        monkeypatch.setattr(approx, "solve_j0_batch", rising)
+        cfg = write_config(tmp_path, numerics={"M": 20, "ks": [0.5, 1.0, 2.0]},
+                           output={"sweep_csv": str(tmp_path / "sweep.csv")})
+        assert main(["converge", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("beyond tolerance") == 1
+        assert "converge: J0 increased from k=0.5 to k=1 by 9.99e-07 beyond tolerance" in err
+
     def test_explicit_ks_schedule(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = write_config(tmp_path, numerics={"M": 20, "ks": [0.5, 1.0, 2.0]},
@@ -408,6 +442,17 @@ class TestBeforeWork:
         assert main(["oracle", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "oracle: DP pre-default Euler factor" in err and "step 1 (t=0.166667)" in err
+
+    def test_dp_tree_budget_exits_2(self, tmp_path, capsys, no_work):
+        # a put's full tree at N_small = 10, q = 3 has 6^10 leaves
+        cfg = write_config(tmp_path,
+                           claim={"variant": "stock_payoff", "s_nodes": [0.5, 1.0, 2.0],
+                                  "survive_values": [0.5, 0.0, 0.0],
+                                  "default_values": [0.5, 0.0, 0.0]},
+                           oracle={"N_small": 10, "q": 3})
+        assert main(["oracle", str(cfg)]) == 2
+        assert ("oracle: tree of 60466176 leaves exceeds the node budget 2000000"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("subcommand", ["solve", "oracle"])
     def test_surface_budget_exits_2(self, tmp_path, capsys, no_work, subcommand):

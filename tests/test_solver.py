@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -284,7 +285,7 @@ class TestExport:
         assert float(q.weights @ q.nodes**2) == pytest.approx(1.0, abs=1e-13)
 
     def test_space_grid_symmetric(self):
-        g = SpaceGrid.regular(10, 1.5)
+        g = SpaceGrid(10, 1.5)
         assert g.nodes[0] == -1.5 and g.nodes[-1] == 1.5
         assert abs(g.nodes[5]) == 0.0
 
@@ -300,10 +301,19 @@ class TestExport:
         assert late.half_width == pytest.approx(1.2, rel=1e-15)
         assert np.array_equal(late.nodes, flat.nodes)
 
-    def test_space_grid_must_be_uniform(self):
-        x = np.linspace(-1.5, 1.5, 11)
-        SpaceGrid(x + 1e-12 * np.sin(7.0 * x))  # within 1e-9 of the spacing
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            SpaceGrid(np.array([-1.0, -0.3, 0.0, 0.3, 1.0]))
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            SpaceGrid(x + 1e-6 * np.sin(7.0 * x))
+    def test_space_grid_is_its_two_numbers(self):
+        g = SpaceGrid(40, 1.2)
+        assert dataclasses.astuple(g) == (40, 1.2)
+        want = np.linspace(-1.2, 1.2, 41)
+        assert g.nodes.tobytes() == want.tobytes()
+        assert g.nodes is g.nodes  # built once
+        with pytest.raises(ValueError, match="read-only"):
+            g.nodes[0] = 0.0
+        assert g == SpaceGrid(40, 1.2) and hash(g) == hash(SpaceGrid(40, 1.2))
+        assert g != SpaceGrid(41, 1.2) and g != SpaceGrid(40, 1.3)
+        for m in (1, 0, -3):
+            with pytest.raises(ValueError, match="m must be >= 2"):
+                SpaceGrid(m, 1.2)
+        for half in (0.0, -1.2, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="half-width .* must be positive and finite"):
+                SpaceGrid(40, half)
