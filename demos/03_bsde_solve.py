@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, Quadrature,
+from defaultbsde import (Claim, MarketModel, Quadrature,
                          RegimeCoefficients, SpaceGrid, StrategySet, TimeGrid,
                          extract_optimal_strategy, solve_bsde, surface_at_origin)
 
@@ -19,7 +19,7 @@ merton = MarketModel(grid=TimeGrid(1.0, 200),
                      coeffs=RegimeCoefficients.constant(mu=1.0, sigma=1.0,
                                                         beta=0.0, lam=0.0),
                      gamma=1.0)
-surf = solve_bsde(merton, Constant(0.0), StrategySet(-2, 2),
+surf = solve_bsde(merton, Claim.constant(0.0), StrategySet(-2, 2),
                   SpaceGrid.for_model(merton, 200), quad)
 j0 = surface_at_origin(surf)
 print(f"no-default market: J0={j0:.6f} closed form={math.exp(-0.5):.6f} "
@@ -32,7 +32,7 @@ bond = MarketModel(grid=TimeGrid(1.0, 100),
                    coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
                                                       beta=0.0, lam=0.1),
                    gamma=1.0)
-bsurf = solve_bsde(bond, DefaultIndicator(1.0, 0.0), StrategySet(-2, 2),
+bsurf = solve_bsde(bond, Claim.default_indicator(1.0, 0.0), StrategySet(-2, 2),
                    SpaceGrid.for_model(bond, 100), quad)
 closed = math.exp(-1.1) + 1 - math.exp(-0.1)
 print(f"defaultable bond:  J0={surface_at_origin(bsurf):.12f} closed form={closed:.12f}")

@@ -4,7 +4,7 @@ The value function over strategies bounded by k is nonincreasing in k and
 flattens once the constraint stops binding; geometric doubling with a
 relative Cauchy rule finds the unconstrained value.
 """
-from defaultbsde import (Constant, MarketModel, Quadrature, RegimeCoefficients,
+from defaultbsde import (Claim, MarketModel, Quadrature, RegimeCoefficients,
                          SpaceGrid, TimeGrid, converge, k_sweep)
 
 model = MarketModel(grid=TimeGrid(1.0, 100),
@@ -13,7 +13,7 @@ model = MarketModel(grid=TimeGrid(1.0, 100),
                     gamma=1.0)
 space = SpaceGrid.for_model(model, 80)
 quad = Quadrature.gauss_hermite(7)
-claim = Constant(0.0)
+claim = Claim.constant(0.0)
 
 res = k_sweep(model, claim, space, quad, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 print("k-sweep (J0 must be nonincreasing):")

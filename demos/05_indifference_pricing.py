@@ -8,7 +8,7 @@ price has the certainty-equivalent closed form -(1/gamma) ln E[exp(-gamma xi)].
 import json
 import math
 
-from defaultbsde import (DefaultIndicator, MarketModel, Quadrature,
+from defaultbsde import (Claim, MarketModel, Quadrature,
                          RegimeCoefficients, SpaceGrid, TimeGrid,
                          indifference_price, wealth_scaling)
 
@@ -16,7 +16,7 @@ model = MarketModel(grid=TimeGrid(1.0, 100),
                     coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
                                                        beta=0.0, lam=0.1),
                     gamma=1.0)
-claim = DefaultIndicator(1.0, 0.0)
+claim = Claim.default_indicator(1.0, 0.0)
 space = SpaceGrid.for_model(model, 80)
 quad = Quadrature.gauss_hermite(7)
 

@@ -6,7 +6,7 @@ value; the process exp(-gamma X) Y(t, S, N) is a martingale along simulated
 paths under the extracted optimal strategy and a strict submartingale under
 a suboptimal one.
 """
-from defaultbsde import (Constant, MarketModel, Quadrature, RegimeCoefficients,
+from defaultbsde import (Claim, MarketModel, Quadrature, RegimeCoefficients,
                          SpaceGrid, StrategySet, TimeGrid, brute_force_dp,
                          extract_optimal_strategy, martingale_check, solve_bsde,
                          surface_at_origin)
@@ -15,7 +15,7 @@ model = MarketModel(grid=TimeGrid(1.0, 200),
                     coeffs=RegimeCoefficients.constant(mu=1.0, sigma=1.0,
                                                        beta=0.0, lam=0.0),
                     gamma=1.0)
-claim = Constant(0.0)
+claim = Claim.constant(0.0)
 space = SpaceGrid.for_model(model, 100)
 quad = Quadrature.gauss_hermite(7)
 

@@ -10,9 +10,8 @@ against brute-force dynamic programming and Monte Carlo drift tests.
 from .approx import KSweepResult, NonConvergenceError, converge, k_sweep
 from .driver import (CoeffSnapshot, StrategySet, f_pi, g_quadratic,
                      jump_comparison_bounds, lipschitz_bound, minimize_driver)
-from .model import (Claim, Constant, DefaultIndicator, MarketModel, PathEnsemble,
-                    PiecewiseConstant, RegimeCoefficients, StockPayoff, TimeGrid,
-                    ValidationReport, claim_payoff, simulate_paths, validate_model)
+from .model import (Claim, MarketModel, PathEnsemble, PiecewiseConstant, RegimeCoefficients,
+                    TimeGrid, ValidationReport, claim_payoff, simulate_paths, validate_model)
 from .oracle import DPTree, DriftReport, brute_force_dp, martingale_check
 from .pricing import PriceReport, indifference_price, wealth_scaling
 from .solver import (Quadrature, SolverError, SpaceGrid, ValueSurface,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoeffSnapshot", "StrategySet", "f_pi", "minimize_driver", "g_quadratic",
     "lipschitz_bound", "jump_comparison_bounds",
-    "Claim", "Constant", "DefaultIndicator", "StockPayoff", "MarketModel",
+    "Claim", "MarketModel",
     "PiecewiseConstant", "RegimeCoefficients", "TimeGrid", "PathEnsemble",
     "ValidationReport", "validate_model", "simulate_paths", "claim_payoff",
     "Quadrature", "SpaceGrid", "ValueSurface", "SolverError", "solve_bsde",

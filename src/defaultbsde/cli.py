@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from .approx import (NonConvergenceError, check_doubling, check_schedule, converge,
                      k_sweep)
 from .driver import StrategySet
-from .model import (DW_CLIP, Claim, Constant, DefaultIndicator, MarketModel,
-                    PiecewiseConstant, RegimeCoefficients, StockPayoff,
+from .model import (DW_CLIP, Claim, MarketModel, PiecewiseConstant, RegimeCoefficients,
                     TimeGrid, ValidationReport, coefficient_violations, validate_model)
 from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
                      monte_carlo_violation)
@@ -103,11 +102,12 @@ def _floats(raw) -> tuple:
     return tuple(float(v) for v in raw)
 
 
-# per claim variant: the class, the conversion of each field, the fields in argument order
+# per claim variant: the builder, the conversion of each field, the fields in argument order
 CLAIMS = {
-    "constant": (Constant, float, ("value",)),
-    "default_indicator": (DefaultIndicator, float, ("pays_survival", "pays_default")),
-    "stock_payoff": (StockPayoff, _floats, ("s_nodes", "survive_values", "default_values")),
+    "constant": (Claim.constant, float, ("value",)),
+    "default_indicator": (Claim.default_indicator, float, ("pays_survival", "pays_default")),
+    "stock_payoff": (lambda s_nodes, *rows: Claim(s_nodes, rows), _floats,
+                     ("s_nodes", "survive_values", "default_values")),
 }
 
 

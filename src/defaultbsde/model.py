@@ -37,9 +37,6 @@ __all__ = [
     "RegimeCoefficients",
     "MarketModel",
     "Claim",
-    "Constant",
-    "DefaultIndicator",
-    "StockPayoff",
     "ValidationReport",
     "PathEnsemble",
     "validate_model",
@@ -171,122 +168,63 @@ class MarketModel:
         return tab
 
 
+@dataclass(frozen=True)
 class Claim:
-    """Terminal payoff xi as a function of (S_T, N_T), bounded below."""
+    """Terminal payoff xi(S_T, N_T): one table in log S per default state.
 
-    def payoff(self, s: np.ndarray | float, n: int) -> np.ndarray | float:
-        raise NotImplementedError
-
-    def bounds(self) -> tuple[float, float]:
-        """(inf, sup) of the payoff over all terminal states."""
-        raise NotImplementedError
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.bounds()[0] >= 0.0
-
-    def shifted(self, c: float) -> "Claim":
-        """The claim xi + c."""
-        raise NotImplementedError
-
-    def negated(self) -> "Claim":
-        """The claim -xi (used for the selling price)."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Constant(Claim):
-    value: float
-
-    def payoff(self, s, n):
-        return np.full_like(np.asarray(s, dtype=float), self.value) if np.ndim(s) else self.value
-
-    def bounds(self):
-        return (self.value, self.value)
-
-    def shifted(self, c):
-        return Constant(self.value + c)
-
-    def negated(self):
-        return Constant(-self.value)
-
-    def describe(self):
-        return f"Constant({self.value:g})"
-
-
-@dataclass(frozen=True)
-class DefaultIndicator(Claim):
-    """Pays ``pays_survival`` if no default by T, else ``pays_default``."""
-
-    pays_survival: float
-    pays_default: float
-
-    def payoff(self, s, n):
-        v = self.pays_default if n == 1 else self.pays_survival
-        return np.full_like(np.asarray(s, dtype=float), v) if np.ndim(s) else v
-
-    def bounds(self):
-        lo = min(self.pays_survival, self.pays_default)
-        hi = max(self.pays_survival, self.pays_default)
-        return (lo, hi)
-
-    def shifted(self, c):
-        return DefaultIndicator(self.pays_survival + c, self.pays_default + c)
-
-    def negated(self):
-        return DefaultIndicator(-self.pays_survival, -self.pays_default)
-
-    def describe(self):
-        return f"DefaultIndicator({self.pays_survival:g},{self.pays_default:g})"
-
-
-@dataclass(frozen=True)
-class StockPayoff(Claim):
-    """Tabulated payoff phi(s, n), linear in log s between nodes, clamped outside."""
+    Row ``values[n]`` holds the payoff at ``s_nodes`` when N_T = n.  The
+    payoff is linear in log S between the nodes and flat beyond them, so a
+    one-node table does not depend on S_T.
+    """
 
     s_nodes: tuple[float, ...]
-    survive_values: tuple[float, ...]
-    default_values: tuple[float, ...]
+    values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if not (len(self.s_nodes) == len(self.survive_values) == len(self.default_values)):
+        if len(self.values) != 2:
+            raise ValueError("need two rows of values, one per default state")
+        if not all(len(row) == len(self.s_nodes) for row in self.values):
             raise ValueError("table columns must have equal length")
-        if len(self.s_nodes) < 2:
-            raise ValueError("need at least two table nodes")
-        if any(s <= 0 for s in self.s_nodes):
-            raise ValueError("s_nodes must be positive")
+        if not self.s_nodes:
+            raise ValueError("need at least one table node")
+        if not all(0.0 < s < math.inf for s in self.s_nodes):
+            raise ValueError("s_nodes must be positive and finite")
         if any(b >= a for a, b in zip(self.s_nodes[1:], self.s_nodes[:-1])):
             raise ValueError("s_nodes must be strictly increasing")
 
-    def payoff(self, s, n):
-        table = self.default_values if n == 1 else self.survive_values
-        x = np.log(np.asarray(s, dtype=float))
-        out = np.interp(x, np.log(self.s_nodes), table)
+    @classmethod
+    def constant(cls, value: float) -> "Claim":
+        """Pays ``value`` in every terminal state."""
+        return cls((1.0,), ((value,), (value,)))
+
+    @classmethod
+    def default_indicator(cls, pays_survival: float, pays_default: float) -> "Claim":
+        """Pays ``pays_survival`` if no default by T, else ``pays_default``."""
+        return cls((1.0,), ((pays_survival,), (pays_default,)))
+
+    @property
+    def depends_on_s(self) -> bool:
+        """Whether some row is not constant."""
+        return any(min(row) != max(row) for row in self.values)
+
+    def payoff(self, s: np.ndarray | float, n: int) -> np.ndarray | float:
+        """xi at S_T = s and N_T = n: a float, or an array for an array s."""
+        with np.errstate(divide="ignore"):  # a price of 0 takes the first node's value
+            x = np.log(np.asarray(s, dtype=float))
+        out = np.interp(x, np.log(self.s_nodes), self.values[n])
         return out if np.ndim(s) else float(out)
 
-    def bounds(self):
-        vals = self.survive_values + self.default_values
-        return (min(vals), max(vals))
+    def bounds(self) -> tuple[float, float]:
+        """(inf, sup) of the payoff over all terminal states."""
+        return min(map(min, self.values)), max(map(max, self.values))
 
-    def shifted(self, c):
-        return StockPayoff(
-            self.s_nodes,
-            tuple(v + c for v in self.survive_values),
-            tuple(v + c for v in self.default_values),
-        )
+    def shifted(self, c: float) -> "Claim":
+        """The claim xi + c."""
+        return Claim(self.s_nodes, tuple(tuple(v + c for v in row) for row in self.values))
 
-    def negated(self):
-        return StockPayoff(
-            self.s_nodes,
-            tuple(-v for v in self.survive_values),
-            tuple(-v for v in self.default_values),
-        )
-
-    def describe(self):
-        return f"StockPayoff({len(self.s_nodes)} nodes)"
+    def negated(self) -> "Claim":
+        """The claim -xi (used for the selling price)."""
+        return Claim(self.s_nodes, tuple(tuple(-v for v in row) for row in self.values))
 
 
 def claim_payoff(claim: Claim, s_T: float, n_T: int) -> float:
@@ -320,8 +258,8 @@ def validate_model(model: MarketModel, shock: float = DW_CLIP) -> ValidationRepo
     g, c = model.grid, model.coeffs
     if not model.gamma > 0:
         rep.violations.append("gamma must be positive")
-    if not model.s0 > 0:
-        rep.violations.append("s0 must be positive")
+    if not 0.0 < model.s0 < math.inf:
+        rep.violations.append("s0 must be positive and finite")
 
     named = (("mu_pre", c.mu_pre), ("sigma_pre", c.sigma_pre), ("mu_post", c.mu_post),
              ("sigma_post", c.sigma_post), ("beta", c.beta), ("lambda", c.lam))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import open_output
-from .model import (Claim, MarketModel, PathEnsemble, StockPayoff, TimeGrid,
-                    coefficient_violations, simulate_paths)
+from .model import (Claim, MarketModel, PathEnsemble, TimeGrid, coefficient_violations,
+                    simulate_paths)
 from .solver import Quadrature, ValueSurface
 
 __all__ = ["DPTree", "DriftReport", "brute_force_dp", "dp_violations", "martingale_check",
@@ -79,10 +79,10 @@ class DPTree:
 
 
 def dp_violations(model: MarketModel, claim: Claim, tree: DPTree) -> list[str]:
-    """`coefficient_violations` at the DP's times i T / n_small; for a
-    StockPayoff only, whose full tree alone takes a log of S, the q-node Euler
+    """`coefficient_violations` at the DP's times i T / n_small; for a claim
+    that depends on S, whose full tree alone takes a log of S, the q-node Euler
     factor and the (2q)^n_small leaves against NODE_BUDGET."""
-    stock = isinstance(claim, StockPayoff)
+    stock = claim.depends_on_s
     shock = Quadrature.gauss_hermite(tree.q).max_abs_node if stock else None
     bad = [f"DP {v}" for v in coefficient_violations(
         model, TimeGrid(model.grid.horizon, tree.n_small), shock)]
@@ -116,7 +116,7 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     # per step i and regime n, (mu, sigma, lam, beta) at the tree's own times i * dt
     tab = model.coeffs.table(TimeGrid(model.grid.horizon, n_small).times()[:-1]).tolist()
 
-    if isinstance(claim, StockPayoff):
+    if claim.depends_on_s:
         return _dp_stock_tree(model, claim, tree, tab, dt, dw, w, pis)
 
     # payoff independent of S_T: state collapses to the default flag

@@ -1,9 +1,9 @@
 """Hodges indifference prices from value functions on one k schedule.
 
 Buying price: p = (1/gamma) ln(J(0,0) / J(0,xi)); selling price: p* = -p(-xi).
-`indifference_price` reports both, the selling price when the claim is
-bounded above.  The legs of a price -- the zero claim, the claim and, for
-the selling price, the negated claim -- run through one k-doubling loop
+`indifference_price` reports both, the selling price when it is wanted.
+The legs of a price -- the zero claim, the claim and, for the selling
+price, the negated claim -- run through one k-doubling loop
 (`approx.converge_legs`).  They share the grid, the quadrature, the k
 schedule and the stopping rule, so the discretization bias largely cancels
 in the ratio; the loop stops only when every leg meets the relative Cauchy
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 # solve_j0 is imported only so that benchmark/tracing.py can wrap it by this name
 from .approx import converge_legs, solve_j0  # noqa: F401
-from .model import Claim, Constant, MarketModel
+from .model import Claim, MarketModel
 from .solver import Quadrature, SpaceGrid
 
 __all__ = ["PriceReport", "indifference_price", "price_legs", "wealth_scaling"]
@@ -58,10 +58,10 @@ def wealth_scaling(x: float, v0: float, gamma: float) -> float:
 
 def price_legs(claim: Claim, with_selling: bool = True) -> tuple[tuple, tuple]:
     """(claims, names) of the legs that `indifference_price` solves, in pass order:
-    the zero claim, the claim and, when the selling price is wanted and the
-    claim is bounded above, the negated claim."""
-    claims, names = (Constant(0.0), claim), ("zero", "claim")
-    if with_selling and math.isfinite(claim.bounds()[1]):
+    the zero claim, the claim and, when the selling price is wanted, the
+    negated claim."""
+    claims, names = (Claim.constant(0.0), claim), ("zero", "claim")
+    if with_selling:
         claims, names = claims + (claim.negated(),), names + ("negated claim",)
     return claims, names
 
@@ -69,15 +69,13 @@ def price_legs(claim: Claim, with_selling: bool = True) -> tuple[tuple, tuple]:
 def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
                        quad: Quadrature, k0: float, tol_rel: float,
                        with_selling: bool = True) -> PriceReport:
-    """Hodges buying price of a claim bounded below, with per-k approximations.
+    """Hodges buying price of a claim, with per-k approximations.
 
-    Runs xi = 0, xi = claim and, when the selling price is wanted and the
-    claim is bounded above, xi = -claim through one k-doubling loop with
-    identical numerical settings; p^k = (1/gamma) ln(J^{k,0} / J^{k,xi})
-    converges to the price.  Both prices come from the loop's final k.
+    Runs xi = 0, xi = claim and, when the selling price is wanted,
+    xi = -claim through one k-doubling loop with identical numerical
+    settings; p^k = (1/gamma) ln(J^{k,0} / J^{k,xi}) converges to the
+    price.  Both prices come from the loop's final k.
     """
-    if not math.isfinite(claim.bounds()[0]):
-        raise ValueError("pricing: claim must be bounded below")
     gamma = model.gamma
     claims, names = price_legs(claim, with_selling)
     legs = converge_legs(model, claims, names, space, quad, k0, tol_rel)

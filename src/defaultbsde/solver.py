@@ -89,8 +89,8 @@ class SpaceGrid:
     half_width: float
 
     def __post_init__(self):
-        if not self.m_intervals >= 2:
-            raise ValueError("m must be >= 2")
+        if not (isinstance(self.m_intervals, (int, np.integer)) and self.m_intervals >= 2):
+            raise ValueError(f"m must be >= 2 and an integer, got {self.m_intervals!r}")
         if not 0 < self.half_width < math.inf:
             raise ValueError(f"grid half-width L = L_mult * sigma_max * sqrt(T) = "
                              f"{self.half_width:g} must be positive and finite")

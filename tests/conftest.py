@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, PiecewiseConstant,
+from defaultbsde import (Claim, MarketModel, PiecewiseConstant,
                          Quadrature, RegimeCoefficients, SpaceGrid, TimeGrid)
 
 # closed forms used across the suite
@@ -48,8 +48,8 @@ def coeffs_in_force(model: MarketModel, t: float, n: int) -> tuple:
     return c.mu_pre(t), c.sigma_pre(t), c.lam(t), c.beta(t)
 
 
-BOND_CLAIM = DefaultIndicator(1.0, 0.0)
-ZERO_CLAIM = Constant(0.0)
+BOND_CLAIM = Claim.default_indicator(1.0, 0.0)
+ZERO_CLAIM = Claim.constant(0.0)
 
 
 @pytest.fixture
@@ -83,8 +83,8 @@ def random_mild_model(rng: np.random.Generator, n_steps: int = 100) -> MarketMod
 
 def random_claim(rng: np.random.Generator):
     if rng.random() < 0.5:
-        return Constant(float(rng.uniform(-0.5, 1.5)))
-    return DefaultIndicator(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.5)))
+        return Claim.constant(float(rng.uniform(-0.5, 1.5)))
+    return Claim.default_indicator(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.5)))
 
 
 def solve_setup(model: MarketModel, m_space: int = 80, quad_nodes: int = 7):

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from defaultbsde import (CoeffSnapshot, Constant, StrategySet, brute_force_dp,
+from defaultbsde import (CoeffSnapshot, StrategySet, brute_force_dp,
                          extract_optimal_strategy, f_pi, g_quadratic,
                          indifference_price, lipschitz_bound, martingale_check,
                          minimize_driver, solve_bsde, surface_at_origin)
@@ -103,7 +103,7 @@ def test_criterion_5_bounds_and_terminal_exactness():
             for n in (0, 1))
         in_bounds = bool(np.all(surf.Y > 0.0) and np.all(surf.Y <= 1.0 + 4e-16))
         ok = ok and terminal_exact and in_bounds
-        detail.append(f"{claim.describe()}: bounds={in_bounds} terminal={terminal_exact}")
+        detail.append(f"{claim!r}: bounds={in_bounds} terminal={terminal_exact}")
     check(5, "0 < Y <= 1 for xi >= 0, exact terminal slice", ok, "; ".join(detail))
 
 

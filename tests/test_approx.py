@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defaultbsde import (CoeffSnapshot, Constant, DefaultIndicator, MarketModel,
+from defaultbsde import (Claim, CoeffSnapshot, MarketModel,
                          NonConvergenceError, PiecewiseConstant, RegimeCoefficients,
-                         SolverError, StockPayoff, StrategySet, TimeGrid, converge,
+                         SolverError, StrategySet, TimeGrid, converge,
                          approx, indifference_price, k_sweep, solve_bsde, solver,
                          surface_at_origin)
 from defaultbsde.approx import converge_legs
@@ -35,7 +35,7 @@ class TestKSweep:
         space, quad = solve_setup(model, m_space=40)
         ks = [0.5, 1.0, 2.0]
         base = k_sweep(model, ZERO_CLAIM, space, quad, ks)
-        shifted = k_sweep(model, Constant(0.7), space, quad, ks)
+        shifted = k_sweep(model, Claim.constant(0.7), space, quad, ks)
         factor = math.exp(-model.gamma * 0.7)
         assert np.allclose(shifted.j0s, [factor * v for v in base.j0s], rtol=1e-12)
 
@@ -83,7 +83,7 @@ class TestKSweep:
                                        rel=1e-9)
 
     def test_solver_failure_tagged_with_k(self):
-        from defaultbsde import (DefaultIndicator, MarketModel, RegimeCoefficients,
+        from defaultbsde import (Claim, MarketModel, RegimeCoefficients,
                                  SolverError, TimeGrid)
         model = MarketModel(grid=TimeGrid(1.0, 2),
                             coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
@@ -91,7 +91,7 @@ class TestKSweep:
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=20)
         with pytest.raises(SolverError, match="k=0.5"):
-            k_sweep(model, DefaultIndicator(0.0, 20.0), space, quad, [0.5])
+            k_sweep(model, Claim.default_indicator(0.0, 20.0), space, quad, [0.5])
 
     def test_sweep_csv(self, tmp_path):
         model = merton_model(20)
@@ -121,7 +121,7 @@ class TestConverge:
                                                                beta=0.0, lam=0.0),
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=20)
-        j0, res = converge(model, Constant(0.4), space, quad, k0=0.25, tol_rel=1e-6)
+        j0, res = converge(model, Claim.constant(0.4), space, quad, k0=0.25, tol_rel=1e-6)
         assert len(res.ks) == 2  # first doubling already Cauchy
         assert j0 == pytest.approx(math.exp(-0.4), abs=1e-10)
 
@@ -219,8 +219,8 @@ def reference_j0(model, claim, k, space, quad):
 
 
 S_NODES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
-PUT = StockPayoff(S_NODES, tuple(max(1.0 - s, 0.0) for s in S_NODES),
-                  tuple(max(0.9 - s, 0.0) for s in S_NODES))
+PUT = Claim(S_NODES, (tuple(max(1.0 - s, 0.0) for s in S_NODES),
+                      tuple(max(0.9 - s, 0.0) for s in S_NODES)))
 
 
 def drifted_bond_market():
@@ -298,8 +298,8 @@ class TestBatchedPass:
 
 
 # a claim linear in log S over the whole grid: it keeps a pass M+1 nodes wide
-LOG_CLAIM = StockPayoff((0.1, 10.0), (0.5 * math.log(0.1), 0.5 * math.log(10.0)),
-                        (0.5 * math.log(0.1), 0.5 * math.log(10.0)))
+LOG_CLAIM = Claim((0.1, 10.0), ((0.5 * math.log(0.1), 0.5 * math.log(10.0)),
+                               (0.5 * math.log(0.1), 0.5 * math.log(10.0))))
 
 
 def recorded_pass(monkeypatch, model, claims, ks):
@@ -537,10 +537,10 @@ class TestFlatRows:
 
     def test_constant_stock_payoff_collapses_like_default_indicator(self, monkeypatch):
         model, _ = piecewise_market()
-        table = StockPayoff(S_NODES, (0.8,) * len(S_NODES), (0.3,) * len(S_NODES))
+        table = Claim(S_NODES, ((0.8,) * len(S_NODES), (0.3,) * len(S_NODES)))
         calls, _ = recorded_pass(monkeypatch, model, [table], [1.0])
         assert {width for *_, width in calls} == {2}
         space, quad = solve_setup(model, m_space=40)
-        want, _ = solve_j0_batch(model, [DefaultIndicator(0.8, 0.3)], [1.0], space, quad)
+        want, _ = solve_j0_batch(model, [Claim.default_indicator(0.8, 0.3)], [1.0], space, quad)
         got, _ = solve_j0_batch(model, [table], [1.0], space, quad)
         assert got[0] == want[0]

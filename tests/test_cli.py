@@ -116,7 +116,8 @@ class TestValidate:
         ("solve", "numerics", "k", -2, "k must be positive"),
         ("validate", "numerics", "quad_nodes", 400, "Gauss-Hermite rule is not finite"),
         # a constant claim: its negated leg's row exp(-709) is subnormal
-        ("price", "claim", "value", -709.0, "leg 2 (Constant(value=709.0))"),
+        ("price", "claim", "value", -709.0,
+         "leg 2 (Claim(s_nodes=(1.0,), values=((709.0,), (709.0,))))"),
         # a key that no block reads, a misspelt one included, is never ignored
         ("validate", "model", "pre_default", {"mu": 0.0, "sigma": 0.2, "lamda": 0.5},
          "model.pre_default: unknown keys ['lamda']"),
@@ -145,6 +146,16 @@ class TestValidate:
                                           "survive_values": [0.5, 0.0, 0.0],
                                           "default_values": [0.5, 0.0]},
          "table columns must have equal length"),
+        # a table node that is no finite price, and a price that is none
+        ("price", "claim", "variant", {"variant": "stock_payoff", "s_nodes": [0.5, 1.0, math.inf],
+                                       "survive_values": [0.5, 0.0, 0.0],
+                                       "default_values": [0.5, 0.0, 0.0]},
+         "s_nodes must be positive and finite"),
+        ("oracle", "claim", "variant", {"variant": "stock_payoff", "s_nodes": [0.5, math.nan, 2.0],
+                                        "survive_values": [0.5, 0.0, 0.0],
+                                        "default_values": [0.5, 0.0, 0.0]},
+         "s_nodes must be positive and finite"),
+        ("price", "model", "s0", 1e400, "s0 must be positive and finite"),
         ("price", "numerics", "tol_rell", 1e-9, "numerics: unknown keys ['tol_rell']"),
         ("price", "numerics", "refine", True, "numerics: unknown keys ['refine']"),
         ("oracle", "oracle", "n_path", 5000, "oracle: unknown keys ['n_path']"),

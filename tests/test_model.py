@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, PathEnsemble,
-                         PiecewiseConstant, RegimeCoefficients, StockPayoff, TimeGrid,
+from defaultbsde import (Claim, MarketModel, PathEnsemble,
+                         PiecewiseConstant, RegimeCoefficients, TimeGrid,
                          claim_payoff, simulate_paths, validate_model)
 from defaultbsde.model import DW_CLIP, _DRAW_CHUNK, coefficient_violations
 
@@ -304,36 +304,36 @@ class TestSimulate:
 
 class TestClaims:
     def test_constant(self):
-        assert claim_payoff(Constant(2.5), 1.7, 0) == 2.5
-        assert claim_payoff(Constant(2.5), 0.2, 1) == 2.5
+        assert claim_payoff(Claim.constant(2.5), 1.7, 0) == 2.5
+        assert claim_payoff(Claim.constant(2.5), 0.2, 1) == 2.5
 
     def test_default_indicator(self):
-        c = DefaultIndicator(1.0, 0.0)
+        c = Claim.default_indicator(1.0, 0.0)
         assert claim_payoff(c, 1.0, 0) == 1.0
         assert claim_payoff(c, 1.0, 1) == 0.0
 
     def test_stock_payoff_node_hit(self):
         s_nodes = tuple(np.exp(np.linspace(-1.0, 1.0, 41)))
         call = tuple(max(s - 1.0, 0.0) for s in s_nodes)
-        c = StockPayoff(s_nodes, call, call)
+        c = Claim(s_nodes, (call, call))
         s_query = s_nodes[25]  # an exact table node
         assert claim_payoff(c, s_query, 0) == pytest.approx(s_query - 1.0, abs=1e-15)
 
     def test_stock_payoff_log_interpolation_and_clamp(self):
-        c = StockPayoff((1.0, math.e), (0.0, 1.0), (5.0, 5.0))
+        c = Claim((1.0, math.e), ((0.0, 1.0), (5.0, 5.0)))
         assert claim_payoff(c, math.exp(0.5), 0) == pytest.approx(0.5, abs=1e-12)
         assert claim_payoff(c, 10.0, 0) == 1.0   # clamped above
         assert claim_payoff(c, 0.1, 0) == 0.0    # clamped below
         assert claim_payoff(c, 2.0, 1) == 5.0
 
     def test_bounds_and_flags(self):
-        assert Constant(-2.0).bounds() == (-2.0, -2.0)
-        assert not Constant(-2.0).nonnegative
-        assert DefaultIndicator(1.0, 0.0).nonnegative
-        neg = DefaultIndicator(1.0, 0.0).negated()
+        assert Claim.constant(-2.0).bounds() == (-2.0, -2.0)
+        assert Claim.constant(-2.0).bounds()[0] < 0.0
+        assert Claim.default_indicator(1.0, 0.0).bounds()[0] >= 0.0
+        neg = Claim.default_indicator(1.0, 0.0).negated()
         assert neg.bounds() == (-1.0, 0.0)
-        shifted = Constant(1.0).shifted(0.5)
-        assert shifted.value == 1.5
+        shifted = Claim.constant(1.0).shifted(0.5)
+        assert shifted.values == ((1.5,), (1.5,))
 
     def test_merton_fixture_is_valid(self):
         assert validate_model(merton_model()).ok

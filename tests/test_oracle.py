@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DPTree, MarketModel, PiecewiseConstant, RegimeCoefficients,
-                         StockPayoff, StrategySet, TimeGrid, brute_force_dp,
+from defaultbsde import (Claim, DPTree, MarketModel, PiecewiseConstant, RegimeCoefficients,
+                         StrategySet, TimeGrid, brute_force_dp,
                          extract_optimal_strategy, martingale_check, simulate_paths,
                          solve_bsde, surface_at_origin, validate_model)
+from defaultbsde.oracle import dp_violations
 
 from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
                       coeffs_in_force, merton_model, piecewise_model, solve_setup)
@@ -79,7 +80,15 @@ class TestBruteForceDP:
 def stock_claim():
     s_nodes = tuple(np.exp(np.linspace(-1.5, 1.5, 61)))
     payoff = tuple(max(s - 1.0, 0.0) for s in s_nodes)
-    return StockPayoff(s_nodes, payoff, payoff)
+    return Claim(s_nodes, (payoff, payoff))
+
+
+def jump_market():
+    return MarketModel(grid=TimeGrid(1.0, 5),
+                       coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25, beta=-0.3,
+                                                          lam=0.3, mu_post=-0.02,
+                                                          sigma_post=0.4),
+                       gamma=1.0)
 
 
 def reference_stock_dp(model, claim, k, n_small, q, g):
@@ -128,17 +137,24 @@ class TestStockTree:
     @pytest.mark.parametrize("g", [1, 21])
     @pytest.mark.parametrize("market", ["jump", "piecewise"])
     def test_matches_per_strategy_loop(self, market, g):
-        if market == "jump":
-            model = MarketModel(grid=TimeGrid(1.0, 5),
-                                coeffs=RegimeCoefficients.constant(
-                                    mu=0.05, sigma=0.25, beta=-0.3, lam=0.3,
-                                    mu_post=-0.02, sigma_post=0.4),
-                                gamma=1.0)
-        else:
-            model = piecewise_model(5)
+        model = jump_market() if market == "jump" else piecewise_model(5)
         args = (model, stock_claim(), 1.5, 5, 3, g)
         want = reference_stock_dp(*args)
         assert brute_force_dp(*args) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("market", [jump_market, bond_model], ids=["jump", "bond"])
+    def test_flat_table_takes_the_two_state_collapse(self, market):
+        # a table whose rows are constant does not depend on S: it takes the
+        # collapse, which the full tree matches to rounding
+        model = market()
+        flat = Claim((0.5, 1.0, 2.0), ((0.8,) * 3, (0.3,) * 3))
+        assert not flat.depends_on_s
+        got = brute_force_dp(model, flat, 1.5, 5, 3, 21)
+        assert got == brute_force_dp(model, Claim.default_indicator(0.8, 0.3), 1.5, 5, 3, 21)
+        want = reference_stock_dp(model, flat, 1.5, 5, 3, 21)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        # no tree is built, so neither its budget nor its Euler factor applies
+        assert dp_violations(model, flat, DPTree(n_small=10, q=9, g=21, k=1.5)) == []
 
     def test_budget_rejection(self):
         model = bond_model()
@@ -157,7 +173,7 @@ class TestStockTree:
                                              r"\(t=0.166667\)"):
             brute_force_dp(model, stock_claim(), k=2.0, n_small=6, q=5, g=41)
         # the two-state collapse takes no log of S: its factor is not checked
-        brute_force_dp(model, Constant(0.0), k=2.0, n_small=6, q=5, g=41)
+        brute_force_dp(model, Claim.constant(0.0), k=2.0, n_small=6, q=5, g=41)
 
     def test_small_tree_agrees_with_solver(self):
         coeffs = RegimeCoefficients.constant(mu=0.15, sigma=0.25, beta=-0.3, lam=0.4)
@@ -195,8 +211,8 @@ class TestMartingaleCheck:
                                                                beta=0.0, lam=0.0),
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=40)
-        surf = solve_bsde(model, Constant(0.7), StrategySet(-1, 1), space, quad)
-        drift = martingale_check(model, Constant(0.7), surf, lambda t, s, n: 0.0,
+        surf = solve_bsde(model, Claim.constant(0.7), StrategySet(-1, 1), space, quad)
+        drift = martingale_check(model, Claim.constant(0.7), surf, lambda t, s, n: 0.0,
                                  1_000, seed=3)
         assert np.all(np.abs(drift.step_mean) < 1e-12)
         assert abs(drift.aggregate_mean) < 1e-12

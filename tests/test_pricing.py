@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from defaultbsde import (Claim, Constant, DefaultIndicator, MarketModel,
+from defaultbsde import (Claim, MarketModel,
                          NonConvergenceError, RegimeCoefficients, SolverError, TimeGrid,
                          approx, converge, indifference_price, solver,
                          wealth_scaling)
@@ -21,12 +21,12 @@ def price(model, claim, m_space=60, k0=0.25, tol_rel=1e-6, **kw):
 
 class TestBuyPrice:
     def test_zero_claim_prices_to_zero(self):
-        rep = price(merton_model(50), Constant(0.0))
+        rep = price(merton_model(50), Claim.constant(0.0))
         assert rep.buy_price == 0.0
         assert rep.J0_zero == rep.J0_claim
 
     def test_constant_claim_cash_translation(self):
-        rep = price(merton_model(50), Constant(0.8))
+        rep = price(merton_model(50), Claim.constant(0.8))
         assert abs(rep.buy_price - 0.8) < 1e-10
         assert rep.sell_price == pytest.approx(0.8, abs=1e-10)
 
@@ -56,8 +56,8 @@ class TestBuyPrice:
 
     def test_monotone_in_claim(self):
         model = bond_model(50)
-        rep_lo = price(model, DefaultIndicator(0.5, 0.1), with_selling=False)
-        rep_hi = price(model, DefaultIndicator(0.9, 0.3), with_selling=False)
+        rep_lo = price(model, Claim.default_indicator(0.5, 0.1), with_selling=False)
+        rep_hi = price(model, Claim.default_indicator(0.9, 0.3), with_selling=False)
         assert rep_lo.buy_price <= rep_hi.buy_price + 1e-9
 
     def test_nonnegative_claim_nonnegative_price(self):
@@ -78,25 +78,6 @@ class TestSellPrice:
         buy_of_neg = indifference_price(model, BOND_CLAIM.negated(), space, quad,
                                         0.25, 1e-6, with_selling=False).buy_price
         assert sell == pytest.approx(-buy_of_neg, abs=1e-12)
-
-    def test_rejects_unbounded_above(self):
-        # the sell side is declined: no sell price, no negated leg
-        class UnboundedClaim(Claim):
-            def payoff(self, s, n):
-                return np.maximum(np.asarray(s, dtype=float) - 1.0, 0.0)
-
-            def bounds(self):
-                return (0.0, math.inf)
-
-            def negated(self):
-                raise AssertionError("should not be reached")
-
-            def describe(self):
-                return "unbounded call"
-
-        rep = price(bond_model(20), UnboundedClaim(), m_space=20)
-        assert rep.sell_price is None and rep.buy_price > 0.0
-        assert "J0_negated_per_k" not in rep.diagnostics
 
 
 class TestOneLoop:
@@ -130,7 +111,7 @@ class TestOneLoop:
         # serves both prices
         for k in solved:
             assert ([c for kc, c in columns if kc == k]
-                    == [Constant(0.0), BOND_CLAIM, BOND_CLAIM.negated()])
+                    == [Claim.constant(0.0), BOND_CLAIM, BOND_CLAIM.negated()])
 
     def test_legs_match_one_leg_converge(self):
         # a drifted bond market, so the schedule runs several doublings
@@ -141,7 +122,7 @@ class TestOneLoop:
         space, quad = solve_setup(model, m_space=40)
         diag = indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6).diagnostics
         assert len(diag["ks"]) > 2
-        for key, leg in (("J0_zero_per_k", Constant(0.0)),
+        for key, leg in (("J0_zero_per_k", Claim.constant(0.0)),
                          ("J0_claim_per_k", BOND_CLAIM),
                          ("J0_negated_per_k", BOND_CLAIM.negated())):
             _, res = converge(model, leg, space, quad, 0.25, 1e-6)
@@ -156,7 +137,7 @@ class TestOneLoop:
         space, quad = solve_setup(model, m_space=30)
         with pytest.raises(NonConvergenceError,
                            match=r"leg\(s\) zero, claim, negated claim \(") as exc:
-            indifference_price(model, Constant(0.3), space, quad, 0.125, 1e-9)
+            indifference_price(model, Claim.constant(0.3), space, quad, 0.125, 1e-9)
         assert len(exc.value.ks) == 2
         assert exc.value.j0s[1] < exc.value.j0s[0]
 
@@ -168,7 +149,7 @@ class TestOneLoop:
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=40)
         with pytest.raises(SolverError, match="k=0.25: solver"):
-            indifference_price(model, DefaultIndicator(0.0, 20.0), space, quad, 0.25, 1e-6)
+            indifference_price(model, Claim.default_indicator(0.0, 20.0), space, quad, 0.25, 1e-6)
 
 
 class TestWealthScaling:

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from defaultbsde import (Constant, DefaultIndicator, MarketModel, PiecewiseConstant,
-                         Quadrature, RegimeCoefficients, SolverError, SpaceGrid, StockPayoff,
+from defaultbsde import (Claim, MarketModel, PiecewiseConstant,
+                         Quadrature, RegimeCoefficients, SolverError, SpaceGrid,
                          StrategySet, TimeGrid, extract_optimal_strategy, solve_bsde,
                          surface_at_origin)
 
@@ -28,14 +28,14 @@ class TestClosedForms:
                             coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.3,
                                                                beta=0.0, lam=0.0),
                             gamma=1.0)
-        surf = solve(model, Constant(0.0), m_space=40)
+        surf = solve(model, Claim.constant(0.0), m_space=40)
         assert np.allclose(surf.Y, 1.0, atol=1e-12)
         assert np.allclose(surf.Z[:-1], 0.0, atol=1e-12)
         assert np.allclose(surf.U[:-1], 0.0, atol=1e-12)
         assert np.allclose(surf.pi_hat[:-1], 0.0, atol=1e-12)
 
     def test_merton(self):
-        surf = solve(merton_model(200), Constant(0.0), m_space=200)
+        surf = solve(merton_model(200), Claim.constant(0.0), m_space=200)
         assert abs(surface_at_origin(surf) - MERTON_J0) < 1e-3
         assert np.all(np.abs(surf.pi_hat[:-1, 1:-1, :] - 1.0) < 1e-3)
 
@@ -47,15 +47,15 @@ class TestClosedForms:
     def test_merton_grid_convergence(self):
         errs = []
         for n, m in ((50, 50), (100, 100), (200, 200)):
-            surf = solve(merton_model(n), Constant(0.0), m_space=m)
+            surf = solve(merton_model(n), Claim.constant(0.0), m_space=m)
             errs.append(abs(surface_at_origin(surf) - MERTON_J0))
         assert errs[0] > errs[1] > errs[2]
 
     def test_merton_first_order_in_dt(self):
         # the explicit step grows Y by (1 - theta^2 dt / 2) where the exact
         # factor is exp(-theta^2 dt / 2): J0 lies below MERTON_J0 by O(dt)
-        errs = [surface_at_origin(solve(merton_model(n), Constant(0.0), m_space=n)) - MERTON_J0
-                for n in (50, 100, 200)]
+        errs = [surface_at_origin(solve(merton_model(n), Claim.constant(0.0), m_space=n))
+                - MERTON_J0 for n in (50, 100, 200)]
         assert all(e < 0.0 for e in errs)
         for coarse, fine in zip(errs, errs[1:]):
             assert 1.9 <= coarse / fine <= 2.1
@@ -71,7 +71,7 @@ class TestInvariants:
             assert np.array_equal(surf.Y[-1, :, n], expected)
 
     def test_bounds_nonnegative_claim(self):
-        for model, claim in ((merton_model(100), Constant(0.0)),
+        for model, claim in ((merton_model(100), Claim.constant(0.0)),
                              (bond_model(50), BOND_CLAIM)):
             surf = solve(model, claim, m_space=60)
             assert np.all(surf.Y > 0.0)
@@ -79,7 +79,7 @@ class TestInvariants:
 
     def test_bound_for_claim_bounded_below(self):
         model = bond_model(50)
-        claim = DefaultIndicator(-0.5, 1.0)  # bounded below by -K = -0.5
+        claim = Claim.default_indicator(-0.5, 1.0)  # bounded below by -K = -0.5
         surf = solve(model, claim, m_space=60)
         assert np.all(surf.Y <= math.exp(model.gamma * 0.5) + 1e-12)
 
@@ -88,7 +88,7 @@ class TestInvariants:
                             coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.2,
                                                                beta=0.4, lam=0.3),
                             gamma=0.8)
-        claim = DefaultIndicator(0.7, 0.1)
+        claim = Claim.default_indicator(0.7, 0.1)
         c = 1.3
         s1 = solve(model, claim, m_space=60)
         s2 = solve(model, claim.shifted(c), m_space=60)
@@ -101,8 +101,8 @@ class TestInvariants:
                             coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.2,
                                                                beta=0.4, lam=0.3),
                             gamma=1.0)
-        lo_claim = DefaultIndicator(0.5, 0.2)
-        hi_claim = DefaultIndicator(0.8, 0.4)
+        lo_claim = Claim.default_indicator(0.5, 0.2)
+        hi_claim = Claim.default_indicator(0.8, 0.4)
         s_lo = solve(model, lo_claim, m_space=60)
         s_hi = solve(model, hi_claim, m_space=60)
         assert np.all(s_lo.Y >= s_hi.Y - 1e-12)
@@ -114,7 +114,7 @@ class TestInvariants:
                                                                beta=0.5, lam=0.5),
                             gamma=1.0)
         with pytest.raises(SolverError, match=r"step \d+"):
-            solve(model, DefaultIndicator(0.0, 20.0), m_space=20)
+            solve(model, Claim.default_indicator(0.0, 20.0), m_space=20)
 
     def test_post_default_mean_positivity_located(self):
         model = bond_model(4)
@@ -130,7 +130,7 @@ class TestInvariants:
         # below the smallest one before t = 0
         with pytest.raises(SolverError, match=r"Y \(post-default\) >= 2.22507e-308 violated "
                                               r"at step 20, node 0 \(subnormal"):
-            solve(merton_model(100), Constant(708.0))
+            solve(merton_model(100), Claim.constant(708.0))
 
     def test_normal_terminal_row_exact(self):
         # the largest gamma*xi a terminal row takes is 708.39; at 708 the
@@ -139,17 +139,17 @@ class TestInvariants:
                             coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
                                                                beta=-0.3, lam=0.3),
                             gamma=1.0)
-        j0 = surface_at_origin(solve(model, Constant(0.0), m_space=20))
-        got = surface_at_origin(solve(model, Constant(708.0), m_space=20))
+        j0 = surface_at_origin(solve(model, Claim.constant(0.0), m_space=20))
+        got = surface_at_origin(solve(model, Claim.constant(708.0), m_space=20))
         assert got == pytest.approx(math.exp(-708.0) * j0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("claim, where", [
-        (Constant(800.0), "800, node 0, N_T = 1"),
-        (Constant(-800.0), "-800, node 0, N_T = 1"),
+        (Claim.constant(800.0), "800, node 0, N_T = 1"),
+        (Claim.constant(-800.0), "-800, node 0, N_T = 1"),
         # the survival row underflows to 0 while the default row is fine
-        (DefaultIndicator(800.0, 0.0), "800, node 0, N_T = 0"),
+        (Claim.default_indicator(800.0, 0.0), "800, node 0, N_T = 0"),
         # exp(-740) is subnormal: the scheme would lose 2% with no error
-        (Constant(740.0), "740, node 0, N_T = 1"),
+        (Claim.constant(740.0), "740, node 0, N_T = 1"),
     ])
     def test_terminal_row_out_of_range(self, claim, where):
         # exp(-800) underflows to 0 and exp(800) overflows; either is caught
@@ -162,7 +162,7 @@ class TestInvariants:
         # (20000 + 1) x (2000 + 1) node-steps would hold about 2.3 GB of surface
         model = MarketModel(grid=TimeGrid(1.0, 20000), coeffs=bond_model().coeffs, gamma=1.0)
         with pytest.raises(ValueError, match="40022001 node-steps exceeds the surface budget"):
-            solve(model, Constant(0.0), m_space=2000)
+            solve(model, Claim.constant(0.0), m_space=2000)
 
     def test_euler_factor_checked_at_quadrature_width(self):
         # sigma sqrt(dt) = 0.15: 7 nodes (largest 3.75) are fine, 20 (7.62) are not
@@ -170,21 +170,21 @@ class TestInvariants:
                             coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.3,
                                                                beta=0.0, lam=0.1),
                             gamma=1.0)
-        solve(model, Constant(0.0), m_space=20, quad_nodes=7)
+        solve(model, Claim.constant(0.0), m_space=20, quad_nodes=7)
         with pytest.raises(SolverError, match=r"Euler factor .* step 3"):
-            solve(model, Constant(0.0), m_space=20, quad_nodes=20)
+            solve(model, Claim.constant(0.0), m_space=20, quad_nodes=20)
 
 
 class TestStrategyExtraction:
     def test_merton_constant_one(self):
-        surf = solve(merton_model(100), Constant(0.0), m_space=60)
+        surf = solve(merton_model(100), Claim.constant(0.0), m_space=60)
         pi = extract_optimal_strategy(surf)
         for t in (0.0, 0.37, 0.99):
             vals = pi(t, np.array([0.5, 1.0, 2.0]), np.array([0, 0, 1]))
             assert np.allclose(vals, 1.0, atol=1e-3)
 
     def test_clipped_at_set_boundary(self):
-        surf = solve(merton_model(100), Constant(0.0), k=0.5, m_space=60)
+        surf = solve(merton_model(100), Claim.constant(0.0), k=0.5, m_space=60)
         pi = extract_optimal_strategy(surf)
         assert np.allclose(pi(0.5, np.array([1.0]), np.array([0])), 0.5, atol=1e-12)
 
@@ -195,7 +195,7 @@ class TestStrategyExtraction:
                                                                beta=0.5, lam=0.2,
                                                                mu_post=0.0),
                             gamma=1.0)
-        surf = solve(model, Constant(0.3), m_space=60)
+        surf = solve(model, Claim.constant(0.3), m_space=60)
         pi = extract_optimal_strategy(surf)
         assert np.allclose(pi(0.2, np.array([1.0]), np.array([0])), 0.0, atol=1e-9)
 
@@ -221,7 +221,7 @@ class TestRegimeRead:
             coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25, beta=-0.3,
                                                lam=0.3, mu_post=0.1),
             gamma=1.0, s0=1.3)
-        self.surf = solve(self.model, StockPayoff(s_nodes, put, put), m_space=60)
+        self.surf = solve(self.model, Claim(s_nodes, (put, put)), m_space=60)
         x = self.surf.space.nodes
         rng = np.random.default_rng(11)
         # random points, node points (up to exp/log rounding), and points
@@ -311,9 +311,10 @@ class TestExport:
             g.nodes[0] = 0.0
         assert g == SpaceGrid(40, 1.2) and hash(g) == hash(SpaceGrid(40, 1.2))
         assert g != SpaceGrid(41, 1.2) and g != SpaceGrid(40, 1.3)
-        for m in (1, 0, -3):
+        for m in (1, 0, -3, 10.5, 10.0):
             with pytest.raises(ValueError, match="m must be >= 2"):
                 SpaceGrid(m, 1.2)
+        assert SpaceGrid(np.int64(40), 1.2).nodes.tobytes() == want.tobytes()
         for half in (0.0, -1.2, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="half-width .* must be positive and finite"):
                 SpaceGrid(40, half)
