@@ -33,9 +33,12 @@ and the two are linked by f_min(y, z, u) = gamma * y * g(z/(gamma y),
 
 `minimize_driver_grid` checks nothing: its callers keep y > 0, y + u >= 0 and
 the shape rule that y, z and u (unless u is the scalar 0.0) share one shape.
+Its coefficients may be per-regime arrays, one regime per entry of the
+leading axis of y (see `CoeffSnapshot`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +61,9 @@ _W0_STEPS = 4
 
 @dataclass(frozen=True)
 class CoeffSnapshot:
-    """Coefficient values frozen at one (time, regime) point."""
+    """Coefficient values frozen at one (time, regime) point, or at one time
+    for R regimes: then mu, sigma, lam and beta are arrays of shape
+    (R, 1, ..., 1), and the driver reads entry n on row n of its inputs."""
 
     mu: float
     sigma: float
@@ -67,14 +72,28 @@ class CoeffSnapshot:
     gamma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
+        if not np.all(np.greater(self.sigma, 0)):
             raise ValueError("sigma must be positive")
-        if self.lam < 0:
+        if np.any(np.less(self.lam, 0)):
             raise ValueError("lambda must be nonnegative")
-        if not self.beta > -1:
+        if not np.all(np.greater(self.beta, -1)):
             raise ValueError("beta must exceed -1")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+
+    @functools.cached_property
+    def driver_terms(self) -> tuple:
+        """(gamma sigma sigma, sigma ** 2, lanes), once per snapshot.  lanes
+        pairs row n (``...`` for floats) with the float snapshot of each regime
+        with lam beta != 0.  sigma ** 2 squares floats: numpy's square of an
+        array may differ from Python's in the last bit."""
+        stacked = np.ndim(self.sigma) > 0
+        rows = [CoeffSnapshot(*r, gamma=self.gamma) for r in zip(*(
+            np.ravel(v).tolist() for v in (self.mu, self.sigma, self.lam, self.beta)))]
+        lanes = [(n if stacked else ..., r if stacked else self) for n, r in enumerate(rows)
+                 if r.lam * r.beta != 0.0]
+        sigma_sq = np.reshape([r.sigma ** 2 for r in rows], np.shape(self.sigma))
+        return self.gamma * self.sigma * self.sigma, sigma_sq, lanes
 
 
 @dataclass(frozen=True)
@@ -152,23 +171,27 @@ def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet, y, z, u):
 
     Callers keep the shape rule: y and z are float arrays of one shape with
     y > 0; u is an array of that shape with y + u >= 0, or the scalar 0.0.
+    Per-regime coefficients index the leading axis; the argmin and the jump
+    term are evaluated only on the regimes with lam beta != 0.
 
     Inputs are normalized by y before minimizing, which makes positive
     homogeneity of degree one exact up to rounding:
     f_min(t y, t z, t u) = t f_min(y, z, u) with the same argmin.
     """
-    zn = z / y
-    un = u / y
-    vertex = (c.mu + c.sigma * zn) / (c.gamma * c.sigma * c.sigma)
-    if c.lam * c.beta == 0.0:
-        pi = np.clip(vertex, strat.lo, strat.hi)
-    else:
-        # y + u = 0 gives ln 0 = -inf, kappa = 0 and the vertex itself
+    g, (curvature, sigma_sq, lanes) = c.gamma, c.driver_terms
+    zn, un = z / y, (u / y if lanes else None)
+    num = c.mu + c.sigma * zn
+    vertex = num / curvature
+    pi = np.minimum(np.maximum(vertex, strat.lo), strat.hi)
+    for n, cn in lanes:  # y + u = 0 gives ln 0 = -inf, kappa = 0 and the vertex itself
         with np.errstate(divide="ignore"):
-            pi = _argmin(c, strat, vertex, np.log1p(un) - c.gamma * c.beta * vertex)
-
-    f_min = y * f_pi(c, pi, 1.0, zn, un)
-    return f_min, pi
+            pi[n] = _argmin(cn, strat, vertex[n], np.log1p(un[n]) - g * cn.beta * vertex[n])
+    # f_pi at y = 1, written from the vertex's numerator mu + sigma z / y
+    f = 0.5 * g * g * pi * pi * sigma_sq - g * pi * num
+    for n, cn in lanes:
+        with np.errstate(over="ignore"):
+            f[n] -= cn.lam * (1.0 - np.exp(-g * pi[n] * cn.beta)) * (1.0 + un[n])
+    return y * f, pi
 
 
 def minimize_driver(c: CoeffSnapshot, strat: StrategySet, y: float, z: float,

@@ -96,10 +96,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise ValueError(f"n_steps must be >= 1 and an integer, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:

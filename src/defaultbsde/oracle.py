@@ -24,7 +24,7 @@ import numpy as np
 from ._util import open_output
 from .model import (Claim, MarketModel, PathEnsemble, TimeGrid, coefficient_violations,
                     simulate_paths)
-from .solver import Quadrature, ValueSurface
+from .solver import TINY, Quadrature, ValueSurface
 
 __all__ = ["DPTree", "DriftReport", "brute_force_dp", "dp_violations", "martingale_check",
            "monte_carlo_violation"]
@@ -51,14 +51,12 @@ class DPTree:
     k: float
 
     def __post_init__(self):
-        if not 1 <= self.n_small <= MAX_N_SMALL:
-            raise ValueError(f"n_small must be in [1, {MAX_N_SMALL}]")
-        if not 1 <= self.q <= MAX_Q:
-            raise ValueError(f"q must be in [1, {MAX_Q}]")
-        if not 1 <= self.g <= MAX_G:
-            raise ValueError(f"strategy grid count must be in [1, {MAX_G}]")
-        if not self.k > 0:
-            raise ValueError("k must be positive")
+        for name, v, cap in (("n_small", self.n_small, MAX_N_SMALL), ("q", self.q, MAX_Q),
+                             ("strategy grid count", self.g, MAX_G)):
+            if not (isinstance(v, (int, np.integer)) and 1 <= v <= cap):
+                raise ValueError(f"{name} must be in [1, {cap}] and an integer, got {v!r}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k!r}")
 
     def strategy_grid(self) -> np.ndarray:
         if self.g == 1:
@@ -79,13 +77,23 @@ class DPTree:
 
 
 def dp_violations(model: MarketModel, claim: Claim, tree: DPTree) -> list[str]:
-    """`coefficient_violations` at the DP's times i T / n_small; for a claim
-    that depends on S, whose full tree alone takes a log of S, the q-node Euler
-    factor and the (2q)^n_small leaves against NODE_BUDGET."""
+    """`coefficient_violations` at the DP's times i T / n_small; the claim's
+    table values, where exp(-gamma xi) must be a finite normal double, as in
+    `terminal_rows` (every payoff lies between them); for a claim that depends
+    on S, whose full tree alone takes a log of S, the q-node Euler factor and
+    the (2q)^n_small leaves against NODE_BUDGET."""
     stock = claim.depends_on_s
     shock = Quadrature.gauss_hermite(tree.q).max_abs_node if stock else None
     bad = [f"DP {v}" for v in coefficient_violations(
         model, TimeGrid(model.grid.horizon, tree.n_small), shock)]
+    gxi = model.gamma * np.array(claim.values, dtype=float)
+    with np.errstate(over="ignore"):
+        rows = np.exp(-gxi)
+    abnormal = np.argwhere(~(rows >= TINY) | np.isinf(rows))
+    if abnormal.size:
+        n, j = abnormal[0].tolist()
+        bad.append(f"DP exp(-gamma*xi) is no finite normal double at gamma*xi = "
+                   f"{gxi[n, j]:g}, node {j}, N_T = {n}")
     leaves = (2 * tree.q) ** tree.n_small
     if stock and leaves > NODE_BUDGET:
         bad.append(f"tree of {leaves} leaves exceeds the node budget {NODE_BUDGET}; "

@@ -1,8 +1,9 @@
 """Backward grid-quadrature solver for the constrained BSDE on (t, log S, N).
 
-Time marches backward from the terminal condition Y_T = exp(-gamma xi).  The
-post-default slice is a pure-diffusion BSDE (no jump term) and is advanced
-first; the pre-default slice then couples to it through the jump branch.
+Time marches backward from the terminal condition Y_T = exp(-gamma xi).  One
+step advances every default state at once: the pre-default slice couples to
+the post-default slice through its jump branch, and the post-default slice,
+the last regime, jumps nowhere (p = 0, U = 0): it is a pure-diffusion BSDE.
 
 Per step i and node x_j (pre-default):
 
@@ -15,20 +16,21 @@ Per step i and node x_j (pre-default):
     Y[i] = E + dt * f_min(coeffs(t_i), C, E, Z, U)
 
 with linear interpolation in x and flat extrapolation beyond [-L, L].  The
-driver is called once per regime and step, at the conditional mean E: the
-scheme is explicit and first order in dt.  The diffusion move is the no-jump
-branch of the forward Euler step, so the solver and the path simulator
-discretize the same dynamics.
+driver is called once per step for both regimes, at the conditional mean
+E: the scheme is explicit and first order in dt.  The diffusion move is the
+no-jump branch of the forward Euler step, so the solver and the path
+simulator discretize the same dynamics.
 
-Every pair of regimes, rows or results is a list indexed by the default
-state n = N_t (0 pre-default, 1 post-default), as the coefficient table
-(`RegimeCoefficients.table`) and the surface are.  On the uniform grid
-every move is a fixed stencil of taps, built once per coefficient interval
-together with its coefficient snapshot.  The backward pass carries a
-leading batch axis: each row of Y has its own terminal condition and its own
-C = [-k, k].  `solve_bsde` is the one-row case that keeps the whole surface;
-`solve_j0_batch` keeps only the current rows, lets the ks of one claim share
-a row until their constraint binds, and returns J0 per column (claim, k).
+The backward pass carries its rows as one array indexed (n, b, j): the
+default state n = N_t (0 pre-default, 1 post-default), as in the coefficient
+table (`RegimeCoefficients.table`), then the batch row b, then the node j.
+Each row b has its own terminal condition and its own C = [-k, k].  On the
+uniform grid every move is a fixed stencil of taps, built once per
+coefficient interval together with its coefficient snapshot, and stacked
+over the regimes.  `solve_bsde` is the one-row case that keeps the whole
+surface; `solve_j0_batch` keeps only the current rows, lets the ks of one
+claim share a row until their constraint binds, and returns J0 per column
+(claim, k).
 
 The coefficients depend on t only, so a claim paid on the default alone
 (a bond, a constant, the zero leg of a price) has a value function of
@@ -68,6 +70,8 @@ __all__ = [
 
 # the smallest normal double: below it Y keeps fewer than 53 significant bits
 TINY = float(np.finfo(float).tiny)
+# the regimes' names in error texts, indexed by n = N_t
+_NAMES = ("pre-default", "post-default")
 # solve_bsde keeps Y, Z, pi_hat (both regimes) and U, 56 bytes per
 # node-step of the (N+1) x (M+1) surface; tracemalloc puts its peak at 56-61
 # (N = 100..400, M = 400..2000), so this cap holds it near 1.1 GB
@@ -237,11 +241,15 @@ def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: boo
 
 
 def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
-    """Per step i < N, the list [pre-default, post-default] of
-    (snapshot, p, diffusion, jump), from the coefficient table at t_i.
+    """Per step i < N, (snapshot, p, lanes, offsets, taps, jump taps) of the
+    regimes at t_i, stacked on a leading regime axis n from the coefficient
+    table; lanes lists the regimes with lam > 0, whose E + U the step checks.
 
-    One snapshot and one pair of stencils per distinct coefficient tuple;
-    ``flat`` builds them for rows two nodes wide (see `_stencil`).
+    offsets[n] reads the rows of one batch row laid end to end: regime n's
+    diffusion moves, then its jump into regime n + 1.  The last regime jumps
+    nowhere: its jump columns read its own rows, and it has no jump taps.
+    One tuple per distinct coefficient row; ``flat`` builds the stencils for
+    rows two nodes wide (see `_stencil`).
     """
     g = model.grid
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
@@ -249,44 +257,58 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
     @functools.cache
     def regime(mu, sigma, lam, beta):
         moves = np.log(1.0 + mu * g.dt + sigma * math.sqrt(g.dt) * quad.nodes)
-        return (CoeffSnapshot(mu, sigma, lam, beta, gamma=model.gamma),
-                1.0 - math.exp(-lam * g.dt), _stencil(space, moves, weights, flat),
+        return (1.0 - math.exp(-lam * g.dt), _stencil(space, moves, weights, flat),
                 _stencil(space, np.array([math.log1p(beta)]), np.ones((1, 1)), flat))
 
-    return [[regime(*coeffs) for coeffs in step]
-            for step in model.step_table.tolist()]
+    @functools.cache
+    def step(coeffs):
+        ps, moves, jumps = zip(*(regime(*c) for c in coeffs))
+        last, w = len(coeffs) - 1, moves[0][0].shape[-1]
+        offsets = np.stack([np.concatenate([idx + n * w, jidx + min(n + 1, last) * w])
+                            for n, ((idx, _), (jidx, _)) in enumerate(zip(moves, jumps))])
+        taps, jump_taps = (np.stack([t for _, t in m])[:, None] for m in (moves, jumps[:-1]))
+        return (CoeffSnapshot(*np.array(coeffs).T[..., None, None], gamma=model.gamma),
+                np.array(ps)[:, None, None], [n for n, c in enumerate(coeffs) if c[2] > 0.0],
+                offsets, taps, jump_taps)
+
+    return [step(tuple(map(tuple, coeffs))) for coeffs in model.step_table.tolist()]
 
 
-def _step(regime: tuple, strat: StrategySet, dt: float, y_next: np.ndarray,
-          y_jump: np.ndarray | None, step: int):
-    """One backward step of one regime; returns (Y, Z, U, pi), (B, M+1) each.
+def _step(regime: tuple, strat: StrategySet, dt: float, ys: np.ndarray, step: int):
+    """One backward step of every regime from the step-(i+1) rows ``ys``
+    (R, B, M+1); returns (Y, Z, U, pi), (R, B, M+1) each.
 
-    Row b is batch column b, with its own bounds in ``strat``.  ``y_jump``
-    holds the post-default rows that the pre-default regime jumps to; the
-    post-default regime passes None and c.lam = 0, and its U is None.
-    ``pi`` is the driver's argmin, the strategy.
+    Row b is batch column b, with its own bounds in ``strat``.  Regime
+    n < R-1 jumps to the rows of regime n+1; the last regime jumps nowhere,
+    with p = 0 and U = 0.  ``pi`` is the driver's argmin, the strategy.
     """
-    c, p, (idx, taps), (jump_idx, jump_taps) = regime
-    name = "post-default" if y_jump is None else "pre-default"
-    moved = taps @ np.take(y_next, idx, axis=-1)
-    nojump = moved[:, 0]
-    Z = (1.0 - p) * moved[:, 1] / math.sqrt(dt)
-    E, U, u_eff = nojump, None, 0.0  # u_eff: the driver's jump argument; zero without jumps
-    if y_jump is not None:
-        vjump = (jump_taps @ np.take(y_jump, jump_idx, axis=-1))[:, 0]
-        E = (1.0 - p) * nojump + p * vjump
-        U = vjump - nojump
-        u_eff = U if c.lam > 0.0 else 0.0
-    _check_domain(E, u_eff, step, f"E ({name})")
-    f, pi = minimize_driver_grid(c, strat, E, Z, u_eff)
+    c, p, lanes, offsets, taps, jump_taps = regime
+    r, b, w = ys.shape  # one take reads every regime's moves in rows[:, b] laid end to end
+    rows = ys.transpose(1, 0, 2).reshape(b, r * w).take(offsets, axis=-1).transpose(1, 0, 2, 3)
+    moved = taps @ rows[:, :, :taps.shape[-1]]
+    nojump = moved[:, :, 0]
+    jumped = jump_taps @ rows[:-1, :, taps.shape[-1]:]
+    vjump = np.concatenate([jumped[:, :, 0], nojump[-1:]])
+    stay = 1.0 - p
+    E = stay * nojump + p * vjump
+    Z = stay * moved[:, :, 1] / math.sqrt(dt)
+    U = vjump - nojump
+    # E + U >= 0 binds only where lam > 0, but passes elsewhere on valid rows:
+    # a failed fast check is settled per regime, with the exact rule
+    if not (E.min() >= TINY and (E + U).min() >= 0.0):
+        for n in reversed(range(len(E))):
+            _check_domain(E[n], U[n] if n in lanes else 0.0, step, f"E ({_NAMES[n]})")
+    f, pi = minimize_driver_grid(c, strat, E, Z, U)
     y = E + dt * f
-    _check_domain(y, 0.0, step, f"Y ({name})")
+    if not y.min() >= TINY:
+        for n in reversed(range(len(y))):
+            _check_domain(y[n], 0.0, step, f"Y ({_NAMES[n]})")
     return y, Z, U, pi
 
 
 def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
-    """Check the scheme's step conditions; return the terminal rows as a list
-    indexed by n, row b for claims[b], and the per-step regimes of `_regimes`.
+    """Check the scheme's step conditions; return the terminal rows [n, b]
+    for N_T = n and claims[b], and the per-step regimes of `_regimes`.
 
     When every row equals its node 0, the rows are cut to two nodes and the
     regimes gather from node 0 (see the module docstring)."""
@@ -299,7 +321,7 @@ def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
         # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
         # kernel, while two columns reproduce the full-width product bit for bit
         rows = rows[..., :2]
-    return list(rows), _regimes(model, space, quad, flat)
+    return rows, _regimes(model, space, quad, flat)
 
 
 def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
@@ -312,7 +334,7 @@ def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
                                   for n in (0, 1)], dtype=float)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)
-    # post-default rows first, as the backward pass steps them first
+    # post-default rows first, as the backward pass checks them first
     bad = np.argwhere(~(rows[::-1] >= TINY) | np.isinf(rows[::-1]))
     if bad.size:
         m, b, j = bad[0].tolist()
@@ -321,20 +343,12 @@ def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
     return rows
 
 
-def _pair(regimes: list, strat: StrategySet, dt: float, ys: list, step: int) -> list:
-    """Step i of both regimes from the step-(i+1) rows ``ys[n]``; returns the
-    _step results indexed by n.  The post-default regime steps first; the
-    pre-default one jumps to the post-default rows ys[1]."""
-    post = _step(regimes[1], strat, dt, ys[1], None, step)
-    return [_step(regimes[0], strat, dt, ys[0], ys[1], step), post]
-
-
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
                space: SpaceGrid, quad: Quadrature) -> ValueSurface:
     """Backward induction for the constrained BSDE; see the module docstring.
 
     The one-column case of the backward pass that keeps every step: one
-    driver call per regime and step, at the conditional mean E.
+    driver call per step, for both regimes, at the conditional mean E.
 
     Raises ValueError, before any work, when the surface exceeds
     SURFACE_NODE_BUDGET; SolverError when the coefficients at the step times
@@ -347,19 +361,16 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     if bad is not None:
         raise ValueError(f"solver: {bad}")
     ys, regimes = _start(model, (claim,), space, quad)
-    n_steps, m1, w = model.grid.n_steps, space.nodes.size, ys[0].shape[-1]
+    n_steps, m1, w = model.grid.n_steps, space.nodes.size, ys.shape[-1]
     Y = np.empty((n_steps + 1, w, 2))
     Z = np.full((n_steps + 1, w, 2), np.nan)
     U = np.full((n_steps + 1, w), np.nan)
     pi_hat = np.full((n_steps + 1, w, 2), np.nan)
 
-    Y[n_steps] = np.stack(ys, axis=-1)[0]
+    Y[n_steps] = ys[:, 0].T
     for i in reversed(range(n_steps)):
-        outs = _pair(regimes[i], strat, model.grid.dt, ys, i)
-        for n, (y, z, _, pi) in enumerate(outs):
-            Y[i, :, n], Z[i, :, n], pi_hat[i, :, n] = y[0], z[0], pi[0]
-        U[i] = outs[0][2][0]
-        ys = [out[0] for out in outs]
+        ys, z, u, pi = _step(regimes[i], strat, model.grid.dt, ys, i)
+        Y[i], Z[i], U[i], pi_hat[i] = ys[:, 0].T, z[:, 0].T, u[0, 0], pi[:, 0].T
     if w < m1:  # a flat claim's two-node rows, spread over the grid
         Y, Z, U, pi_hat = (np.repeat(a[:, :1], m1, axis=1) for a in (Y, Z, U, pi_hat))
 
@@ -377,22 +388,18 @@ def surface_violation(model: MarketModel, space: SpaceGrid) -> str | None:
     return None
 
 
-def _reach(outs) -> np.ndarray:
-    """Per row of the _pair results ``outs``, max |pi| over the nodes and both regimes."""
-    return np.maximum(*(np.abs(out[3]).max(axis=-1) for out in outs))
-
-
 def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
                    quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
     """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward
     pass, and whether the column's strategy reached +-ks[b] at some node and step.
 
     The columns of one claim object share a row, solved at their smallest k,
-    until its strategy reaches +-k (`_reach`): then the smallest k keeps the row and
-    the wider ks get a new row, re-solved for that step from the rows of step
-    i+1 (again if it binds too).  A row that never reaches its bound is the row
-    of every wider bound, and no row depends on the batch width, so each J0 is
-    solve_bsde's bit for bit.  Holds rows, no surface; errors are solve_bsde's.
+    until its strategy reaches +-k at some node of either regime: then the
+    smallest k keeps the row and the wider ks get a new row, re-solved for
+    that step from the rows of step i+1 (again if it binds too).  A row that
+    never reaches its bound is the row of every wider bound, and no row
+    depends on the batch width, so each J0 is solve_bsde's bit for bit.
+    Holds rows, no surface; errors are solve_bsde's.
     """
     ks, dt, groups = np.asarray(ks, dtype=float), model.grid.dt, {}
     StrategySet.symmetric(ks)  # every k, not only the first of each row
@@ -408,10 +415,9 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
     strat = bounds(range(len(cols)))
     limit = strat.hi[:, 0].copy()  # a row's k; inf once it binds, as no wider k is left
     for i in reversed(range(len(regimes))):
-        outs = _pair(regimes[i], strat, dt, ys, i)
-        new = [out[0] for out in outs]
+        new, _, _, pi = _step(regimes[i], strat, dt, ys, i)
         rows = src = np.arange(len(cols))  # src: each row's row at step i+1
-        while (hit := np.flatnonzero(_reach(outs) >= limit[rows])).size:
+        while (hit := (np.abs(pi).max(axis=(0, 2)) >= limit[rows]).nonzero()[0]).size:
             bound[[cols[r][0] for r in rows[hit]]] = True
             limit[rows[hit]] = np.inf
             if not (wide := [j for j in hit if len(cols[rows[j]]) > 1]):
@@ -422,8 +428,8 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
             src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
             batch = bounds(rows)
             limit = np.concatenate([limit, batch.hi[:, 0]])
-            outs = _pair(regimes[i], batch, dt, [y[src] for y in ys], i)
-            new = [np.concatenate([y, out[0]]) for y, out in zip(new, outs)]
+            y, _, _, pi = _step(regimes[i], batch, dt, ys[:, src], i)
+            new = np.concatenate([new, y], axis=1)
         ys = new
         if len(cols) > len(strat.hi):
             strat = bounds(range(len(cols)))

@@ -279,6 +279,23 @@ class TestBatchedPass:
         surface = solve_bsde(model, claim, StrategySet.symmetric(1.0), space, quad)
         assert one[0] == three[1] == nine[4] == surface_at_origin(surface)
 
+    def test_stock_pass_memory_does_not_grow_with_n(self):
+        # a put keeps the pass M+1 nodes wide, and its peak is set by the rows
+        # of one step, not by N: N = 100 and N = 200 agree within 10%
+        peaks = []
+        for n_steps in (100, 200):
+            model = MarketModel(grid=TimeGrid(1.0, n_steps), coeffs=jump_market()[0].coeffs,
+                                gamma=1.0)
+            space, quad = solve_setup(model, m_space=100)
+            indifference_price(model, PUT, space, quad, 0.25, 1e-6)  # warm caches
+            tracemalloc.start()
+            try:
+                indifference_price(model, PUT, space, quad, 0.25, 1e-6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks)
+
     def test_price_holds_no_surface(self):
         # N = M = 100 with 3 legs x 3 doublings per pass: one regime's Y surface
         # over the batch would be (N+1)(M+1)B floats; the pass keeps rows only
@@ -304,19 +321,19 @@ LOG_CLAIM = Claim((0.1, 10.0), ((0.5 * math.log(0.1), 0.5 * math.log(10.0)),
 
 def recorded_pass(monkeypatch, model, claims, ks):
     """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and binding
-    flag checked bit for bit against a one-column pass.  Returns, per _pair
+    flag checked bit for bit against a one-column pass.  Returns, per _step
     call, (step, k per row, (post, pre) reach per row = max |pi|, width of the rows)."""
     space, quad = solve_setup(model, m_space=40)
-    calls, real = [], solver._pair
+    calls, real = [], solver._step
 
-    def pair(regimes, strat, dt, ys, step):
-        outs = real(regimes, strat, dt, ys, step)  # indexed by n: pre, post
-        calls.append((step, strat.hi[:, 0], [np.abs(out[3]).max(axis=-1) for out in outs[::-1]],
-                      ys[1].shape[-1]))
-        return outs
+    def step(regime, strat, dt, ys, i):
+        out = real(regime, strat, dt, ys, i)  # rows on the regime axis n: pre, post
+        calls.append((i, strat.hi[:, 0], list(np.abs(out[3]).max(axis=-1)[::-1]),
+                      ys.shape[-1]))
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_pair", pair)
+        patch.setattr(solver, "_step", step)
         j0, bound = solve_j0_batch(model, claims, ks, space, quad)
     for b, (claim, k) in enumerate(zip(claims, ks)):
         one_j0, one_bound = solve_j0_batch(model, [claim], [k], space, quad)
@@ -423,6 +440,11 @@ class TestDriverContract:
             else:
                 assert type(u) is float and u == 0.0
             assert np.all(y > 0.0) and np.all(y + u >= 0.0)
+            # one call steps both regimes: the leading axis of the rows and
+            # of every coefficient is the default state n
+            assert y.ndim == 3 and y.shape[0] == 2
+            for v in (c.mu, c.sigma, c.lam, c.beta):
+                assert np.shape(v) == (2, 1, 1)
             calls.append(y.shape)
             return real(c, strat, y, z, u)
 
@@ -431,7 +453,63 @@ class TestDriverContract:
         space, quad = solve_setup(model, m_space=40)
         indifference_price(model, claim, space, quad, 0.25, 1e-6)
         solve_bsde(model, claim, StrategySet.symmetric(2.0), space, quad)
-        assert len(calls) >= 2 * model.grid.n_steps * 2
+        assert len(calls) >= 2 * model.grid.n_steps
+
+
+def per_regime_calls(c, rows, strat, y, z, u):
+    """The driver called once per regime n on float coefficients rows[n], with
+    u only where lam > 0, as the solver called it before the regime axis."""
+    outs = [minimize_driver_grid(CoeffSnapshot(*row, gamma=c.gamma), strat, y[n], z[n],
+                                 u[n] if row[2] > 0.0 else 0.0)
+            for n, row in enumerate(rows)]
+    return np.stack([f for f, _ in outs]), np.stack([pi for _, pi in outs])
+
+
+class TestStackedDriver:
+    """One driver call on per-regime coefficient columns equals the per-regime
+    float calls bit for bit, f and pi alike."""
+
+    def states(self, rng, shape, zn=(-2.0, 2.0)):
+        y = rng.uniform(0.05, 3.0, shape)
+        return y, rng.uniform(*zn, shape) * y, rng.uniform(-0.999, 3.0, shape) * y
+
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_step_table_rows(self, market):
+        model, _ = market()
+        space, quad = solve_setup(model, m_space=40)
+        rng = np.random.default_rng(20)
+        strat = StrategySet.symmetric(np.array([[0.25], [2.0], [8.0]]))
+        regimes = solver._regimes(model, space, quad, False)
+        for rows, regime in zip(model.step_table.tolist(), regimes):
+            y, z, u = self.states(rng, (2, 3, 41))
+            f, pi = minimize_driver_grid(regime[0], strat, y, z, u)
+            want_f, want_pi = per_regime_calls(regime[0], rows, strat, y, z, u)
+            assert f.tobytes() == want_f.tobytes() and pi.tobytes() == want_pi.tobytes()
+
+    def test_sigma_squared_as_a_float(self):
+        # Python's 0.1176 ** 2 calls pow, which (with glibc) differs in the last
+        # bit from the product 0.1176 * 0.1176 that numpy's array square takes
+        rows = [[0.05, 0.1176, 0.0, 0.0], [0.02, 0.1176, 0.0, 0.0]]
+        c = CoeffSnapshot(*np.array(rows).T[..., None, None], gamma=1.0)
+        y, z, u = self.states(np.random.default_rng(5), (2, 4, 9))
+        strat = StrategySet.symmetric(np.full((4, 1), 8.0))
+        f, pi = minimize_driver_grid(c, strat, y, z, u)
+        want_f, want_pi = per_regime_calls(c, rows, strat, y, z, u)
+        assert f.tobytes() == want_f.tobytes() and pi.tobytes() == want_pi.tobytes()
+
+    def test_jump_term_skipped_where_lam_is_zero(self):
+        # lam = 0 with beta != 0 next to a jumping regime: at k = 2^20 the first
+        # regime's strategy reaches ~4e4, where exp(-gamma pi beta) overflows;
+        # lam beta = 0 skips the term there, as the float call does
+        rows = [[0.05, 0.25, 0.0, -0.5], [0.05, 0.25, 0.3, -0.3]]
+        c = CoeffSnapshot(*np.array(rows).T[..., None, None], gamma=1.0)
+        assert [n for n, _ in c.driver_terms[2]] == [1]  # the lanes with lam beta != 0
+        y, z, u = self.states(np.random.default_rng(3), (2, 2, 5), zn=(1e4, 1e4))
+        strat = StrategySet.symmetric(np.array([[2.0 ** 20], [2.0]]))
+        f, pi = minimize_driver_grid(c, strat, y, z, u)
+        assert np.all(np.isfinite(f)) and pi[0, 0].min() > 3e4
+        want_f, want_pi = per_regime_calls(c, rows, strat, y, z, u)
+        assert f.tobytes() == want_f.tobytes() and pi.tobytes() == want_pi.tobytes()
 
 
 def fail_columns_above(monkeypatch, k_fail, node=17):

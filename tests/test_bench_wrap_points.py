@@ -53,3 +53,37 @@ def test_oracle_op_traces_one_simulation(tmp_path, keep_paths):
     sims = [s for s in tracer.spans if s[0] == "model.simulate_paths"]
     assert len(sims) == 1
     assert sims[0][5] == {"path_steps": n_paths * n_steps}
+
+
+def test_price_op_traces_one_driver_call_per_step(tmp_path, monkeypatch):
+    # one driver call steps both regimes: one span per backward step and per
+    # re-solve, whose nodes sum to the regimes x rows x width that were stepped
+    from defaultbsde import cli, solver
+
+    real, stepped = solver._step, []
+
+    def step(regime, strat, dt, ys, i):
+        stepped.append(ys.size)
+        return real(regime, strat, dt, ys, i)
+
+    monkeypatch.setattr(solver, "_step", step)
+    n_steps = 20
+    cfg = {
+        "model": {"T": 1.0, "N": n_steps, "gamma": 1.0,
+                  "pre_default": {"mu": 0.1, "sigma": 0.2, "lambda": 0.1, "beta": 0.0}},
+        "claim": {"variant": "default_indicator", "pays_survival": 1.0, "pays_default": 0.2},
+        "numerics": {"M": 20, "quad_nodes": 7, "k0": 0.25, "tol_rel": 1e-6},
+        "output": {"price_json": str(tmp_path / "price.json")},
+    }
+    path = tmp_path / "price.json.cfg"
+    path.write_text(json.dumps(cfg))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.run("price", str(path)) == 0
+    finally:
+        tracer.uninstall()
+    drivers = [s for s in tracer.spans if s[0] == "driver.minimize_driver_grid"]
+    # the drift makes small ks bind, so some steps are re-solved
+    assert len(stepped) > n_steps and len(drivers) == len(stepped)
+    assert sum(s[5]["nodes"] for s in drivers) == sum(stepped)

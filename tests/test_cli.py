@@ -142,6 +142,8 @@ class TestValidate:
         ("validate", "model", "pre_default", {"mu": 0.0, "sigma": [[0, 0.2], [2.0, 0.3]]},
          "sigma_pre: breakpoint beyond the horizon"),
         ("validate", "model", "T", 0, "horizon must be positive"),
+        # a horizon that is no finite time, named before any grid is built
+        ("price", "model", "T", 1e400, "horizon must be positive and finite"),
         ("validate", "claim", "variant", {"variant": "stock_payoff", "s_nodes": [0.5, 1.0],
                                           "survive_values": [0.5, 0.0, 0.0],
                                           "default_values": [0.5, 0.0]},

@@ -154,6 +154,22 @@ class TestPiecewise:
             PiecewiseConstant((0.0, t), (0.2, 0.3))
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("horizon, n_steps, message", [
+        (1.0, 10.5, "n_steps must be >= 1 and an integer, got 10.5"),
+        (1.0, 0, "n_steps must be >= 1"),
+        (math.inf, 10, "horizon must be positive and finite, got inf"),
+        (math.nan, 10, "horizon must be positive and finite"),
+        (0.0, 10, "horizon must be positive"),
+    ])
+    def test_rejected_before_any_time_is_built(self, horizon, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(horizon, n_steps)
+
+    def test_numpy_integer_steps(self):
+        assert TimeGrid(1.0, np.int64(4)).times().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 class TestSimulate:
     def test_zero_strategy_zero_wealth(self):
         ens = simulate_paths(flat_model(), lambda t, s, n: 0.0, 64, seed=1)

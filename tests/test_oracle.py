@@ -69,6 +69,28 @@ class TestBruteForceDP:
         with pytest.raises(ValueError):
             brute_force_dp(model, ZERO_CLAIM, k=0.0, n_small=8, q=7, g=81)
 
+    @pytest.mark.parametrize("claim, k, message", [
+        (Claim.constant(math.nan), 1.0, r"gamma\*xi = nan, node 0, N_T = 0"),
+        (Claim.constant(800.0), 1.0, r"gamma\*xi = 800, node 0, N_T = 0"),  # exp underflows to 0
+        (Claim.constant(-800.0), 1.0, r"gamma\*xi = -800, node 0, N_T = 0"),  # exp overflows
+        (Claim.default_indicator(0.0, -800.0), 1.0, r"gamma\*xi = -800, node 0, N_T = 1"),
+        (Claim.constant(0.0), math.inf, "k must be positive and finite"),
+    ], ids=["nan", "underflow", "overflow", "default-leg", "k-inf"])
+    def test_unvaluable_input_raises(self, claim, k, message):
+        # the terminal rule of the solver: exp(-gamma xi) a finite normal double
+        with pytest.raises(ValueError, match=message):
+            brute_force_dp(bond_model(), claim, k, 4, 3, 5)
+
+    @pytest.mark.parametrize("n_small, q, g, message", [
+        (2.5, 3, 5, "n_small must be in .* and an integer, got 2.5"),
+        (2, 3.0, 5, "q must be in .* and an integer, got 3.0"),
+        (2, 3, 5.0, "strategy grid count must be in .* and an integer, got 5.0"),
+    ])
+    def test_tree_sizes_are_integers(self, n_small, q, g, message):
+        with pytest.raises(ValueError, match=message):
+            DPTree(n_small, q, g, 1.0)
+        DPTree(np.int64(2), 3, 5, 1.0)
+
     def test_quantization_moments(self):
         from defaultbsde import DPTree
         tree = DPTree(n_small=8, q=7, g=81, k=2.0)

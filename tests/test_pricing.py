@@ -93,7 +93,7 @@ class TestOneLoop:
             return real(model, claims, ks, *args, **kwargs)
 
         def driver(c, strat, y, z, u):
-            rows.append(y.shape[0])
+            rows.append(y.shape[-2])  # y is (regime, row, node)
             return real_driver(c, strat, y, z, u)
 
         monkeypatch.setattr(approx, "solve_j0_batch", counting)

@@ -10,6 +10,7 @@ from defaultbsde import (Claim, MarketModel, PiecewiseConstant,
                          StrategySet, TimeGrid, extract_optimal_strategy, solve_bsde,
                          surface_at_origin)
 
+from defaultbsde import solver
 from defaultbsde.solver import _regimes, _step
 
 from conftest import BOND_CLAIM, BOND_J0, MERTON_J0, bond_model, merton_model
@@ -119,11 +120,33 @@ class TestInvariants:
     def test_post_default_mean_positivity_located(self):
         model = bond_model(4)
         space = SpaceGrid.for_model(model, 20)
-        _, post = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
+        regime = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
+        rows = np.stack([np.ones((1, 21)), np.zeros((1, 21))])  # pre-default, post-default
         with pytest.raises(SolverError,
                            match=r"E \(post-default\) positivity violated at step 3, node 0"):
-            _step(post, StrategySet.symmetric(1.0), model.grid.dt, np.zeros((1, 21)),
-                  None, 3)
+            _step(regime, StrategySet.symmetric(1.0), model.grid.dt, rows, 3)
+
+    def test_means_of_both_regimes_checked_before_the_driver(self, monkeypatch):
+        # one step checks E of both regimes, post-default first, calls the
+        # driver once and then checks Y: a bad pre-default E is named before a
+        # bad post-default Y of the same step
+        # lam = 0, so zero pre-default rows give E = 0
+        model = MarketModel(grid=TimeGrid(1.0, 4), gamma=1.0,
+                            coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
+                                                               beta=0.0, lam=0.0))
+        space = SpaceGrid.for_model(model, 20)
+        regime = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
+        monkeypatch.setattr(solver, "minimize_driver_grid",
+                            lambda c, strat, y, z, u: (np.full(y.shape, -1e9), 0.0 * y))
+
+        def step(pre):
+            rows = np.stack([np.full((1, 21), pre), np.ones((1, 21))])
+            _step(regime, StrategySet.symmetric(1.0), model.grid.dt, rows, 3)
+
+        with pytest.raises(SolverError, match=r"Y \(post-default\) positivity violated at step 3"):
+            step(1.0)
+        with pytest.raises(SolverError, match=r"E \(pre-default\) positivity violated at step 3"):
+            step(0.0)
 
     def test_subnormal_y_located(self):
         # exp(-708) is a normal double, but Y decays by exp(-theta^2 (T - t) / 2)
