@@ -16,8 +16,10 @@ Forward dynamics (Euler, multiplicative; dW truncated at +-6*sqrt(dt)):
     X <- X + pi * dS / S,   X_0 = 0
 
 Default occurs in a step with probability 1 - exp(-lambda*dt) if it has not
-occurred yet.  Randomness comes in bulk from one counter-based Philox stream
-keyed by the seed, so results depend only on (seed, n_paths).
+occurred yet: each path draws one Exp(1) clock and defaults in the first
+step whose cumulative hazard exceeds it.  Randomness comes from one
+counter-based Philox stream keyed by the seed, the clocks first and then
+one row of Gaussians per step, so results depend only on (seed, n_paths).
 """
 from __future__ import annotations
 
@@ -47,9 +49,6 @@ __all__ = [
 
 # truncation of Gaussian increments in the forward scheme, in units of sqrt(dt)
 DW_CLIP = 6.0
-# paths per draw of the Gaussian and the default-uniform blocks, each stored
-# time-major: bounds the draw temporary at _DRAW_CHUNK * N floats
-_DRAW_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,9 @@ class PathEnsemble:
     (n_paths, N+1).  simulate_paths stores all four time-major and hands out
     transposed views, so the column ``[:, i]`` of step i is contiguous and
     a row ``[p]`` is strided.  ``tau_step[p]`` is the step index in which
-    path p defaulted, or -1.  About 27 bytes per path-step; a caller that
-    reads each step once passes simulate_paths a visitor instead.
+    path p defaulted, or -1, read from the path's default clock.  25 bytes
+    per path-step (dW 8, n_path 1, stock 8, wealth 8); a caller that reads
+    each step once passes simulate_paths a visitor instead.
     """
 
     times: np.ndarray
@@ -355,23 +355,24 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
                    seed: int, visit: Callable[..., None] | None = None) -> PathEnsemble | None:
     """Euler forward simulation of (S, X) under a bounded strategy pi(t, s, n).
 
-    Per step, default occurs with probability 1 - exp(-lambda*dt) if it has
-    not occurred yet; S and X are updated with the same dW and dN.  All draws
-    come from one Philox stream keyed by ``seed``: first the (n_paths, N)
-    Gaussian block, path by path, then the (n_paths, N) default uniforms.
-    Output is bit-identical for identical (seed, n_paths).
+    All draws come from one Philox stream keyed by ``seed``: first one Exp(1)
+    default clock per path, then, step by step, that step's n_paths
+    Gaussians.  A path defaults in the first step i whose cumulative hazard
+    sum_{j<=i} lambda(t_j) dt exceeds its clock, which is default with
+    probability 1 - exp(-lambda(t_i) dt) in step i if it has not occurred
+    yet, and never in a step with lambda = 0.  S and X are updated with the
+    same dW and dN.  Output is bit-identical for identical (seed, n_paths).
 
     Without ``visit``, ``dW``, ``n_path``, ``stock`` and ``wealth`` are
     allocated time-major, (N, n_paths) or (N+1, n_paths), and returned as
     (n_paths, ...) views: every step reads and writes contiguous rows, and
     callers index paths as before.  With ``visit``, it is called as
     ``visit(i, n_row, s_row, w_row)`` for i = 0..N as each state row is
-    produced; the states live in a two-row ring (row i at ``i % 2``), so
-    only dW and the default table are held per path-step (9 bytes), and
-    None is returned.  Both draw blocks are drawn a chunk of paths at a time
-    and stored transposed, which reads the same stream as one path-major
-    draw.  The coefficients of each step are read from one table, before
-    the loop, and a step's arithmetic runs in place in preallocated rows.
+    produced, before step i reads the strategy at that row; the states live
+    in a two-row ring (row i at ``i % 2``), dW in one row, so nothing is
+    held per path-step, and None is returned.  The coefficients of each
+    step are read from one table, before the loop, and a step's arithmetic
+    runs in place in preallocated rows.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -380,26 +381,16 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     g = model.grid
     n, dt = g.n_steps, g.dt
     times = g.times()
+    tab = model.step_table
 
     gen = np.random.Generator(np.random.Philox(key=seed))
-    sq = math.sqrt(dt)
-    chunks = [(a, min(a + _DRAW_CHUNK, n_paths)) for a in range(0, n_paths, _DRAW_CHUNK)]
-    # the path-major Gaussian block, stored time-major a chunk of paths at a
-    # time, so no second full block is held
-    dW = np.empty((n, n_paths))
-    for a, b in chunks:
-        dW[:, a:b] = gen.standard_normal((b - a, n)).T
-    dW *= sq
-    np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
-    tab = model.step_table
-    # default draws: step i defaults a live path when its uniform is below
-    # 1 - exp(-lambda(t_i) dt); each chunk of uniforms is compared into a
-    # time-major table, so no full uniform block is held
-    p_def = np.array([1.0 - math.exp(-lam * dt) for lam in tab[:, 0, 2]])
-    hits = np.empty((n, n_paths), dtype=bool)
-    for a, b in chunks:
-        np.less(gen.random((b - a, n)).T, p_def[:, None], out=hits[:, a:b])
+    # the step in which each path defaults, N if it survives: the first step
+    # whose cumulative hazard exceeds the path's clock; a dtype that holds N
+    hazard = np.cumsum(tab[:, 0, 2] * dt)
+    tau = np.searchsorted(hazard, gen.standard_exponential(n_paths),
+                          side="right").astype(np.min_scalar_type(n))
 
+    sq = math.sqrt(dt)
     # per step and regime n: 1 + mu dt and sigma, read per path through
     # its default state, and the jump factor 1 + beta
     drift = 1.0 + tab[:, :, 0] * dt
@@ -407,11 +398,11 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     jump = 1.0 + tab[:, 0, 3]
 
     rows = n + 1 if visit is None else 2  # state row of step i: i % rows
+    dW = np.empty((n if visit is None else 1, n_paths))
     n_path = np.zeros((rows, n_paths), dtype=np.int8)
     stock = np.empty((rows, n_paths))
     wealth = np.zeros((rows, n_paths))
     stock[0] = model.s0
-    alive = np.empty(n_paths, dtype=bool)
     jumps = np.empty(n_paths, dtype=bool)
     ret = np.empty(n_paths)
 
@@ -419,16 +410,19 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
         r, r1 = i % rows, (i + 1) % rows
         if visit is not None:
             visit(i, n_path[r], stock[r], wealth[r])
+        dw = dW[i % len(dW)]  # the row of step i, or the one row with visit
+        gen.standard_normal(out=dw)
+        dw *= sq
+        np.clip(dw, -DW_CLIP * sq, DW_CLIP * sq, out=dw)
         regime = n_path[r]  # 0 or 1, as take indices
-        np.equal(regime, 0, out=alive)
-        np.logical_and(alive, hits[i], out=jumps)
+        np.equal(tau, i, out=jumps)
 
         # ret = (1 + mu dt + sigma dW)(1 + beta dN) - 1: the jump composed
         # multiplicatively keeps S > 0 for every beta > -1 and makes the
         # self-financing identity dX = pi * dS/S exact per step
         # indices are 0 or 1; mode="clip" skips the copy that "raise" makes of out
         np.take(vol[i], regime, out=ret, mode="clip")
-        ret *= dW[i]
+        ret *= dw
         ret += np.take(drift[i], regime, mode="clip")
         np.multiply(ret, jump[i], out=ret, where=jumps)
         ret -= 1.0
@@ -437,13 +431,13 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
         # pi per path, or one scalar; read inline so no pi row outlives the step
         np.multiply(ret, strategy(float(times[i]), stock[r], n_path[r]), out=wealth[r1])
         wealth[r1] += wealth[r]
-        np.logical_or(n_path[r], jumps, out=n_path[r1])
+        np.less_equal(tau, i, out=n_path[r1])
 
     if visit is not None:
         r = n % rows
         visit(n, n_path[r], stock[r], wealth[r])
         return None
-    # N stays 1 after a default, so a default in step i leaves N - i ones
-    tau_step = np.where(n_path[n] == 1, n - n_path.sum(axis=0, dtype=np.int64), -1)
+    tau_step = tau.astype(np.int64)
+    tau_step[tau_step == n] = -1
     return PathEnsemble(times=times, dW=dW.T, n_path=n_path.T, stock=stock.T,
                         wealth=wealth.T, tau_step=tau_step, seed=seed)

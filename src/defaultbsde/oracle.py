@@ -24,7 +24,7 @@ import numpy as np
 from ._util import open_output
 from .model import (Claim, MarketModel, PathEnsemble, TimeGrid, coefficient_violations,
                     simulate_paths)
-from .solver import TINY, Quadrature, ValueSurface
+from .solver import TINY, OptimalStrategy, Quadrature, ValueSurface
 
 __all__ = ["DPTree", "DriftReport", "brute_force_dp", "dp_violations", "martingale_check",
            "monte_carlo_violation"]
@@ -34,10 +34,11 @@ MAX_Q = 9
 MAX_G = 101
 NODE_BUDGET = 2_000_000
 MIN_PATHS = 1000
-# martingale_check holds dW and the default table, 9 bytes per path-step
-# (n_paths * N), plus per-path rows (peak 9.9 at N = 100, 10.9 at N = 50).
-# With keep_paths (the CLI's paths_csv) the three state arrays add 17, near
-# 27 in all (26.6 at N = 100), and that case sets this cap near 1.1 GB
+# martingale_check streams the paths and holds nothing per path-step
+# (n_paths * N): its peak is about 117 bytes per path at any N.  With
+# keep_paths (the CLI's paths_csv) dW and the three state arrays take 25 bytes
+# per path-step (25.8 in all at N = 100), and that case sets this cap near
+# 1 GB; the cap also bounds the run time
 PATH_STEP_BUDGET = 40_000_000
 
 
@@ -237,7 +238,9 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     the previous step, and takes each step's moments from its increment.
     By default it consumes the simulation row by row and no path is stored;
     with ``keep_paths`` it runs over the columns of one stored simulation,
-    returned in the report.  Both give the same bits.
+    returned in the report.  Both give the same bits.  Streamed under the
+    surface's own optimal strategy, the visitor locates each row on the grid
+    once and reads both Y and that step's strategy from the one cell.
     """
     bad = monte_carlo_violation(model, n_paths, seed)
     if bad is not None:
@@ -248,9 +251,17 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     sq = math.sqrt(n_paths)
     step_mean, step_se = np.empty(n), np.empty(n)
     v = [None, None]  # V_0, V at the last visited step
+    # the surface's own strategy, streamed: read at the visitor's cell, which
+    # simulate_paths visits before step i reads the strategy
+    shared = (not keep_paths and isinstance(strategy, OptimalStrategy)
+              and strategy.surface is surface)
+    pi_row = [None]
 
     def visit(i: int, n_row: np.ndarray, s_row: np.ndarray, w_row: np.ndarray) -> None:
-        v_i = surface.y_at(i, s_row, n_row)
+        cell = surface.cell(s_row, n_row)
+        if shared and i < n:
+            pi_row[0] = strategy.in_cell(i, cell)
+        v_i = surface.y_in(i, cell)
         v_i *= np.exp(-model.gamma * w_row)
         if i == 0:
             v[0] = v_i
@@ -265,7 +276,8 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
         for i in range(n + 1):
             visit(i, ens.n_path[:, i], ens.stock[:, i], ens.wealth[:, i])
     else:
-        ens = simulate_paths(model, strategy, n_paths, seed, visit=visit)  # None
+        step_strategy = (lambda t, s, n_: pi_row[0]) if shared else strategy
+        ens = simulate_paths(model, step_strategy, n_paths, seed, visit=visit)  # None
     totals = v[1] - v[0]
     return DriftReport(
         times=model.grid.times()[:-1],

@@ -64,6 +64,7 @@ __all__ = [
     "solve_j0_batch",
     "terminal_rows",
     "extract_optimal_strategy",
+    "OptimalStrategy",
     "surface_at_origin",
 ]
 
@@ -169,7 +170,16 @@ class ValueSurface:
 
     def y_at(self, i: int, s, n) -> np.ndarray:
         """Interpolate Y[i] at stock levels s for per-element default states n."""
-        return _interp_regimes(self.space, self.Y[i], self.model.s0, s, n)
+        return self.y_in(i, self.cell(s, n))
+
+    def cell(self, s, n) -> tuple[np.ndarray, np.ndarray]:
+        """Where the queries (s, n) sit on the space grid, for `y_in` and
+        `OptimalStrategy.in_cell` to read; one location serves every read."""
+        return _cell(self.space, self.model.s0, s, n)
+
+    def y_in(self, i: int, cell: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Y[i] at a located cell: the same bits as `y_at` at its queries."""
+        return _read(self.Y[i], cell)
 
     def to_csv(self, path) -> None:
         """Columns i,t,j,x,s,n,Y,Z,U,pi_hat; U empty for n=1, decisions empty at i=N."""
@@ -191,13 +201,15 @@ class ValueSurface:
                                  f"{cell(u)},{cell(self.pi_hat[i, j, n])}\n")
 
 
-def _interp_regimes(space: SpaceGrid, table: np.ndarray, s0: float, s, n) -> np.ndarray:
-    """Read table[:, n] at log(s/s0), linear between the grid's nodes, flat beyond them.
+def _cell(space: SpaceGrid, s0: float, s, n) -> tuple[np.ndarray, np.ndarray]:
+    """Locate log(s/s0) on the grid: (k, u), the flat index 2 j + n of the
+    lower node of each query's cell in an (M+1, 2) table and the weight u in
+    [0, 1] of the upper node; clipped at the grid's ends.
 
-    The cell comes from arithmetic on M and L, not a search, and
-    each query reads only its own regime's column of the (M+1, 2) table.
-    ``n`` is a scalar or has the shape of ``s``; a scalar ``s`` gives a scalar.
-    The arithmetic runs in place on a copy of s and on its cell index.
+    The cell comes from arithmetic on M and L, not a search, and each query
+    is placed in its own regime's column.  ``n`` is a scalar or has the shape
+    of ``s``.  The arithmetic runs in place on a copy of s and on its cell
+    index.
     """
     m, half = space.m_intervals, space.half_width
     u = np.array(s, dtype=float)
@@ -206,16 +218,21 @@ def _interp_regimes(space: SpaceGrid, table: np.ndarray, s0: float, s, n) -> np.
     u += half
     u *= m / (half + half)
     np.clip(u, 0.0, m, out=u)
-    j = u.astype(np.intp)  # the floor, as u >= 0
-    np.minimum(j, m - 1, out=j)
-    u -= j
-    flat = table.ravel()
-    k = j  # reused in place as the flat index 2 j + n of the lower node
-    k *= 2
+    k = u.astype(np.intp)  # the floor j, as u >= 0
+    np.minimum(k, m - 1, out=k)
+    u -= k
+    k *= 2  # in place, the flat index 2 j + n
     k += n
+    return k, u
+
+
+def _read(table: np.ndarray, cell: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Read an (M+1, 2) table at a located cell: linear between the cell's
+    nodes, flat beyond the grid.  A scalar query gives a scalar."""
+    k, u = cell
+    flat = table.ravel()
     lo = np.take(flat, k)
-    k += 2
-    out = np.take(flat, k)
+    out = np.take(flat[2:], k)  # the upper node, 2 j + 2 + n
     out -= lo
     out *= u
     out += lo
@@ -454,22 +471,32 @@ def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:
     raise SolverError(f"solver: {rule} violated at step {step}, node {j} ({cause})")
 
 
-def extract_optimal_strategy(surface: ValueSurface):
+@dataclass(frozen=True, eq=False)
+class OptimalStrategy:
+    """The strategy pi_hat(t, s, n) of a surface: piecewise in time,
+    interpolated in log s, clipped to the surface's [lo, hi]."""
+
+    surface: ValueSurface
+
+    def __call__(self, t: float, s, n):
+        g = self.surface.model.grid
+        # small epsilon so grid times t_i map to step i despite rounding
+        i = min(max(int(math.floor(t / g.dt + 1e-9)), 0), g.n_steps - 1)
+        return self.in_cell(i, self.surface.cell(s, n))
+
+    def in_cell(self, i: int, cell: tuple[np.ndarray, np.ndarray]):
+        """pi_hat of step i at a cell located by `ValueSurface.cell`: the
+        same bits as a call at t_i on its queries."""
+        strat = self.surface.strategy_set
+        return np.clip(_read(self.surface.pi_hat[i], cell), strat.lo, strat.hi)
+
+
+def extract_optimal_strategy(surface: ValueSurface) -> OptimalStrategy:
     """Optimal strategy pi_hat(t, s, n): piecewise in time, interpolated in log s.
 
     Returned values always lie inside [lo, hi].
     """
-    model = surface.model
-    strat = surface.strategy_set
-    n_steps, dt = model.grid.n_steps, model.grid.dt
-    pi, space = surface.pi_hat, surface.space
-
-    def strategy(t: float, s, n):
-        # small epsilon so grid times t_i map to step i despite rounding
-        i = min(max(int(math.floor(t / dt + 1e-9)), 0), n_steps - 1)
-        return np.clip(_interp_regimes(space, pi[i], model.s0, s, n), strat.lo, strat.hi)
-
-    return strategy
+    return OptimalStrategy(surface)
 
 
 def surface_at_origin(surface: ValueSurface) -> float:

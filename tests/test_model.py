@@ -8,7 +8,7 @@ import pytest
 from defaultbsde import (Claim, MarketModel, PathEnsemble,
                          PiecewiseConstant, RegimeCoefficients, TimeGrid,
                          claim_payoff, simulate_paths, validate_model)
-from defaultbsde.model import DW_CLIP, _DRAW_CHUNK, coefficient_violations
+from defaultbsde.model import DW_CLIP, coefficient_violations
 
 from conftest import coeffs_in_force, merton_model, piecewise_model
 
@@ -21,31 +21,33 @@ def flat_model(mu=0.1, sigma=0.2, beta=-0.3, lam=0.5, gamma=1.0, T=1.0, N=100):
 
 
 def reference_simulate(model, strategy, n_paths, seed):
-    """The path-major step loop that simulate_paths replaced: one path-major
-    draw, two coefficient lookups and fresh temporaries per step."""
+    """A per-step loop over the stream in its order: one Exp(1) default clock
+    per path, then one row of Gaussians per step; a live path defaults in
+    the step whose cumulative hazard first exceeds its clock.  Scalar
+    coefficient lookups and fresh temporaries per step."""
     g = model.grid
     n, dt = g.n_steps, g.dt
     times = g.times()
     gen = np.random.Generator(np.random.Philox(key=seed))
     sq = math.sqrt(dt)
-    dW = gen.standard_normal((n_paths, n))
-    dW *= sq
-    np.clip(dW, -DW_CLIP * sq, DW_CLIP * sq, out=dW)
-    p_def = np.array([1.0 - math.exp(-model.coeffs.lam(t) * dt) for t in times[:-1]])
-    hits = gen.random((n_paths, n)).T < p_def[:, None]
+    clock = gen.standard_exponential(n_paths)
+    dW = np.empty((n_paths, n))
     n_path = np.zeros((n + 1, n_paths), dtype=np.int8)
     stock = np.empty((n + 1, n_paths))
     wealth = np.zeros((n + 1, n_paths))
     tau_step = np.full(n_paths, -1, dtype=np.int64)
     stock[0] = model.s0
+    hazard = 0.0
     for i in range(n):
         t = float(times[i])
+        dW[:, i] = np.clip(gen.standard_normal(n_paths) * sq, -DW_CLIP * sq, DW_CLIP * sq)
         alive = n_path[i] == 0
-        mu0, s0_, _, beta0 = coeffs_in_force(model, t, 0)
+        mu0, s0_, lam, beta0 = coeffs_in_force(model, t, 0)
         mu1, s1_, _, _ = coeffs_in_force(model, t, 1)
+        hazard += lam * dt
         mu = np.where(alive, mu0, mu1)
         sig = np.where(alive, s0_, s1_)
-        jumps = alive & hits[i]
+        jumps = alive & (clock < hazard)
         tau_step[jumps] = i
         dN = jumps.astype(float)
         pi = strategy(t, stock[i], n_path[i])
@@ -255,10 +257,10 @@ class TestSimulate:
             assert arr.shape == (50, 11)
             assert arr[:, 4].flags.c_contiguous
 
-    @pytest.mark.parametrize("n_paths", [2 * _DRAW_CHUNK + 37, 1])
+    @pytest.mark.parametrize("n_paths", [1061, 1])
     def test_equals_reference_loop(self, n_paths):
-        # chunked time-major draws and the in-place step reproduce the
-        # path-major loop bit for bit, defaults and regime switches included
+        # the clock-first draws and the in-place step reproduce the per-step
+        # loop bit for bit, defaults and regime switches included
         model = piecewise_model()
 
         def strategy(t, s, n):
@@ -273,9 +275,41 @@ class TestSimulate:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
 
+    def test_default_clock_per_step_law(self):
+        # lambda 1.0, then 0 on [0.2, 0.5), then 2.5: the defaults of step i
+        # are binomial with the survival-weighted 1 - exp(-lambda_i dt), and
+        # a step with lambda = 0 defaults no path at all
+        model = piecewise_model(20)
+        model = dataclasses.replace(model, coeffs=dataclasses.replace(
+            model.coeffs, lam=PiecewiseConstant((0.0, 0.2, 0.5), (1.0, 0.0, 2.5))))
+        n_paths = 50_000
+        ens = simulate_paths(model, lambda t, s, n: 0.0, n_paths, seed=1)
+        counts = np.bincount(ens.tau_step[ens.tau_step >= 0], minlength=20)
+        lam = np.array([model.coeffs.lam(t) for t in model.grid.times()[:-1]])
+        p = 1.0 - np.exp(-lam * model.grid.dt)
+        q = np.concatenate([[1.0], np.cumprod(1.0 - p)[:-1]]) * p
+        assert np.all(counts[lam == 0.0] == 0) and np.count_nonzero(lam == 0.0) == 6
+        se = np.sqrt(n_paths * q * (1.0 - q))
+        live = lam > 0.0
+        assert np.all(np.abs(counts[live] - n_paths * q[live]) <= 3.0 * se[live])
+
+    def test_default_after_step_32767(self):
+        # the default step is held in a dtype sized to N: an int16 would wrap
+        lam = PiecewiseConstant((0.0, 0.9), (0.0, 50.0))
+        model = flat_model(N=40_000)
+        model = dataclasses.replace(model, coeffs=dataclasses.replace(model.coeffs, lam=lam))
+        ens = simulate_paths(model, lambda t, s, n: 0.0, 4, seed=3)
+        hit = np.flatnonzero(ens.tau_step >= 0)
+        assert hit.size and np.all(ens.tau_step[hit] > 36_000)
+        for p in hit:
+            tau = ens.tau_step[p]
+            assert ens.n_path[p, tau] == 0 and ens.n_path[p, tau + 1] == 1
+            assert ens.n_path[p].sum() == 40_000 - tau
+
     def test_memory_per_path_step(self):
-        # states, dW and the default table take 26 bytes per path-step; a
-        # transposed copy of the whole Gaussian block would add 8 more
+        # dW and the three state arrays take 25 bytes per path-step, counted
+        # over the N + 1 state rows; the clock, the default step and the
+        # step's rows add under 32 bytes per path, and nothing else is held
         model = flat_model(N=50)
         n_paths = 20_000
         simulate_paths(model, lambda t, s, n: 0.5, 10, seed=1)  # one-time set-up, uncounted
@@ -285,7 +319,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * n_paths * 50
+        assert peak <= 25 * n_paths * 51 + 32 * n_paths
 
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):

@@ -272,7 +272,8 @@ class TestMartingaleCheck:
 
     def test_streamed_moments_match_value_matrix(self):
         # reference: the (n_paths, N+1) value matrix of the same paths, stored
-        # by simulate_paths, and its column moments
+        # by simulate_paths, and its column moments, each summed over one
+        # contiguous row as the visitor sums it
         model, claim, surf, strategy = self.jump_market_setup()
         drift = martingale_check(model, claim, surf, strategy, 5_000, seed=4)
         ens = simulate_paths(model, strategy, 5_000, seed=4)
@@ -280,12 +281,12 @@ class TestMartingaleCheck:
         for i in range(v.shape[1]):
             v[:, i] = (np.exp(-model.gamma * ens.wealth[:, i])
                        * surf.y_at(i, ens.stock[:, i], ens.n_path[:, i]))
-        inc = np.diff(v, axis=1)
+        inc = np.ascontiguousarray(np.diff(v, axis=1).T)
         totals = v[:, -1] - v[:, 0]
         sq = math.sqrt(ens.n_paths)
         assert np.any(ens.tau_step >= 0)
-        np.testing.assert_allclose(drift.step_mean, inc.mean(axis=0), rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(drift.step_se, inc.std(axis=0, ddof=1) / sq,
+        np.testing.assert_allclose(drift.step_mean, inc.mean(axis=1), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(drift.step_se, inc.std(axis=1, ddof=1) / sq,
                                    rtol=1e-12, atol=0.0)
         assert drift.aggregate_mean == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
         assert drift.aggregate_se == pytest.approx(totals.std(ddof=1) / sq,
@@ -314,11 +315,36 @@ class TestMartingaleCheck:
         assert streamed.aggregate_mean == stored.aggregate_mean
         assert streamed.aggregate_se == stored.aggregate_se
 
-    def test_streamed_memory_per_path_step(self):
-        # only dW (8 bytes) and the default table (1 byte) are held per
-        # path-step; the state rows and per-path work add about 2 at N = 50,
-        # and keeping the three state arrays would add 17
-        model, claim, surf, strategy = self.jump_market_setup()
+    def test_one_cell_per_step(self, monkeypatch):
+        # streamed under the surface's own strategy, each row is located once
+        # and Y and the strategy are read from that cell, with the bits of a
+        # strategy that locates its rows itself
+        from defaultbsde import solver
+        model, claim, surf, strategy = self.piecewise_market_setup()
+        own = martingale_check(model, claim, surf, lambda t, s, n: strategy(t, s, n),
+                               3_000, seed=6)
+        real, calls = solver._cell, []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_cell", counting)
+        shared = martingale_check(model, claim, surf, strategy, 3_000, seed=6)
+        assert len(calls) == model.grid.n_steps + 1
+        for name in ("step_mean", "step_se", "aggregate_mean", "aggregate_se"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+
+    @pytest.mark.parametrize("n_steps", [50, 200])
+    def test_streamed_memory_per_path(self, n_steps):
+        # nothing is held per path-step: the clock, dW, the state rows and
+        # the visitor's per-path rows stay under 150 bytes per path at any N
+        coeffs = RegimeCoefficients.constant(mu=0.05, sigma=0.25, beta=-0.3, lam=0.3)
+        model = MarketModel(grid=TimeGrid(1.0, n_steps), coeffs=coeffs, gamma=1.0)
+        claim = stock_claim()
+        space, quad = solve_setup(model, m_space=60)
+        surf = solve_bsde(model, claim, StrategySet(-2, 2), space, quad)
+        strategy = extract_optimal_strategy(surf)
         n_paths = 20_000
         martingale_check(model, claim, surf, strategy, 1_000, seed=4)  # one-time set-up
         tracemalloc.start()
@@ -327,7 +353,7 @@ class TestMartingaleCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * n_paths * model.grid.n_steps
+        assert peak <= 150 * n_paths
 
     def test_holds_no_path_by_step_matrix(self):
         # the check's peak is the simulation's own: a value or increment
