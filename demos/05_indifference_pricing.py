@@ -1,8 +1,9 @@
 """Hodges indifference prices for a defaultable claim.
 
-Prices a zero-recovery bond: buy price (1/gamma) ln(J(0,0)/J(0,xi)), selling
-price as the negated buy price of the negated claim, and per-k price
-approximations along the shared k schedule.  With zero risk premium the buy
+Prices a zero-recovery bond: buy price (1/gamma) ln(J(0,0)/J(0,xi)) and
+selling price as the negated buy price of the negated claim, from one pass
+with unbounded strategies.  That pass equals the pass on C = [-k, k] for
+every k >= k-bar, the largest |pi| it reaches.  With zero risk premium the buy
 price has the certainty-equivalent closed form -(1/gamma) ln E[exp(-gamma xi)].
 """
 import json
@@ -20,14 +21,14 @@ claim = Claim.default_indicator(1.0, 0.0)
 space = SpaceGrid.for_model(model, 80)
 quad = Quadrature.gauss_hermite(7)
 
-rep = indifference_price(model, claim, space, quad, k0=0.25, tol_rel=1e-6)
+rep = indifference_price(model, claim, space, quad)
 closed_buy = -math.log(math.exp(-1.1) + 1 - math.exp(-0.1))
 closed_sell = math.log(math.exp(0.9) + 1 - math.exp(-0.1))
 print(f"buy price  p  = {rep.buy_price:.6f}  (closed form {closed_buy:.6f})")
 print(f"sell price p* = {rep.sell_price:.6f}  (closed form {closed_sell:.6f})")
-print("per-k approximations:")
-for k, p in rep.per_k:
-    print(f"  k={k:5.2f}  p^k={p:.10f}")
+diag = rep.diagnostics
+print(f"k-bar = {diag['k_bar']:.3g} (zero risk premium: the strategy is 0 up to rounding)")
+print(f"gamma k-bar sigma_max sqrt(dt) = {diag['monotonicity']:.3g} (monotonicity number)")
 
 # initial wealth scales both legs and cancels in the price
 v = wealth_scaling(2.0, -rep.J0_claim, rep.gamma)

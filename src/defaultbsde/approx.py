@@ -8,12 +8,12 @@ Cauchy stopping rule (once the constraint stops binding, J0(k) flattens
 exponentially fast).
 
 `converge_legs` is the one doubling loop: it solves each claim (leg) once per
-k on a shared schedule; `converge` runs one leg, `pricing` the legs of a price.
-It solves every doubling up to the cap for every leg in one backward pass,
-where a leg's ks share a row until their constraint binds, then applies the
-stopping rule k by k, so the schedule, k* and the errors are those of a
-serial run.  `k_sweep` solves its schedule in one pass too.  A k's
-runtime_ms is its share of its pass; `bound` records whether it binds.
+k on a shared schedule; `converge` runs one leg.  It solves every doubling up
+to the cap for every leg in one backward pass, where a leg's ks share a row
+until their constraint binds, then applies the stopping rule k by k, so the
+schedule, k* and the errors are those of a serial run.  `k_sweep` solves its
+schedule in one pass too.  A k's runtime_ms is its share of its pass; `bound`
+records whether it binds.  `pricing` solves C = R directly, in one pass.
 
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported

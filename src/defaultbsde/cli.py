@@ -294,9 +294,8 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 def _cmd_price(cfg: RunConfig) -> int:
     # every leg of the pass, the negated claim too, so its rows fail here with exit 2
-    _require_valid(cfg, price_legs(cfg.claim)[0])
-    report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad,
-                                cfg.k0, cfg.tol_rel)
+    _require_valid(cfg, price_legs(cfg.claim))
+    report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad)
     _diag(f"price: buy={report.buy_price:.12g} sell="
           f"{'-' if report.sell_price is None else format(report.sell_price, '.12g')}")
     emit_report(report, cfg.output.get("price_json"))

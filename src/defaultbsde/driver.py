@@ -34,7 +34,7 @@ and the two are linked by f_min(y, z, u) = gamma * y * g(z/(gamma y),
 `minimize_driver_grid` checks nothing: its callers keep y > 0, y + u >= 0 and
 the shape rule that y, z and u (unless u is the scalar 0.0) share one shape.
 Its coefficients may be per-regime arrays, one regime per entry of the
-leading axis of y (see `CoeffSnapshot`).
+second-to-last axis of y (see `CoeffSnapshot`); its strategy set None is C = R.
 """
 from __future__ import annotations
 
@@ -62,8 +62,8 @@ _W0_STEPS = 4
 @dataclass(frozen=True)
 class CoeffSnapshot:
     """Coefficient values frozen at one (time, regime) point, or at one time
-    for R regimes: then mu, sigma, lam and beta are arrays of shape
-    (R, 1, ..., 1), and the driver reads entry n on row n of its inputs."""
+    for R regimes: then mu, sigma, lam and beta are arrays of shape (R, 1),
+    and the driver reads entry n at index n of its inputs' second-to-last axis."""
 
     mu: float
     sigma: float
@@ -83,15 +83,15 @@ class CoeffSnapshot:
 
     @functools.cached_property
     def driver_terms(self) -> tuple:
-        """(gamma sigma sigma, sigma ** 2, lanes), once per snapshot.  lanes
-        pairs row n (``...`` for floats) with the float snapshot of each regime
-        with lam beta != 0.  sigma ** 2 squares floats: numpy's square of an
-        array may differ from Python's in the last bit."""
+        """(gamma sigma sigma, sigma ** 2, lanes), once per snapshot.  lanes pairs
+        the index of regime n (``...`` for floats) with the float snapshot of each
+        regime with lam beta != 0.  sigma ** 2 squares floats: numpy's square of
+        an array may differ from Python's in the last bit."""
         stacked = np.ndim(self.sigma) > 0
         rows = [CoeffSnapshot(*r, gamma=self.gamma) for r in zip(*(
             np.ravel(v).tolist() for v in (self.mu, self.sigma, self.lam, self.beta)))]
-        lanes = [(n if stacked else ..., r if stacked else self) for n, r in enumerate(rows)
-                 if r.lam * r.beta != 0.0]
+        lanes = [(np.s_[..., n, :] if stacked else ..., r if stacked else self)
+                 for n, r in enumerate(rows) if r.lam * r.beta != 0.0]
         sigma_sq = np.reshape([r.sigma ** 2 for r in rows], np.shape(self.sigma))
         return self.gamma * self.sigma * self.sigma, sigma_sq, lanes
 
@@ -157,22 +157,22 @@ def _lambert_w0_exp(log_x):
     return np.where(w > 0.0, w, 0.0)
 
 
-def _argmin(c: CoeffSnapshot, strat: StrategySet, vertex, log_tail):
-    """clip(vertex + W0(kappa) / (gamma beta), lo, hi) with
+def _root(c: CoeffSnapshot, vertex, log_tail):
+    """vertex + W0(kappa) / (gamma beta), the unclipped argmin, with
     ln kappa = ln(lam beta^2 / sigma^2) + log_tail; requires lam * beta != 0."""
     log_kappa = (math.log(c.lam) + 2.0 * math.log(abs(c.beta))
                  - 2.0 * math.log(c.sigma) + log_tail)
-    pi = vertex + _lambert_w0_exp(log_kappa) / (c.gamma * c.beta)
-    return np.clip(pi, strat.lo, strat.hi)
+    return vertex + _lambert_w0_exp(log_kappa) / (c.gamma * c.beta)
 
 
-def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet, y, z, u):
+def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet | None, y, z, u):
     """Vectorized constrained infimum of f_pi; returns (f_min, pi_star) arrays.
 
     Callers keep the shape rule: y and z are float arrays of one shape with
     y > 0; u is an array of that shape with y + u >= 0, or the scalar 0.0.
-    Per-regime coefficients index the leading axis; the argmin and the jump
-    term are evaluated only on the regimes with lam beta != 0.
+    Per-regime coefficients index the second-to-last axis; the root and the
+    jump term are evaluated only on the regimes with lam beta != 0.  With
+    ``strat`` None the strategy is unbounded and the root is not clipped.
 
     Inputs are normalized by y before minimizing, which makes positive
     homogeneity of degree one exact up to rounding:
@@ -181,16 +181,17 @@ def minimize_driver_grid(c: CoeffSnapshot, strat: StrategySet, y, z, u):
     g, (curvature, sigma_sq, lanes) = c.gamma, c.driver_terms
     zn, un = z / y, (u / y if lanes else None)
     num = c.mu + c.sigma * zn
-    vertex = num / curvature
-    pi = np.minimum(np.maximum(vertex, strat.lo), strat.hi)
-    for n, cn in lanes:  # y + u = 0 gives ln 0 = -inf, kappa = 0 and the vertex itself
+    pi = num / curvature  # the vertex, the root where lam beta = 0
+    for at, cn in lanes:  # y + u = 0 gives ln 0 = -inf, kappa = 0 and the vertex itself
         with np.errstate(divide="ignore"):
-            pi[n] = _argmin(cn, strat, vertex[n], np.log1p(un[n]) - g * cn.beta * vertex[n])
+            pi[at] = _root(cn, pi[at], np.log1p(un[at]) - g * cn.beta * pi[at])
+    if strat is not None:
+        pi = np.minimum(np.maximum(pi, strat.lo), strat.hi)
     # f_pi at y = 1, written from the vertex's numerator mu + sigma z / y
     f = 0.5 * g * g * pi * pi * sigma_sq - g * pi * num
-    for n, cn in lanes:
+    for at, cn in lanes:
         with np.errstate(over="ignore"):
-            f[n] -= cn.lam * (1.0 - np.exp(-g * pi[n] * cn.beta)) * (1.0 + un[n])
+            f[at] -= cn.lam * (1.0 - np.exp(-g * pi[at] * cn.beta)) * (1.0 + un[at])
     return y * f, pi
 
 
@@ -225,10 +226,9 @@ def g_quadratic(c: CoeffSnapshot, strat: StrategySet, z: float, u: float) -> flo
     a = z + theta / g
     # first-order condition: pi - A = (lam beta / (gamma sigma^2)) e^{gamma (u - beta pi)}
     vertex = a / sig - lam * beta / (g * sig * sig)
-    if lam * beta == 0.0:
-        pi = min(max(vertex, strat.lo), strat.hi)
-    else:
-        pi = float(_argmin(c, strat, vertex, g * (u - beta * vertex)))
+    if lam * beta != 0.0:
+        vertex = float(_root(c, vertex, g * (u - beta * vertex)))
+    pi = min(max(vertex, strat.lo), strat.hi)
 
     v = u - pi * beta
     penalty = 0.5 * g * (pi * sig - a) ** 2 + lam * (math.exp(g * v) - 1.0 - g * v) / g

@@ -3,7 +3,7 @@
 Time marches backward from the terminal condition Y_T = exp(-gamma xi).  One
 step advances every default state at once: the pre-default slice couples to
 the post-default slice through its jump branch, and the post-default slice,
-the last regime, jumps nowhere (p = 0, U = 0): it is a pure-diffusion BSDE.
+the last regime, jumps nowhere (p = 0): it is a pure-diffusion BSDE.
 
 Per step i and node x_j (pre-default):
 
@@ -21,16 +21,16 @@ E: the scheme is explicit and first order in dt.  The diffusion move is the
 no-jump branch of the forward Euler step, so the solver and the path
 simulator discretize the same dynamics.
 
-The backward pass carries its rows as one array indexed (n, b, j): the
-default state n = N_t (0 pre-default, 1 post-default), as in the coefficient
-table (`RegimeCoefficients.table`), then the batch row b, then the node j.
-Each row b has its own terminal condition and its own C = [-k, k].  On the
-uniform grid every move is a fixed stencil of taps, built once per
-coefficient interval together with its coefficient snapshot, and stacked
-over the regimes.  `solve_bsde` is the one-row case that keeps the whole
-surface; `solve_j0_batch` keeps only the current rows, lets the ks of one
-claim share a row until their constraint binds, and returns J0 per column
-(claim, k).
+The backward pass carries its rows as one array indexed (b, n, j): the
+batch row b, then the default state n = N_t (0 pre-default, 1 post-default),
+as in the coefficient table (`RegimeCoefficients.table`), then the node j.
+Each row b has its own terminal condition and its own C = [-k, k], or none.
+On the uniform grid every move is a fixed stencil of taps, built once per
+distinct coefficient row together with its coefficient snapshot, and stacked
+over the regimes, so one reshape and one take gather a step.  `solve_bsde` is
+the one-row case that keeps the whole surface; `solve_j0_batch` keeps only
+the current rows and returns J0 per column: unbounded, one row per claim, or
+on a k schedule, where the ks of one claim share a row until they bind.
 
 The coefficients depend on t only, so a claim paid on the default alone
 (a bond, a constant, the zero leg of a price) has a value function of
@@ -124,7 +124,9 @@ class Quadrature:
     weights: np.ndarray
 
     @classmethod
+    @functools.cache
     def gauss_hermite(cls, m: int = 7) -> "Quadrature":
+        """The m-node rule, built once per m; its arrays are read-only."""
         if m < 1:
             raise ValueError("need at least one quadrature node")
         # a rule too large for double precision comes back with NaN weights
@@ -137,6 +139,7 @@ class Quadrature:
         # enforce exact symmetry so odd moments cancel pairwise
         z = 0.5 * (z - z[::-1])
         w = 0.5 * (w + w[::-1])
+        z.flags.writeable = w.flags.writeable = False
         return cls(z, w)
 
     @property
@@ -258,15 +261,14 @@ def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: boo
 
 
 def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
-    """Per step i < N, (snapshot, p, lanes, offsets, taps, jump taps) of the
-    regimes at t_i, stacked on a leading regime axis n from the coefficient
-    table; lanes lists the regimes with lam > 0, whose E + U the step checks.
+    """Per step i < N, (snapshot, p, 1 - p, offsets, taps, jump taps) of the
+    regimes at t_i, stacked on a regime axis n from the coefficient table.
 
     offsets[n] reads the rows of one batch row laid end to end: regime n's
     diffusion moves, then its jump into regime n + 1.  The last regime jumps
-    nowhere: its jump columns read its own rows, and it has no jump taps.
-    One tuple per distinct coefficient row; ``flat`` builds the stencils for
-    rows two nodes wide (see `_stencil`).
+    nowhere: its jump reads its own rows through the identity stencil of
+    beta = 0, with p = 0.  Built once per distinct coefficient row; ``flat``
+    builds the stencils for rows two nodes wide (see `_stencil`).
     """
     g = model.grid
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
@@ -283,49 +285,52 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
         last, w = len(coeffs) - 1, moves[0][0].shape[-1]
         offsets = np.stack([np.concatenate([idx + n * w, jidx + min(n + 1, last) * w])
                             for n, ((idx, _), (jidx, _)) in enumerate(zip(moves, jumps))])
-        taps, jump_taps = (np.stack([t for _, t in m])[:, None] for m in (moves, jumps[:-1]))
-        return (CoeffSnapshot(*np.array(coeffs).T[..., None, None], gamma=model.gamma),
-                np.array(ps)[:, None, None], [n for n, c in enumerate(coeffs) if c[2] > 0.0],
+        taps, jump_taps = (np.stack([t for _, t in m]) for m in (moves, jumps))
+        p = np.array(ps)[:, None]
+        return (CoeffSnapshot(*np.array(coeffs).T[..., None], gamma=model.gamma), p, 1.0 - p,
                 offsets, taps, jump_taps)
 
-    return [step(tuple(map(tuple, coeffs))) for coeffs in model.step_table.tolist()]
+    tab = model.step_table
+    changed = np.r_[True, (tab[1:] != tab[:-1]).any(axis=(1, 2))]
+    built = [step(tuple(map(tuple, coeffs))) for coeffs in tab[changed].tolist()]
+    return [built[r] for r in (np.cumsum(changed) - 1).tolist()]
 
 
-def _step(regime: tuple, strat: StrategySet, dt: float, ys: np.ndarray, step: int):
+def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, step: int):
     """One backward step of every regime from the step-(i+1) rows ``ys``
-    (R, B, M+1); returns (Y, Z, U, pi), (R, B, M+1) each.
+    (B, R, M+1); returns (Y, Z, U, pi), (B, R, M+1) each.
 
-    Row b is batch column b, with its own bounds in ``strat``.  Regime
-    n < R-1 jumps to the rows of regime n+1; the last regime jumps nowhere,
-    with p = 0 and U = 0.  ``pi`` is the driver's argmin, the strategy.
+    Row b is batch row b, with its own bounds in ``strat`` (None: unbounded).
+    Regime n < R-1 jumps to the rows of regime n+1; the last regime jumps
+    to its own rows with p = 0, so its E is its no-jump mean and its U
+    enters only the E + U check.  ``pi`` is the driver's argmin, the strategy.
     """
-    c, p, lanes, offsets, taps, jump_taps = regime
-    r, b, w = ys.shape  # one take reads every regime's moves in rows[:, b] laid end to end
-    rows = ys.transpose(1, 0, 2).reshape(b, r * w).take(offsets, axis=-1).transpose(1, 0, 2, 3)
-    moved = taps @ rows[:, :, :taps.shape[-1]]
+    c, p, stay, offsets, taps, jump_taps = regime
+    b, r, w = ys.shape  # one take reads every regime's moves in ys[b] laid end to end
+    rows = ys.reshape(b, r * w).take(offsets, axis=-1)
+    q = taps.shape[-1]
+    moved = taps @ rows[:, :, :q]
     nojump = moved[:, :, 0]
-    jumped = jump_taps @ rows[:-1, :, taps.shape[-1]:]
-    vjump = np.concatenate([jumped[:, :, 0], nojump[-1:]])
-    stay = 1.0 - p
+    vjump = (jump_taps @ rows[:, :, q:])[:, :, 0]
     E = stay * nojump + p * vjump
     Z = stay * moved[:, :, 1] / math.sqrt(dt)
     U = vjump - nojump
-    # E + U >= 0 binds only where lam > 0, but passes elsewhere on valid rows:
-    # a failed fast check is settled per regime, with the exact rule
+    # E + U >= 0 binds only where lam > 0; elsewhere it holds wherever E >= TINY
+    # and the rows read are >= 0.  A failed fast check is settled per regime
     if not (E.min() >= TINY and (E + U).min() >= 0.0):
-        for n in reversed(range(len(E))):
-            _check_domain(E[n], U[n] if n in lanes else 0.0, step, f"E ({_NAMES[n]})")
+        for n in reversed(range(r)):
+            _check_domain(E[:, n], U[:, n], step, f"E ({_NAMES[n]})")
     f, pi = minimize_driver_grid(c, strat, E, Z, U)
     y = E + dt * f
     if not y.min() >= TINY:
-        for n in reversed(range(len(y))):
-            _check_domain(y[n], 0.0, step, f"Y ({_NAMES[n]})")
+        for n in reversed(range(r)):
+            _check_domain(y[:, n], 0.0, step, f"Y ({_NAMES[n]})")
     return y, Z, U, pi
 
 
 def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
-    """Check the scheme's step conditions; return the terminal rows [n, b]
-    for N_T = n and claims[b], and the per-step regimes of `_regimes`.
+    """Check the scheme's step conditions; return the terminal rows [b, n]
+    for claims[b] and N_T = n, and the per-step regimes of `_regimes`.
 
     When every row equals its node 0, the rows are cut to two nodes and the
     regimes gather from node 0 (see the module docstring)."""
@@ -342,21 +347,22 @@ def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
 
 
 def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
-    """exp(-gamma xi) on the grid: [n] for N_T = n, row b for claims[b].
+    """exp(-gamma xi) on the grid: row [b, n] for claims[b] and N_T = n.
     Raises SolverError naming the leg b and gamma*xi where that is no finite
     normal double (gamma*xi below -709.78 or above 708.39, or NaN): below the
     smallest normal double the scheme silently loses relative precision."""
     s_nodes = model.s0 * np.exp(space.nodes)
-    gxi = model.gamma * np.array([[claim.payoff(s_nodes, n) for claim in claims]
-                                  for n in (0, 1)], dtype=float)
+    gxi = model.gamma * np.array([[claim.payoff(s_nodes, n) for n in (0, 1)]
+                                  for claim in claims], dtype=float)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)
     # post-default rows first, as the backward pass checks them first
-    bad = np.argwhere(~(rows[::-1] >= TINY) | np.isinf(rows[::-1]))
+    by_state = rows.transpose(1, 0, 2)[::-1]
+    bad = np.argwhere(~(by_state >= TINY) | np.isinf(by_state))
     if bad.size:
         m, b, j = bad[0].tolist()
         raise SolverError(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite normal "
-                          f"double at gamma*xi = {gxi[1 - m, b, j]:g}, node {j}, N_T = {1 - m}")
+                          f"double at gamma*xi = {gxi[b, 1 - m, j]:g}, node {j}, N_T = {1 - m}")
     return rows
 
 
@@ -384,10 +390,10 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     U = np.full((n_steps + 1, w), np.nan)
     pi_hat = np.full((n_steps + 1, w, 2), np.nan)
 
-    Y[n_steps] = ys[:, 0].T
+    Y[n_steps] = ys[0].T
     for i in reversed(range(n_steps)):
         ys, z, u, pi = _step(regimes[i], strat, model.grid.dt, ys, i)
-        Y[i], Z[i], U[i], pi_hat[i] = ys[:, 0].T, z[:, 0].T, u[0, 0], pi[:, 0].T
+        Y[i], Z[i], U[i], pi_hat[i] = ys[0].T, z[0].T, u[0, 0], pi[0].T
     if w < m1:  # a flat claim's two-node rows, spread over the grid
         Y, Z, U, pi_hat = (np.repeat(a[:, :1], m1, axis=1) for a in (Y, Z, U, pi_hat))
 
@@ -416,44 +422,55 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
     that step from the rows of step i+1 (again if it binds too).  A row that
     never reaches its bound is the row of every wider bound, and no row
     depends on the batch width, so each J0 is solve_bsde's bit for bit.
-    Holds rows, no surface; errors are solve_bsde's.
+    With ks None, C = R: each claim is one row, never clipped, and the second
+    array holds each column's k-bar, the largest |pi| it reaches; its J0 is
+    that of every k >= k-bar, bit for bit.  Holds rows, no surface; errors
+    are solve_bsde's.
     """
-    ks, dt, groups = np.asarray(ks, dtype=float), model.grid.dt, {}
-    StrategySet.symmetric(ks)  # every k, not only the first of each row
-    for b in np.argsort(ks, kind="stable").tolist():
-        groups.setdefault(id(claims[b]), []).append(b)
-    cols = list(groups.values())  # per row, its columns by increasing k
-    bound = np.zeros(ks.size, dtype=bool)
+    dt = model.grid.dt
+    if ks is None:
+        ys, regimes = _start(model, claims, space, quad)
+        cols, reach = [[b] for b in range(len(claims))], np.zeros(ys.shape)
+        for i in reversed(range(len(regimes))):
+            ys, _, _, pi = _step(regimes[i], None, dt, ys, i)
+            np.maximum(reach, np.abs(pi, out=pi), out=reach)  # per node: largest |pi| so far
+    else:
+        ks, groups = np.asarray(ks, dtype=float), {}
+        StrategySet.symmetric(ks)  # every k, not only the first of each row
+        for b in np.argsort(ks, kind="stable").tolist():
+            groups.setdefault(id(claims[b]), []).append(b)
+        cols = list(groups.values())  # per row, its columns by increasing k
+        bound = np.zeros(ks.size, dtype=bool)
 
-    def bounds(rows):
-        return StrategySet.symmetric(ks[[cols[r][0] for r in rows]][:, None])
+        def bounds(rows):
+            return StrategySet.symmetric(ks[[cols[r][0] for r in rows]][:, None, None])
 
-    ys, regimes = _start(model, [claims[g[0]] for g in cols], space, quad)
-    strat = bounds(range(len(cols)))
-    limit = strat.hi[:, 0].copy()  # a row's k; inf once it binds, as no wider k is left
-    for i in reversed(range(len(regimes))):
-        new, _, _, pi = _step(regimes[i], strat, dt, ys, i)
-        rows = src = np.arange(len(cols))  # src: each row's row at step i+1
-        while (hit := (np.abs(pi).max(axis=(0, 2)) >= limit[rows]).nonzero()[0]).size:
-            bound[[cols[r][0] for r in rows[hit]]] = True
-            limit[rows[hit]] = np.inf
-            if not (wide := [j for j in hit if len(cols[rows[j]]) > 1]):
-                break
-            for r in rows[wide]:
-                cols.append(cols[r][1:])
-                del cols[r][1:]
-            src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
-            batch = bounds(rows)
-            limit = np.concatenate([limit, batch.hi[:, 0]])
-            y, _, _, pi = _step(regimes[i], batch, dt, ys[:, src], i)
-            new = np.concatenate([new, y], axis=1)
-        ys = new
-        if len(cols) > len(strat.hi):
-            strat = bounds(range(len(cols)))
-    j0 = np.empty(ks.size)
-    for g, row in zip(cols, ys[0]):  # a two-node row is flat: node 0 is J0
+        ys, regimes = _start(model, [claims[g[0]] for g in cols], space, quad)
+        strat = bounds(range(len(cols)))
+        limit = strat.hi[:, 0, 0].copy()  # a row's k; inf once it binds, as no wider k is left
+        for i in reversed(range(len(regimes))):
+            new, _, _, pi = _step(regimes[i], strat, dt, ys, i)
+            rows = src = np.arange(len(cols))  # src: each row's row at step i+1
+            while (hit := (np.abs(pi).max(axis=(1, 2)) >= limit[rows]).nonzero()[0]).size:
+                bound[[cols[r][0] for r in rows[hit]]] = True
+                limit[rows[hit]] = np.inf
+                if not (wide := [j for j in hit if len(cols[rows[j]]) > 1]):
+                    break
+                for r in rows[wide]:
+                    cols.append(cols[r][1:])
+                    del cols[r][1:]
+                src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
+                batch = bounds(rows)
+                limit = np.concatenate([limit, batch.hi[:, 0, 0]])
+                y, _, _, pi = _step(regimes[i], batch, dt, ys[src], i)
+                new = np.concatenate([new, y])
+            ys = new
+            if len(cols) > len(strat.hi):
+                strat = bounds(range(len(cols)))
+    j0 = np.empty(len(claims))
+    for g, row in zip(cols, ys[:, 0]):  # a two-node row is flat: node 0 is J0
         j0[g] = row[0] if row.size < space.nodes.size else np.interp(0.0, space.nodes, row)
-    return j0, bound
+    return j0, (reach.max(axis=(1, 2)) if ks is None else bound)
 
 
 def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:

@@ -259,12 +259,13 @@ class TestBatchedPass:
     def test_per_k_j0_matches_interp_reference(self, market, refined):
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
-        diag = indifference_price(model, claim, space, quad, 0.25, 1e-6).diagnostics
-        assert len(diag["ks"]) > 2
-        for key, leg in (("J0_zero_per_k", ZERO_CLAIM), ("J0_claim_per_k", claim),
-                         ("J0_negated_per_k", claim.negated())):
-            want = [reference_j0(model, leg, k, space, quad) for k in diag["ks"]]
-            np.testing.assert_allclose(diag[key], want, rtol=1e-13, atol=0.0)
+        legs = (ZERO_CLAIM, claim, claim.negated())
+        got = converge_legs(model, legs, ("zero", "claim", "negated claim"), space, quad,
+                            0.25, 1e-6)
+        assert len(got[0].ks) > 2
+        for res, leg in zip(got, legs):
+            want = [reference_j0(model, leg, k, space, quad) for k in res.ks]
+            np.testing.assert_allclose(res.j0s, want, rtol=1e-13, atol=0.0)
 
     @ONE_SCHEME
     def test_column_bit_identical_across_batch_widths(self, refined):
@@ -287,27 +288,27 @@ class TestBatchedPass:
             model = MarketModel(grid=TimeGrid(1.0, n_steps), coeffs=jump_market()[0].coeffs,
                                 gamma=1.0)
             space, quad = solve_setup(model, m_space=100)
-            indifference_price(model, PUT, space, quad, 0.25, 1e-6)  # warm caches
+            indifference_price(model, PUT, space, quad)  # warm caches
             tracemalloc.start()
             try:
-                indifference_price(model, PUT, space, quad, 0.25, 1e-6)
+                indifference_price(model, PUT, space, quad)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 1.1 * min(peaks)
 
     def test_price_holds_no_surface(self):
-        # N = M = 100 with 3 legs x 3 doublings per pass: one regime's Y surface
-        # over the batch would be (N+1)(M+1)B floats; the pass keeps rows only
+        # N = M = 100 with 3 legs per pass: one regime's Y surface over the
+        # batch would be (N+1)(M+1)B floats; the pass keeps rows only
         model = MarketModel(grid=TimeGrid(1.0, 100),
                             coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
                                                                beta=0.0, lam=0.1),
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=100)
-        indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6)  # warm caches
+        indifference_price(model, BOND_CLAIM, space, quad)  # warm caches
         tracemalloc.start()
         try:
-            indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6)
+            indifference_price(model, BOND_CLAIM, space, quad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,8 +328,8 @@ def recorded_pass(monkeypatch, model, claims, ks):
     calls, real = [], solver._step
 
     def step(regime, strat, dt, ys, i):
-        out = real(regime, strat, dt, ys, i)  # rows on the regime axis n: pre, post
-        calls.append((i, strat.hi[:, 0], list(np.abs(out[3]).max(axis=-1)[::-1]),
+        out = real(regime, strat, dt, ys, i)  # rows [b, n], n: pre, post
+        calls.append((i, strat.hi[:, 0, 0], list(np.abs(out[3]).max(axis=-1).T[::-1]),
                       ys.shape[-1]))
         return out
 
@@ -416,11 +417,56 @@ class TestSharedRows:
     def test_bound_per_k_reported_not_emitted(self):
         model, claim = drifted_bond_market()
         space, quad = solve_setup(model, m_space=40)
-        rep = indifference_price(model, claim, space, quad, 0.25, 1e-6)
+        legs = converge_legs(model, (ZERO_CLAIM, claim, claim.negated()),
+                             ("zero", "claim", "negated claim"), space, quad, 0.25, 1e-6)
         # vertex mu / (gamma sigma^2) = 2.5: k <= 2 binds, k = 4 and k* = 8 do not
-        assert rep.diagnostics["ks"] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-        assert rep.diagnostics["bound_per_k"] == [[True] * 4 + [False] * 2] * 3
-        assert "bound" not in str(rep.to_json_dict())
+        assert [res.ks for res in legs] == [[0.25, 0.5, 1.0, 2.0, 4.0, 8.0]] * 3
+        assert [res.bound for res in legs] == [[True] * 4 + [False] * 2] * 3
+        # the one pass reaches the vertex, between the last binding k and the first free one
+        rep = indifference_price(model, claim, space, quad)
+        assert rep.diagnostics["k_bar"] == pytest.approx(2.5, rel=1e-12)
+        assert "bound" not in str(rep.to_json_dict()) and "k_bar" not in str(rep.to_json_dict())
+
+
+def loop_price(model, claim, space, quad):
+    """(buy, sell) from the k loop's legs at k*, and whether each leg binds there."""
+    legs = converge_legs(model, (ZERO_CLAIM, claim, claim.negated()),
+                         ("zero", "claim", "negated claim"), space, quad, 0.25, 1e-6)
+    zero, held, sold = (res.j0s[-1] for res in legs)
+    return (math.log(zero / held) / model.gamma, -math.log(zero / sold) / model.gamma,
+            [res.bound[-1] for res in legs])
+
+
+def priced_markets():
+    """(model, claim, M) of the prices in the suite: the acceptance criteria's,
+    TestSharedRows' markets, and the random_mild_model markets of tests/."""
+    yield bond_model(100), BOND_CLAIM, 100  # criterion 2
+    yield bond_model(100), BOND_CLAIM, 60  # criterion 9
+    rng = np.random.default_rng(101)  # criterion 3
+    for _ in range(5):
+        model, claim = random_mild_model(rng, n_steps=50), random_claim(rng)
+        for c in (0.0, -1.0, 0.5, 3.0):
+            yield model, claim.shifted(c), 40
+    for market in (drifted_bond_market, jump_market, piecewise_market):
+        yield (*market(), 40)
+    for seed, n_steps, m, count in ((43, 50, 40, 1), (31, 100, 60, 5), (41, 50, 40, 3),
+                                    (103, 100, 60, 10)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield random_mild_model(rng, n_steps), random_claim(rng), m
+
+
+class TestLoopGate:
+    """price's one unbounded pass gives the k loop's prices bit for bit: on
+    every market the suite prices, the loop stops after its last binding k."""
+
+    def test_one_pass_price_is_the_loop_price(self):
+        for i, (model, claim, m) in enumerate(priced_markets()):
+            space, quad = solve_setup(model, m_space=m)
+            buy, sell, bound = loop_price(model, claim, space, quad)
+            rep = indifference_price(model, claim, space, quad)
+            assert not any(bound), i
+            assert (rep.buy_price, rep.sell_price) == (buy, sell), i
 
 
 class TestDriverContract:
@@ -440,18 +486,18 @@ class TestDriverContract:
             else:
                 assert type(u) is float and u == 0.0
             assert np.all(y > 0.0) and np.all(y + u >= 0.0)
-            # one call steps both regimes: the leading axis of the rows and
-            # of every coefficient is the default state n
-            assert y.ndim == 3 and y.shape[0] == 2
+            # one call steps both regimes: the middle axis of the rows [b, n, j]
+            # and the leading axis of every coefficient is the default state n
+            assert y.ndim == 3 and y.shape[1] == 2
             for v in (c.mu, c.sigma, c.lam, c.beta):
-                assert np.shape(v) == (2, 1, 1)
+                assert np.shape(v) == (2, 1)
             calls.append(y.shape)
             return real(c, strat, y, z, u)
 
         monkeypatch.setattr(solver, "minimize_driver_grid", driver)
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
-        indifference_price(model, claim, space, quad, 0.25, 1e-6)
+        indifference_price(model, claim, space, quad)
         solve_bsde(model, claim, StrategySet.symmetric(2.0), space, quad)
         assert len(calls) >= 2 * model.grid.n_steps
 
@@ -459,10 +505,11 @@ class TestDriverContract:
 def per_regime_calls(c, rows, strat, y, z, u):
     """The driver called once per regime n on float coefficients rows[n], with
     u only where lam > 0, as the solver called it before the regime axis."""
-    outs = [minimize_driver_grid(CoeffSnapshot(*row, gamma=c.gamma), strat, y[n], z[n],
-                                 u[n] if row[2] > 0.0 else 0.0)
+    strat = StrategySet(strat.lo[:, 0], strat.hi[:, 0])  # per row b, no regime axis
+    outs = [minimize_driver_grid(CoeffSnapshot(*row, gamma=c.gamma), strat, y[:, n], z[:, n],
+                                 u[:, n] if row[2] > 0.0 else 0.0)
             for n, row in enumerate(rows)]
-    return np.stack([f for f, _ in outs]), np.stack([pi for _, pi in outs])
+    return np.stack([f for f, _ in outs], axis=1), np.stack([pi for _, pi in outs], axis=1)
 
 
 class TestStackedDriver:
@@ -478,10 +525,10 @@ class TestStackedDriver:
         model, _ = market()
         space, quad = solve_setup(model, m_space=40)
         rng = np.random.default_rng(20)
-        strat = StrategySet.symmetric(np.array([[0.25], [2.0], [8.0]]))
+        strat = StrategySet.symmetric(np.array([[[0.25]], [[2.0]], [[8.0]]]))
         regimes = solver._regimes(model, space, quad, False)
         for rows, regime in zip(model.step_table.tolist(), regimes):
-            y, z, u = self.states(rng, (2, 3, 41))
+            y, z, u = self.states(rng, (3, 2, 41))
             f, pi = minimize_driver_grid(regime[0], strat, y, z, u)
             want_f, want_pi = per_regime_calls(regime[0], rows, strat, y, z, u)
             assert f.tobytes() == want_f.tobytes() and pi.tobytes() == want_pi.tobytes()
@@ -490,9 +537,9 @@ class TestStackedDriver:
         # Python's 0.1176 ** 2 calls pow, which (with glibc) differs in the last
         # bit from the product 0.1176 * 0.1176 that numpy's array square takes
         rows = [[0.05, 0.1176, 0.0, 0.0], [0.02, 0.1176, 0.0, 0.0]]
-        c = CoeffSnapshot(*np.array(rows).T[..., None, None], gamma=1.0)
-        y, z, u = self.states(np.random.default_rng(5), (2, 4, 9))
-        strat = StrategySet.symmetric(np.full((4, 1), 8.0))
+        c = CoeffSnapshot(*np.array(rows).T[..., None], gamma=1.0)
+        y, z, u = self.states(np.random.default_rng(5), (4, 2, 9))
+        strat = StrategySet.symmetric(np.full((4, 1, 1), 8.0))
         f, pi = minimize_driver_grid(c, strat, y, z, u)
         want_f, want_pi = per_regime_calls(c, rows, strat, y, z, u)
         assert f.tobytes() == want_f.tobytes() and pi.tobytes() == want_pi.tobytes()
@@ -502,10 +549,10 @@ class TestStackedDriver:
         # regime's strategy reaches ~4e4, where exp(-gamma pi beta) overflows;
         # lam beta = 0 skips the term there, as the float call does
         rows = [[0.05, 0.25, 0.0, -0.5], [0.05, 0.25, 0.3, -0.3]]
-        c = CoeffSnapshot(*np.array(rows).T[..., None, None], gamma=1.0)
-        assert [n for n, _ in c.driver_terms[2]] == [1]  # the lanes with lam beta != 0
+        c = CoeffSnapshot(*np.array(rows).T[..., None], gamma=1.0)
+        assert [n for n, _ in c.driver_terms[2]] == [np.s_[..., 1, :]]  # lam beta != 0
         y, z, u = self.states(np.random.default_rng(3), (2, 2, 5), zn=(1e4, 1e4))
-        strat = StrategySet.symmetric(np.array([[2.0 ** 20], [2.0]]))
+        strat = StrategySet.symmetric(np.array([[[2.0 ** 20]], [[2.0]]]))
         f, pi = minimize_driver_grid(c, strat, y, z, u)
         assert np.all(np.isfinite(f)) and pi[0, 0].min() > 3e4
         want_f, want_pi = per_regime_calls(c, rows, strat, y, z, u)

@@ -56,8 +56,8 @@ def test_oracle_op_traces_one_simulation(tmp_path, keep_paths):
 
 
 def test_price_op_traces_one_driver_call_per_step(tmp_path, monkeypatch):
-    # one driver call steps both regimes: one span per backward step and per
-    # re-solve, whose nodes sum to the regimes x rows x width that were stepped
+    # one driver call steps every leg and both regimes: one span per backward
+    # step, whose nodes sum to the rows x regimes x width that were stepped
     from defaultbsde import cli, solver
 
     real, stepped = solver._step, []
@@ -84,6 +84,6 @@ def test_price_op_traces_one_driver_call_per_step(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     drivers = [s for s in tracer.spans if s[0] == "driver.minimize_driver_grid"]
-    # the drift makes small ks bind, so some steps are re-solved
-    assert len(stepped) > n_steps and len(drivers) == len(stepped)
+    # the drift makes small ks bind, but the one unbounded pass re-solves nothing
+    assert len(stepped) == len(drivers) == n_steps
     assert sum(s[5]["nodes"] for s in drivers) == sum(stepped)

@@ -255,7 +255,7 @@ class TestPrice:
         payload = json.loads(out.read_text())
         assert abs(payload["buy_price"] - 0.6) < 1e-10
         assert list(payload) == ["gamma", "J0_zero", "J0_claim", "buy_price",
-                                 "sell_price", "per_k", "settings"]
+                                 "sell_price", "settings"]
 
     def test_byte_identical_across_threads(self, tmp_path):
         out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
@@ -495,14 +495,14 @@ class TestRepeatability:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
-    def test_single_k_run_has_empty_per_k_tail(self, tmp_path):
-        # a claim with pi-independent value converges at the first doubling:
-        # per_k then has exactly two entries, matching the k schedule
+    def test_price_json_has_no_k_schedule(self, tmp_path):
+        # price solves one unbounded pass: its JSON carries neither a per-k
+        # sequence nor the k loop's tolerance, though the config may set k0 and tol_rel
         out = tmp_path / "p.json"
         cfg = write_config(tmp_path, claim={"variant": "constant", "value": 0.3},
                            output={"price_json": str(out)})
         assert main(["price", str(cfg)]) == 0
         payload = json.loads(out.read_text())
-        ks = [e["k"] for e in payload["per_k"]]
-        assert ks == sorted(ks)
-        assert ks[0] == 0.25
+        assert abs(payload["buy_price"] - 0.3) < 1e-10
+        assert "per_k" not in payload and payload["settings"] == {"N": 100, "M": 40,
+                                                                  "quad_nodes": 7}

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from defaultbsde import (Claim, MarketModel,
-                         NonConvergenceError, RegimeCoefficients, SolverError, TimeGrid,
-                         approx, converge, indifference_price, solver,
+from defaultbsde import (Claim, MarketModel, NonConvergenceError, PiecewiseConstant,
+                         RegimeCoefficients, SolverError, TimeGrid,
+                         approx, converge, indifference_price, pricing, solver,
                          wealth_scaling)
 from defaultbsde.cli import emit_report
 
@@ -14,9 +14,26 @@ from conftest import (BOND_BUY, BOND_CLAIM, BOND_SELL, bond_model, merton_model,
                       random_claim, random_mild_model, solve_setup)
 
 
-def price(model, claim, m_space=60, k0=0.25, tol_rel=1e-6, **kw):
+def price(model, claim, m_space=60, **kw):
     space, quad = solve_setup(model, m_space=m_space)
-    return indifference_price(model, claim, space, quad, k0, tol_rel, **kw)
+    return indifference_price(model, claim, space, quad, **kw)
+
+
+def drifted_bond_model(n_steps=50):
+    """mu / (gamma sigma^2) = 2.5: the strategy leaves every k < 2.5."""
+    return MarketModel(grid=TimeGrid(1.0, n_steps),
+                       coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
+                                                          beta=0.0, lam=0.1),
+                       gamma=1.0)
+
+
+def late_drift_model(n_steps=50):
+    """mu = 0 before t = 0.5 and 0.2 from then on: the strategy is 0 at the
+    first steps and reaches mu / (gamma sigma^2) = 5 only after t = 0.5."""
+    mu, flat = PiecewiseConstant((0.0, 0.5), (0.0, 0.2)), PiecewiseConstant.flat
+    coeffs = RegimeCoefficients(mu_pre=mu, sigma_pre=flat(0.2), mu_post=mu,
+                                sigma_post=flat(0.2), beta=flat(0.0), lam=flat(0.1))
+    return MarketModel(grid=TimeGrid(1.0, n_steps), coeffs=coeffs, gamma=1.0)
 
 
 class TestBuyPrice:
@@ -36,16 +53,16 @@ class TestBuyPrice:
         assert rep.sell_price == pytest.approx(BOND_SELL, abs=5e-3)
         assert rep.sell_price >= rep.buy_price
 
-    def test_report_invariant_and_per_k(self):
-        rep = price(bond_model(50), BOND_CLAIM)
+    def test_report_invariant_and_k_bar(self):
+        model = drifted_bond_model()
+        rep = price(model, BOND_CLAIM)
         # p recomputes exactly from the stored legs
         assert rep.buy_price == math.log(rep.J0_zero / rep.J0_claim) / rep.gamma
-        ks = [k for k, _ in rep.per_k]
-        assert ks == sorted(ks)
-        assert rep.per_k[-1][1] == pytest.approx(rep.buy_price, abs=1e-15)
-        # per-k prices settle (Cauchy) toward the reported price
-        tail = abs(rep.per_k[-1][1] - rep.per_k[-2][1])
-        assert tail <= 1e-6 * max(1.0, abs(rep.buy_price)) + 1e-12
+        diag = rep.diagnostics
+        # the pass reaches the vertex 2.5; it stands for every k >= k_bar
+        assert diag["k_bar"] == pytest.approx(2.5, rel=1e-12)
+        assert diag["ks"] == [diag["k_bar"]] and diag["k_star"] == diag["k_bar"]
+        assert diag["monotonicity"] == model.gamma * diag["k_bar"] * 0.2 * math.sqrt(1 / 50)
 
     def test_translation_by_constant(self):
         model = bond_model(50)
@@ -74,82 +91,77 @@ class TestSellPrice:
     def test_selling_is_negated_buying(self):
         model = bond_model(50)
         space, quad = solve_setup(model, m_space=60)
-        sell = indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6).sell_price
+        sell = indifference_price(model, BOND_CLAIM, space, quad).sell_price
         buy_of_neg = indifference_price(model, BOND_CLAIM.negated(), space, quad,
-                                        0.25, 1e-6, with_selling=False).buy_price
+                                        with_selling=False).buy_price
         assert sell == pytest.approx(-buy_of_neg, abs=1e-12)
 
 
-class TestOneLoop:
-    """Every leg of a price runs through one k-doubling loop, each solved once per k."""
+class TestOnePass:
+    """Every leg of a price is one row of one unbounded backward pass."""
 
-    def test_three_solves_per_k_with_selling(self, monkeypatch):
-        real, columns, calls, rows = approx.solve_j0_batch, [], [], []
+    def test_three_rows_one_driver_call_per_step(self, monkeypatch):
+        real, calls, rows = pricing.solve_j0_batch, [], []
         real_driver = solver.minimize_driver_grid
 
         def counting(model, claims, ks, *args, **kwargs):
-            calls.append(len(ks))
-            columns.extend(zip(ks, claims))
+            calls.append((list(claims), ks))
             return real(model, claims, ks, *args, **kwargs)
 
         def driver(c, strat, y, z, u):
-            rows.append(y.shape[-2])  # y is (regime, row, node)
+            rows.append((strat, y.shape[0]))  # y is (row, regime, node)
             return real_driver(c, strat, y, z, u)
 
-        monkeypatch.setattr(approx, "solve_j0_batch", counting)
+        monkeypatch.setattr(pricing, "solve_j0_batch", counting)
         monkeypatch.setattr(solver, "minimize_driver_grid", driver)
-        rep = price(bond_model(50), BOND_CLAIM)
+        model = drifted_bond_model()
+        rep = price(model, BOND_CLAIM)
         assert rep.sell_price is not None
-        # one pass over the whole schedule; a leg's ks share a row until they
-        # bind, so a driver call holds one row per binding k of a leg, plus
-        # one per leg for the ks that never bound
-        ks, solved = rep.diagnostics["ks"], sorted({k for k, _ in columns})
-        assert solved[:len(ks)] == ks and len(calls) == 1
-        binding = sum(map(any, zip(*rep.diagnostics["bound_per_k"])))
-        assert max(rows) <= 3 * (binding + 1)
-        # one column per k each for zero, claim and negated claim: the zero leg
-        # serves both prices
-        for k in solved:
-            assert ([c for kc, c in columns if kc == k]
-                    == [Claim.constant(0.0), BOND_CLAIM, BOND_CLAIM.negated()])
+        # one pass with no bound: one row each for zero, claim and negated
+        # claim, stepped once per step; the zero leg serves both prices
+        assert calls == [([Claim.constant(0.0), BOND_CLAIM, BOND_CLAIM.negated()], None)]
+        assert rows == [(None, 3)] * model.grid.n_steps
 
-    def test_legs_match_one_leg_converge(self):
-        # a drifted bond market, so the schedule runs several doublings
-        model = MarketModel(grid=TimeGrid(1.0, 50),
-                            coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2,
-                                                               beta=0.0, lam=0.1),
-                            gamma=1.0)
+    @pytest.mark.parametrize("market, vertex", [(drifted_bond_model, 2.5),
+                                                (late_drift_model, 5.0)])
+    def test_legs_equal_bounded_solves_from_k_bar(self, market, vertex):
+        # markets whose strategy leaves every k below k_bar, the largest |pi|
+        # over every step, not only the last one solved
+        model = market()
         space, quad = solve_setup(model, m_space=40)
-        diag = indifference_price(model, BOND_CLAIM, space, quad, 0.25, 1e-6).diagnostics
-        assert len(diag["ks"]) > 2
-        for key, leg in (("J0_zero_per_k", Claim.constant(0.0)),
-                         ("J0_claim_per_k", BOND_CLAIM),
-                         ("J0_negated_per_k", BOND_CLAIM.negated())):
-            _, res = converge(model, leg, space, quad, 0.25, 1e-6)
-            assert res.ks == diag["ks"]
-            assert res.j0s == diag[key]
+        rep = indifference_price(model, BOND_CLAIM, space, quad)
+        k_bar, legs = rep.diagnostics["k_bar"], pricing.price_legs(BOND_CLAIM)
+        assert k_bar == pytest.approx(vertex, rel=1e-12)
+        for k in (k_bar, 2.0 * k_bar, 1e6):
+            j0, bound = solver.solve_j0_batch(model, legs, [k] * 3, space, quad)
+            assert (j0[0], j0[1]) == (rep.J0_zero, rep.J0_claim)
+            assert -math.log(j0[0] / j0[2]) / model.gamma == rep.sell_price
+            assert any(bound) == (k == k_bar)  # some leg reaches k_bar
+        _, bound = solver.solve_j0_batch(model, legs, [0.99 * k_bar] * 3, space, quad)
+        assert all(bound)
 
-    def test_nonconvergence_names_the_leg(self, monkeypatch):
-        # the case of test_approx's test_nonconvergence_reports_sequence; the cap
-        # is read when the loop runs
+    def test_no_k_schedule(self, monkeypatch):
+        # the case of test_approx's test_nonconvergence_reports_sequence: a one-
+        # doubling cap stops the k loop, but price has no loop to stop
         monkeypatch.setattr(approx, "MAX_DOUBLINGS", 1)
         model = merton_model(50)
         space, quad = solve_setup(model, m_space=30)
-        with pytest.raises(NonConvergenceError,
-                           match=r"leg\(s\) zero, claim, negated claim \(") as exc:
-            indifference_price(model, Claim.constant(0.3), space, quad, 0.125, 1e-9)
-        assert len(exc.value.ks) == 2
-        assert exc.value.j0s[1] < exc.value.j0s[0]
+        with pytest.raises(NonConvergenceError):
+            converge(model, Claim.constant(0.3), space, quad, 0.125, 1e-9)
+        rep = indifference_price(model, Claim.constant(0.3), space, quad)
+        assert rep.buy_price == pytest.approx(0.3, abs=1e-10)
+        # Merton's strategy mu / (gamma sigma^2) = 1
+        assert rep.diagnostics["k_bar"] == pytest.approx(1.0, rel=1e-9)
 
-    def test_solver_failure_tagged_with_k(self):
+    def test_solver_failure_names_the_step(self):
         # the market of test_cli's test_numerical_failure_exits_3
         model = MarketModel(grid=TimeGrid(1.0, 2),
                             coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
                                                                beta=0.5, lam=0.5),
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=40)
-        with pytest.raises(SolverError, match="k=0.25: solver"):
-            indifference_price(model, Claim.default_indicator(0.0, 20.0), space, quad, 0.25, 1e-6)
+        with pytest.raises(SolverError, match=r"^solver: Y \+ U >= 0 violated at step 1, node 0 "):
+            indifference_price(model, Claim.default_indicator(0.0, 20.0), space, quad)
 
 
 class TestWealthScaling:
@@ -175,8 +187,7 @@ class TestReportJson:
         emit_report(rep, out)
         payload = json.loads(out.read_text())
         assert list(payload) == ["gamma", "J0_zero", "J0_claim", "buy_price",
-                                 "sell_price", "per_k", "settings"]
-        assert list(payload["settings"]) == ["N", "M", "quad_nodes", "tol_rel"]
-        assert all(list(e) == ["k", "p"] for e in payload["per_k"])
+                                 "sell_price", "settings"]
+        assert list(payload["settings"]) == ["N", "M", "quad_nodes"]
         assert payload["settings"]["N"] == 40
         assert payload["settings"]["M"] == 40

@@ -121,7 +121,7 @@ class TestInvariants:
         model = bond_model(4)
         space = SpaceGrid.for_model(model, 20)
         regime = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
-        rows = np.stack([np.ones((1, 21)), np.zeros((1, 21))])  # pre-default, post-default
+        rows = np.stack([np.ones((1, 21)), np.zeros((1, 21))], axis=1)  # [b, n]: pre, post
         with pytest.raises(SolverError,
                            match=r"E \(post-default\) positivity violated at step 3, node 0"):
             _step(regime, StrategySet.symmetric(1.0), model.grid.dt, rows, 3)
@@ -140,7 +140,7 @@ class TestInvariants:
                             lambda c, strat, y, z, u: (np.full(y.shape, -1e9), 0.0 * y))
 
         def step(pre):
-            rows = np.stack([np.full((1, 21), pre), np.ones((1, 21))])
+            rows = np.stack([np.full((1, 21), pre), np.ones((1, 21))], axis=1)
             _step(regime, StrategySet.symmetric(1.0), model.grid.dt, rows, 3)
 
         with pytest.raises(SolverError, match=r"Y \(post-default\) positivity violated at step 3"):
