@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 # solve_j0 is imported only so that benchmark/tracing.py can wrap it by this name
 from .approx import solve_j0  # noqa: F401
 from .model import Claim, MarketModel
@@ -61,13 +63,20 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
 
     Solves xi = 0, xi = claim and, when the selling price is wanted,
     xi = -claim in one unbounded pass with identical numerical settings.
-    diagnostics: k_bar, the largest |pi| of any leg; ks = [k_bar] and
-    k_star = k_bar, the bound whose J0 the pass equals; monotonicity,
-    gamma k_bar sigma_max sqrt(dt) with sigma_max over both regimes.
+    diagnostics: k_bar, the largest |pi| of any leg, recorded by a visitor
+    of the pass; ks = [k_bar] and k_star = k_bar, the bound whose J0 the
+    pass equals; monotonicity, gamma k_bar sigma_max sqrt(dt) with sigma_max
+    over both regimes.
     """
     gamma, dt = model.gamma, model.grid.dt
-    (zero, held, *sold), reach = solve_j0_batch(model, price_legs(claim, with_selling),
-                                                None, space, quad)
+    reach = 0.0  # per node: the largest |pi| of the steps visited so far
+
+    def visit(i, y, z, u, pi):
+        nonlocal reach
+        reach = np.maximum(reach, np.abs(pi))
+
+    (zero, held, *sold), _ = solve_j0_batch(model, price_legs(claim, with_selling), None,
+                                            space, quad, visit)
     k_bar = float(reach.max())
     sigma_max = float(model.step_table[:, :, 1].max())
     return PriceReport(

@@ -27,10 +27,13 @@ as in the coefficient table (`RegimeCoefficients.table`), then the node j.
 Each row b has its own terminal condition and its own C = [-k, k], or none.
 On the uniform grid every move is a fixed stencil of taps, built once per
 distinct coefficient row together with its coefficient snapshot, and stacked
-over the regimes, so one reshape and one take gather a step.  `solve_bsde` is
-the one-row case that keeps the whole surface; `solve_j0_batch` keeps only
-the current rows and returns J0 per column: unbounded, one row per claim, or
-on a k schedule, where the ks of one claim share a row until they bind.
+over the regimes, so one reshape and one take gather a step.
+
+`solve_j0_batch` holds the one loop over the steps.  It keeps only the
+current rows and returns J0 per column: unbounded, one row per claim, or on
+a k schedule, where the ks of one claim share a row until they bind.  Its
+visitor sees each step's rows once: `solve_bsde` is the one-column pass
+whose visitor keeps the whole surface, and `pricing`'s visitor records k-bar.
 
 The coefficients depend on t only, so a claim paid on the default alone
 (a bond, a constant, the zero leg of a price) has a value function of
@@ -59,6 +62,7 @@ __all__ = [
     "ValueSurface",
     "SolverError",
     "SURFACE_NODE_BUDGET",
+    "MAX_QUAD_NODES",
     "surface_violation",
     "solve_bsde",
     "solve_j0_batch",
@@ -77,6 +81,9 @@ _NAMES = ("pre-default", "post-default")
 # node-step of the (N+1) x (M+1) surface; tracemalloc puts its peak at 56-61
 # (N = 100..400, M = 400..2000), so this cap holds it near 1.1 GB
 SURFACE_NODE_BUDGET = 19_000_000
+# the largest Gauss-Hermite rule built: hermgauss's m x m companion matrix is
+# 8 MB at m = 1000 (about 1 s), while rules from 372 nodes on are not finite
+MAX_QUAD_NODES = 1000
 
 
 class SolverError(RuntimeError):
@@ -129,6 +136,8 @@ class Quadrature:
         """The m-node rule, built once per m; its arrays are read-only."""
         if m < 1:
             raise ValueError("need at least one quadrature node")
+        if m > MAX_QUAD_NODES:  # hermgauss would first build a dense m x m matrix
+            raise ValueError(f"{m} quadrature nodes exceed the cap of {MAX_QUAD_NODES}")
         # a rule too large for double precision comes back with NaN weights
         with np.errstate(all="ignore"):
             x, w = np.polynomial.hermite.hermgauss(m)
@@ -328,24 +337,6 @@ def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, s
     return y, Z, U, pi
 
 
-def _start(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature):
-    """Check the scheme's step conditions; return the terminal rows [b, n]
-    for claims[b] and N_T = n, and the per-step regimes of `_regimes`.
-
-    When every row equals its node 0, the rows are cut to two nodes and the
-    regimes gather from node 0 (see the module docstring)."""
-    bad = coefficient_violations(model, model.grid, quad.max_abs_node)
-    if bad:
-        raise SolverError("solver: " + "; ".join(bad))
-    rows = terminal_rows(model, claims, space)
-    flat = bool(np.all(rows == rows[..., :1]))
-    if flat:
-        # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
-        # kernel, while two columns reproduce the full-width product bit for bit
-        rows = rows[..., :2]
-    return rows, _regimes(model, space, quad, flat)
-
-
 def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
     """exp(-gamma xi) on the grid: row [b, n] for claims[b] and N_T = n.
     Raises SolverError naming the leg b and gamma*xi where that is no finite
@@ -370,33 +361,36 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
                space: SpaceGrid, quad: Quadrature) -> ValueSurface:
     """Backward induction for the constrained BSDE; see the module docstring.
 
-    The one-column case of the backward pass that keeps every step: one
-    driver call per step, for both regimes, at the conditional mean E.
+    The one-column pass of `solve_j0_batch`, at k = strat.hi, with a visitor
+    that keeps every step's rows: one driver call per step, for both regimes,
+    at the conditional mean E.  A flat claim's two-node rows are spread over
+    the grid as they are kept.
 
-    Raises ValueError, before any work, when the surface exceeds
-    SURFACE_NODE_BUDGET; SolverError when the coefficients at the step times
-    break `coefficient_violations` at the quadrature's largest node, or when
-    an iterate violates Y >= TINY (a positive normal double) or Y + U >= 0,
-    reporting the offending step and node.  A flat claim is solved two nodes
-    wide and spread over the grid.
+    Raises ValueError, before any work, when the strategy set is not
+    [-k, k] with k > 0, or when the surface exceeds SURFACE_NODE_BUDGET;
+    SolverError when the coefficients at the step times break
+    `coefficient_violations` at the quadrature's largest node, or when an
+    iterate violates Y >= TINY (a positive normal double) or Y + U >= 0,
+    reporting the offending step and node.
     """
+    if strat.lo != -strat.hi:
+        raise ValueError(f"solver: the strategy set must be symmetric, [-k, k]; "
+                         f"got [{strat.lo:g}, {strat.hi:g}]")
     bad = surface_violation(model, space)
     if bad is not None:
         raise ValueError(f"solver: {bad}")
-    ys, regimes = _start(model, (claim,), space, quad)
-    n_steps, m1, w = model.grid.n_steps, space.nodes.size, ys.shape[-1]
-    Y = np.empty((n_steps + 1, w, 2))
-    Z = np.full((n_steps + 1, w, 2), np.nan)
-    U = np.full((n_steps + 1, w), np.nan)
-    pi_hat = np.full((n_steps + 1, w, 2), np.nan)
+    n_steps, m1 = model.grid.n_steps, space.nodes.size
+    Y = np.empty((n_steps + 1, m1, 2))
+    Z = np.full((n_steps + 1, m1, 2), np.nan)
+    U = np.full((n_steps + 1, m1), np.nan)
+    pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
 
-    Y[n_steps] = ys[0].T
-    for i in reversed(range(n_steps)):
-        ys, z, u, pi = _step(regimes[i], strat, model.grid.dt, ys, i)
-        Y[i], Z[i], U[i], pi_hat[i] = ys[0].T, z[0].T, u[0, 0], pi[0].T
-    if w < m1:  # a flat claim's two-node rows, spread over the grid
-        Y, Z, U, pi_hat = (np.repeat(a[:, :1], m1, axis=1) for a in (Y, Z, U, pi_hat))
+    def keep(i, y, z, u, pi):
+        j = slice(None) if y.shape[-1] == m1 else slice(1)  # a flat row: node 0 for every node
+        Y[i], Z[i], U[i], pi_hat[i] = y[0, :, j].T, z[0, :, j].T, u[0, 0, j], pi[0, :, j].T
 
+    solve_j0_batch(model, (claim,), [strat.hi], space, quad, keep)
+    Y[n_steps] = terminal_rows(model, (claim,), space)[0].T
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
 
@@ -412,7 +406,7 @@ def surface_violation(model: MarketModel, space: SpaceGrid) -> str | None:
 
 
 def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
-                   quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
+                   quad: Quadrature, visit=None) -> tuple[np.ndarray, np.ndarray]:
     """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward
     pass, and whether the column's strategy reached +-ks[b] at some node and step.
 
@@ -421,36 +415,44 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
     smallest k keeps the row and the wider ks get a new row, re-solved for
     that step from the rows of step i+1 (again if it binds too).  A row that
     never reaches its bound is the row of every wider bound, and no row
-    depends on the batch width, so each J0 is solve_bsde's bit for bit.
-    With ks None, C = R: each claim is one row, never clipped, and the second
-    array holds each column's k-bar, the largest |pi| it reaches; its J0 is
-    that of every k >= k-bar, bit for bit.  Holds rows, no surface; errors
-    are solve_bsde's.
+    depends on the batch width, so each J0 is a one-column pass's bit for
+    bit.  With ks None, C = R: each claim is one row, never clipped nor
+    tested, so no flag is set; its J0 is that of every k >= k-bar, the
+    largest |pi| it reaches, bit for bit.  ``visit(i, y, z, u, pi)`` is
+    called once per step, i = N-1 down to 0, with the step's (B, 2, width)
+    rows, new rows last; it writes none of them.  Holds rows, no surface;
+    errors are solve_bsde's.
     """
     dt = model.grid.dt
-    if ks is None:
-        ys, regimes = _start(model, claims, space, quad)
-        cols, reach = [[b] for b in range(len(claims))], np.zeros(ys.shape)
-        for i in reversed(range(len(regimes))):
-            ys, _, _, pi = _step(regimes[i], None, dt, ys, i)
-            np.maximum(reach, np.abs(pi, out=pi), out=reach)  # per node: largest |pi| so far
-    else:
+    bound = np.zeros(len(claims), dtype=bool)
+    cols, strat = [[b] for b in range(len(claims))], None  # per row, its columns
+    if ks is not None:
         ks, groups = np.asarray(ks, dtype=float), {}
         StrategySet.symmetric(ks)  # every k, not only the first of each row
         for b in np.argsort(ks, kind="stable").tolist():
             groups.setdefault(id(claims[b]), []).append(b)
-        cols = list(groups.values())  # per row, its columns by increasing k
-        bound = np.zeros(ks.size, dtype=bool)
+        cols = list(groups.values())  # by increasing k
 
         def bounds(rows):
             return StrategySet.symmetric(ks[[cols[r][0] for r in rows]][:, None, None])
 
-        ys, regimes = _start(model, [claims[g[0]] for g in cols], space, quad)
         strat = bounds(range(len(cols)))
         limit = strat.hi[:, 0, 0].copy()  # a row's k; inf once it binds, as no wider k is left
-        for i in reversed(range(len(regimes))):
-            new, _, _, pi = _step(regimes[i], strat, dt, ys, i)
+    bad = coefficient_violations(model, model.grid, quad.max_abs_node)
+    if bad:
+        raise SolverError("solver: " + "; ".join(bad))
+    ys = terminal_rows(model, [claims[g[0]] for g in cols], space)
+    flat = bool(np.all(ys == ys[..., :1]))  # every row equals its node 0
+    if flat:
+        # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
+        # kernel, while two columns reproduce the full-width product bit for bit
+        ys = ys[..., :2]
+    regimes = _regimes(model, space, quad, flat)
+    for i in reversed(range(len(regimes))):
+        out = _step(regimes[i], strat, dt, ys, i)
+        if strat is not None:
             rows = src = np.arange(len(cols))  # src: each row's row at step i+1
+            pi = out[3]
             while (hit := (np.abs(pi).max(axis=(1, 2)) >= limit[rows]).nonzero()[0]).size:
                 bound[[cols[r][0] for r in rows[hit]]] = True
                 limit[rows[hit]] = np.inf
@@ -462,15 +464,17 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
                 src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
                 batch = bounds(rows)
                 limit = np.concatenate([limit, batch.hi[:, 0, 0]])
-                y, _, _, pi = _step(regimes[i], batch, dt, ys[src], i)
-                new = np.concatenate([new, y])
-            ys = new
+                more = _step(regimes[i], batch, dt, ys[src], i)
+                out, pi = tuple(map(np.concatenate, zip(out, more))), more[3]
             if len(cols) > len(strat.hi):
                 strat = bounds(range(len(cols)))
+        ys = out[0]
+        if visit is not None:
+            visit(i, *out)
     j0 = np.empty(len(claims))
     for g, row in zip(cols, ys[:, 0]):  # a two-node row is flat: node 0 is J0
         j0[g] = row[0] if row.size < space.nodes.size else np.interp(0.0, space.nodes, row)
-    return j0, (reach.max(axis=(1, 2)) if ks is None else bound)
+    return j0, bound
 
 
 def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:

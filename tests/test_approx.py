@@ -428,6 +428,43 @@ class TestSharedRows:
         assert "bound" not in str(rep.to_json_dict()) and "k_bar" not in str(rep.to_json_dict())
 
 
+class TestVisitors:
+    """solve_bsde's surface and the price's k-bar are visitors of one loop."""
+
+    def test_price_k_bar_is_the_surface_strategy_peak(self):
+        # the drifted bond's legs all sit at the vertex 2.5; a bound of 2 k-bar never binds
+        model, claim = drifted_bond_market()
+        space, quad = solve_setup(model, m_space=40)
+        k_bar = indifference_price(model, claim, space, quad).diagnostics["k_bar"]
+        surf = solve_bsde(model, claim, StrategySet.symmetric(2 * k_bar), space, quad)
+        assert k_bar == np.nanmax(np.abs(surf.pi_hat))
+
+    @pytest.mark.parametrize("ks", [None, [0.5, 1.0, 2.0]])
+    def test_pass_without_splits_visits_each_step_once_in_order(self, ks):
+        model, claim = piecewise_market()
+        space, quad = solve_setup(model, m_space=40)
+        legs = [ZERO_CLAIM, claim, claim.negated()]
+        seen = []
+        solve_j0_batch(model, legs, ks, space, quad,
+                       lambda i, *rows: seen.append((i, *(a.shape for a in rows))))
+        assert [i for i, *_ in seen] == list(range(49, -1, -1))
+        assert {tuple(shapes) for _, *shapes in seen} == {((3, 2, 41),) * 4}
+
+    def test_split_rows_are_visited_with_their_step(self):
+        # k = 0.25..2 bind at step 49 and split there: the step's visit holds every row
+        model, claim = drifted_bond_market()
+        space, quad = solve_setup(model, m_space=40)
+        seen = []
+
+        def visit(i, y, z, u, pi):
+            seen.append((i, len(y), np.abs(pi).max(axis=(1, 2))))
+
+        solve_j0_batch(model, [claim] * 5, [0.25, 0.5, 1.0, 2.0, 4.0], space, quad, visit)
+        assert [i for i, *_ in seen] == list(range(49, -1, -1))
+        assert {rows for _, rows, _ in seen} == {5}
+        assert seen[0][2].tolist() == pytest.approx([0.25, 0.5, 1.0, 2.0, 2.5], rel=1e-12)
+
+
 def loop_price(model, claim, space, quad):
     """(buy, sell) from the k loop's legs at k*, and whether each leg binds there."""
     legs = converge_legs(model, (ZERO_CLAIM, claim, claim.negated()),

@@ -1,0 +1,63 @@
+"""The backward pass has one loop over the steps: `solve_j0_batch`'s.
+
+`solver._step` is called only inside `solve_j0_batch`, from any module of the
+package, and every call there sits in one `for` loop.  `solve_bsde`'s surface
+and the price's k-bar are visitors of that loop, so a second backward loop
+fails here.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "defaultbsde"
+LOOP_OWNER = "solve_j0_batch"
+
+
+def step_calls(tree: ast.Module) -> list[tuple[int, str, ast.AST | None]]:
+    """(line, top-level definition, outermost enclosing for loop) of every
+    call of `_step` in ``tree``, by name or as an attribute."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        parents = {child: node for node in ast.walk(top) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "_step" in (getattr(func, "id", None),
+                                                         getattr(func, "attr", None)):
+                loop, up = None, node
+                while up in parents:
+                    up = parents[up]
+                    if isinstance(up, ast.For):
+                        loop = up
+                found.append((node.lineno, owner, loop))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_step_called_only_by_the_one_loop(path):
+    calls = step_calls(ast.parse(path.read_text()))
+    assert [(line, owner) for line, owner, _ in calls if owner != LOOP_OWNER] == []
+
+
+def test_one_loop_over_the_steps():
+    calls = step_calls(ast.parse((PACKAGE / "solver.py").read_text()))
+    loops = {loop for _, _, loop in calls}
+    assert len(calls) >= 1 and len(loops) == 1 and None not in loops
+
+
+def test_guard_sees_each_kind_of_call():
+    src = ("def solve_j0_batch():\n"
+           "    for i in steps:\n"
+           "        _step(i)\n"
+           "        while hit:\n"
+           "            solver._step(i)\n"
+           "def solve_bsde():\n"
+           "    for i in steps:\n"
+           "        _step(i)\n"
+           "_step(0)\n")
+    calls = step_calls(ast.parse(src))
+    assert [(line, owner) for line, owner, _ in calls] == [
+        (3, "solve_j0_batch"), (5, "solve_j0_batch"), (8, "solve_bsde"), (9, "<module>")]
+    assert calls[0][2] is calls[1][2] is not calls[2][2]
+    assert calls[3][2] is None

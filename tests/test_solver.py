@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestInvariants:
         with pytest.raises(ValueError, match="40022001 node-steps exceeds the surface budget"):
             solve(model, Claim.constant(0.0), m_space=2000)
 
+    def test_asymmetric_strategy_set_rejected_before_any_work(self, monkeypatch):
+        # the pass solves C = [-k, k]: an asymmetric set would be solved as [-hi, hi]
+        def no_work(*args):
+            raise AssertionError("the pass started")
+
+        monkeypatch.setattr(solver, "solve_j0_batch", no_work)
+        for lo, hi in ((-1.0, 2.0), (0.7, 0.7), (-2.0, -1.0)):
+            with pytest.raises(ValueError, match=rf"must be symmetric, \[-k, k\]; "
+                                                 rf"got \[{lo:g}, {hi:g}\]"):
+                solve_bsde(bond_model(4), BOND_CLAIM, StrategySet(lo, hi),
+                           SpaceGrid(20, 1.0), Quadrature.gauss_hermite(7))
+
     def test_euler_factor_checked_at_quadrature_width(self):
         # sigma sqrt(dt) = 0.15: 7 nodes (largest 3.75) are fine, 20 (7.62) are not
         model = MarketModel(grid=TimeGrid(1.0, 4),
@@ -306,6 +319,22 @@ class TestExport:
         assert np.array_equal(q.nodes, -q.nodes[::-1])
         assert abs(float(q.weights @ q.nodes)) < 1e-16
         assert float(q.weights @ q.nodes**2) == pytest.approx(1.0, abs=1e-13)
+
+    def test_quadrature_node_cap_checked_before_any_work(self):
+        # hermgauss(10**6) would build an 8 TB companion matrix before its NaNs showed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1000000 quadrature nodes exceed the cap"):
+                Quadrature.gauss_hermite(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with pytest.raises(ValueError, match="1001 quadrature nodes exceed"):
+            Quadrature.gauss_hermite(solver.MAX_QUAD_NODES + 1)
+        # up to the cap, a rule too large for double precision says so
+        with pytest.raises(ValueError, match="1000-node Gauss-Hermite rule is not finite"):
+            Quadrature.gauss_hermite(solver.MAX_QUAD_NODES)
 
     def test_space_grid_symmetric(self):
         g = SpaceGrid(10, 1.5)
