@@ -62,8 +62,10 @@ _W0_STEPS = 4
 @dataclass(frozen=True)
 class CoeffSnapshot:
     """Coefficient values frozen at one (time, regime) point, or at one time
-    for R regimes: then mu, sigma, lam and beta are arrays of shape (R, 1),
-    and the driver reads entry n at index n of its inputs' second-to-last axis."""
+    for R regimes: then mu, sigma, lam and beta are arrays whose
+    second-to-last axis is the regime, constant along their other axes, of
+    shape (R, 1) or the driver inputs' own (..., R, w); the driver reads
+    entry n at index n of its inputs' second-to-last axis."""
 
     mu: float
     sigma: float
@@ -83,17 +85,22 @@ class CoeffSnapshot:
 
     @functools.cached_property
     def driver_terms(self) -> tuple:
-        """(gamma sigma sigma, sigma ** 2, lanes), once per snapshot.  lanes pairs
-        the index of regime n (``...`` for floats) with the float snapshot of each
-        regime with lam beta != 0.  sigma ** 2 squares floats: numpy's square of
-        an array may differ from Python's in the last bit."""
+        """(gamma sigma sigma, sigma ** 2, lanes), once per snapshot, in sigma's
+        shape.  lanes pairs the index of regime n (``...`` for floats) with the
+        float snapshot of each regime with lam beta != 0.  sigma ** 2 squares
+        floats: numpy's square of an array may differ from Python's in the last
+        bit."""
         stacked = np.ndim(self.sigma) > 0
-        rows = [CoeffSnapshot(*r, gamma=self.gamma) for r in zip(*(
-            np.ravel(v).tolist() for v in (self.mu, self.sigma, self.lam, self.beta)))]
-        lanes = [(np.s_[..., n, :] if stacked else ..., r if stacked else self)
+        rows = [self]
+        if stacked:  # regime n's floats, read at index 0 of the other axes
+            rows = [CoeffSnapshot(*r, gamma=self.gamma) for r in zip(*(
+                np.reshape(v, (-1, *np.shape(v)[-2:]))[0, :, 0].tolist()
+                for v in (self.mu, self.sigma, self.lam, self.beta)))]
+        lanes = [(np.s_[..., n, :] if stacked else ..., r)
                  for n, r in enumerate(rows) if r.lam * r.beta != 0.0]
-        sigma_sq = np.reshape([r.sigma ** 2 for r in rows], np.shape(self.sigma))
-        return self.gamma * self.sigma * self.sigma, sigma_sq, lanes
+        sigma_sq = np.reshape([r.sigma ** 2 for r in rows], (-1, 1) if stacked else ())
+        return (self.gamma * self.sigma * self.sigma,
+                np.broadcast_to(sigma_sq, np.shape(self.sigma)).copy(), lanes)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,19 @@ Per step i and node x_j (pre-default):
     U  = VJ - NJ
     Y[i] = E + dt * f_min(coeffs(t_i), C, E, Z, U)
 
-with linear interpolation in x and flat extrapolation beyond [-L, L].  The
-driver is called once per step for both regimes, at the conditional mean
-E: the scheme is explicit and first order in dt.  The diffusion move is the
-no-jump branch of the forward Euler step, so the solver and the path
-simulator discretize the same dynamics.
+with cubic Lagrange interpolation in x through the four nodes around each
+point and flat extrapolation beyond [-L, L].  The driver is called once per
+step for both regimes, at the conditional mean E: the scheme is explicit and
+first order in dt.  Its interpolation error is O(h^4 / dt) (Falcone and
+Ferretti, 2014), where linear taps gave O(h^2 / dt), which grew as N grew at
+fixed M.  The diffusion move is the no-jump branch of the forward Euler step,
+so the solver and the path simulator discretize the same dynamics.
+
+Two of the four cubic taps are negative inside a cell, so the step is not
+monotone in the sense of Barles and Souganidis (1991): rows >= 0 may give a
+negative E.  The step's domain checks (`_check_domain`) raise a SolverError
+where that would happen, rather than pass it on.  The surface's reads
+(`ValueSurface.y_at`, `OptimalStrategy`, `surface_at_origin`) stay linear.
 
 The backward pass carries its rows as one array indexed (b, n, j): the
 batch row b, then the default state n = N_t (0 pre-default, 1 post-default),
@@ -27,7 +35,9 @@ as in the coefficient table (`RegimeCoefficients.table`), then the node j.
 Each row b has its own terminal condition and its own C = [-k, k], or none.
 On the uniform grid every move is a fixed stencil of taps, built once per
 distinct coefficient row together with its coefficient snapshot, and stacked
-over the regimes, so one reshape and one take gather a step.
+over the regimes, so one reshape and one take gather a step.  Each pass
+broadcasts the snapshot, p and 1 - p to its rows' full shape once, and again
+when a split changes the number of rows.
 
 `solve_j0_batch` holds the one loop over the steps.  It keeps only the
 current rows and returns J0 per column: unbounded, one row per claim, or on
@@ -254,19 +264,30 @@ def _read(table: np.ndarray, cell: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: bool):
     """(idx, taps) with taps @ rows[..., idx] = sum_m weights[:, m] rows(x + moves[m]).
 
-    On the uniform grid a move is o + a cells, 0 <= a < 1, read as
-    (1 - a) y[j + o] + a y[j + o + 1]; indices clipped to the grid give the
-    flat extrapolation of np.interp.  The product is one fixed-shape matmul
-    per row, so a row's result does not depend on the batch width.  With
+    On the uniform grid a move is o + a cells, 0 <= a < 1, read by the cubic
+    Lagrange polynomial through the nodes j + o - 1 .. j + o + 2:
+
+        -a(a-1)(a-2)/6, (a+1)(a-1)(a-2)/2, -(a+1)a(a-2)/2, (a+1)a(a-1)/6
+
+    idx and taps run offset by offset (o - 1, o, o + 1, o + 2), each over the
+    moves.  Indices are clipped to the grid, so values beyond it stay flat.
+    At a = 0 the taps are (0, 1, 0, 0): the beta = 0 jump is the identity.
+    Two of the four taps are negative for 0 < a < 1, so the scheme is not
+    monotone in the sense of Barles and Souganidis; the step's domain checks
+    raise where a negative tap would take E or Y out of the domain.  With
     ``flat``, idx has two columns that read node 0 only, for rows flat in x.
     """
     m = space.m_intervals
     cells = moves * (m / (space.half_width + space.half_width))
     o = np.floor(cells)
     a = cells - o
-    idx = np.concatenate([o, o + 1.0]).astype(np.intp)[:, None] + np.arange(m + 1)
+    lagrange = np.stack([-a * (a - 1.0) * (a - 2.0) / 6.0,
+                         (a + 1.0) * (a - 1.0) * (a - 2.0) / 2.0,
+                         -(a + 1.0) * a * (a - 2.0) / 2.0,
+                         (a + 1.0) * a * (a - 1.0) / 6.0])
+    idx = (o + np.arange(-1.0, 3.0)[:, None]).ravel().astype(np.intp)[:, None] + np.arange(m + 1)
     idx = np.zeros_like(idx[:, :2]) if flat else np.clip(idx, 0, m)
-    return idx, np.concatenate([weights * (1.0 - a), weights * a], axis=1)
+    return idx, (weights[:, None, :] * lagrange).reshape(len(weights), -1)
 
 
 def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
@@ -274,10 +295,12 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
     regimes at t_i, stacked on a regime axis n from the coefficient table.
 
     offsets[n] reads the rows of one batch row laid end to end: regime n's
-    diffusion moves, then its jump into regime n + 1.  The last regime jumps
-    nowhere: its jump reads its own rows through the identity stencil of
-    beta = 0, with p = 0.  Built once per distinct coefficient row; ``flat``
-    builds the stencils for rows two nodes wide (see `_stencil`).
+    diffusion moves at the four tap offsets, then its jump into regime n + 1.
+    taps is the pair of (R, 2, 2q) halves for the offsets o - 1, o and
+    o + 1, o + 2 (see `_step`).  The last regime jumps nowhere: its jump
+    reads its own rows through the identity stencil of beta = 0, with p = 0.
+    Built once per distinct coefficient row; ``flat`` builds the stencils for
+    rows two nodes wide (see `_stencil`).
     """
     g = model.grid
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
@@ -295,14 +318,28 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
         offsets = np.stack([np.concatenate([idx + n * w, jidx + min(n + 1, last) * w])
                             for n, ((idx, _), (jidx, _)) in enumerate(zip(moves, jumps))])
         taps, jump_taps = (np.stack([t for _, t in m]) for m in (moves, jumps))
+        half = taps.shape[-1] // 2
         p = np.array(ps)[:, None]
         return (CoeffSnapshot(*np.array(coeffs).T[..., None], gamma=model.gamma), p, 1.0 - p,
-                offsets, taps, jump_taps)
+                offsets, (taps[..., :half].copy(), taps[..., half:].copy()), jump_taps)
 
     tab = model.step_table
     changed = np.r_[True, (tab[1:] != tab[:-1]).any(axis=(1, 2))]
     built = [step(tuple(map(tuple, coeffs))) for coeffs in tab[changed].tolist()]
     return [built[r] for r in (np.cumsum(changed) - 1).tolist()]
+
+
+def _spread(regime: tuple, shape: tuple) -> tuple:
+    """The regime with its snapshot, p and 1 - p broadcast to the rows' full
+    shape (B, R, w): the same bits, while every product with them takes
+    numpy's same-shape loop instead of its broadcasting one."""
+    c, p, stay, *stencils = regime
+
+    def full(v):
+        return np.broadcast_to(v, shape).copy()
+
+    return (CoeffSnapshot(*map(full, (c.mu, c.sigma, c.lam, c.beta)), gamma=c.gamma),
+            full(p), full(stay), *stencils)
 
 
 def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, step: int):
@@ -313,25 +350,35 @@ def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, s
     Regime n < R-1 jumps to the rows of regime n+1; the last regime jumps
     to its own rows with p = 0, so its E is its no-jump mean and its U
     enters only the E + U check.  ``pi`` is the driver's argmin, the strategy.
+
+    The moves' taps are applied as two products of inner dimension 2q, the
+    offsets o - 1, o and then o + 1, o + 2, added elementwise.  With numpy
+    2.4.6 and its OpenBLAS, a product whose inner dimension is 16 or more
+    sums a row differently at different row and batch widths; below that a
+    row's sums are fixed, so a column's bits do not depend on the batch
+    (`tests/test_solver.py` checks this for the 7-node rule).
     """
-    c, p, stay, offsets, taps, jump_taps = regime
+    c, p, stay, offsets, (lo, hi), jump_taps = regime
     b, r, w = ys.shape  # one take reads every regime's moves in ys[b] laid end to end
     rows = ys.reshape(b, r * w).take(offsets, axis=-1)
-    q = taps.shape[-1]
-    moved = taps @ rows[:, :, :q]
+    h = lo.shape[-1]
+    moved = lo @ rows[:, :, :h]
+    moved += hi @ rows[:, :, h:h + h]
     nojump = moved[:, :, 0]
-    vjump = (jump_taps @ rows[:, :, q:])[:, :, 0]
+    vjump = (jump_taps @ rows[:, :, h + h:])[:, :, 0]
     E = stay * nojump + p * vjump
     Z = stay * moved[:, :, 1] / math.sqrt(dt)
     U = vjump - nojump
     # E + U >= 0 binds only where lam > 0; elsewhere it holds wherever E >= TINY
-    # and the rows read are >= 0.  A failed fast check is settled per regime
-    if not (E.min() >= TINY and (E + U).min() >= 0.0):
+    # and the rows read are >= 0.  A failed fast check is settled per regime.
+    # The checks reduce by the ufunc: ndarray.min adds a Python layer per call
+    least = np.minimum.reduce
+    if not (least(E, axis=None) >= TINY and least(E + U, axis=None) >= 0.0):
         for n in reversed(range(r)):
             _check_domain(E[:, n], U[:, n], step, f"E ({_NAMES[n]})")
     f, pi = minimize_driver_grid(c, strat, E, Z, U)
     y = E + dt * f
-    if not y.min() >= TINY:
+    if not least(y, axis=None) >= TINY:
         for n in reversed(range(r)):
             _check_domain(y[:, n], 0.0, step, f"Y ({_NAMES[n]})")
     return y, Z, U, pi
@@ -447,9 +494,12 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
         # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
         # kernel, while two columns reproduce the full-width product bit for bit
         ys = ys[..., :2]
-    regimes = _regimes(model, space, quad, flat)
+    regimes, regime = _regimes(model, space, quad, flat), None
     for i in reversed(range(len(regimes))):
-        out = _step(regimes[i], strat, dt, ys, i)
+        if regimes[i] is not regime or ys.shape != spread[1].shape:  # a new row or a new B
+            regime = regimes[i]
+            spread = _spread(regime, ys.shape)
+        out = _step(spread, strat, dt, ys, i)
         if strat is not None:
             rows = src = np.arange(len(cols))  # src: each row's row at step i+1
             pi = out[3]
@@ -464,7 +514,7 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
                 src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
                 batch = bounds(rows)
                 limit = np.concatenate([limit, batch.hi[:, 0, 0]])
-                more = _step(regimes[i], batch, dt, ys[src], i)
+                more = _step(_spread(regime, ys[src].shape), batch, dt, ys[src], i)
                 out, pi = tuple(map(np.concatenate, zip(out, more))), more[3]
             if len(cols) > len(strat.hi):
                 strat = bounds(range(len(cols)))

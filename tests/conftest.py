@@ -50,6 +50,19 @@ def coeffs_in_force(model: MarketModel, t: float, n: int) -> tuple:
 
 BOND_CLAIM = Claim.default_indicator(1.0, 0.0)
 ZERO_CLAIM = Claim.constant(0.0)
+S_NODES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+# the strike-1 put on S_NODES, paid the same whether or not default came
+PUT_1 = Claim(S_NODES, (tuple(max(1.0 - s, 0.0) for s in S_NODES),) * 2)
+
+
+def complete_model(n_steps: int = 100) -> MarketModel:
+    """beta = 0 and one (mu, sigma) before and after default: for a claim
+    paid the same in both default states, such as PUT_1, default touches
+    neither the stock nor the claim, and the market is complete."""
+    return MarketModel(grid=TimeGrid(1.0, n_steps),
+                       coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25,
+                                                          beta=0.0, lam=0.0),
+                       gamma=1.0)
 
 
 @pytest.fixture
@@ -58,10 +71,13 @@ def quad7() -> Quadrature:
 
 
 def random_mild_model(rng: np.random.Generator, n_steps: int = 100) -> MarketModel:
-    """Random bounded-coefficient model tame enough for the monotone scheme.
+    """Random bounded-coefficient model tame enough for a monotone step.
 
     gamma * k_max * sigma * sqrt(dt) stays below ~0.3 for k up to 8, which
-    keeps the one-step operator monotone (see test_approx for why).
+    keeps the driver's part of the one-step operator monotone in the rows.
+    The cubic taps in x have negative weights, so the step as a whole is
+    monotone only on rows flat in x, such as those of `random_claim`'s
+    constants and default indicators.
     """
     from defaultbsde import PiecewiseConstant
 

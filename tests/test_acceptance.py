@@ -15,9 +15,9 @@ from defaultbsde import (CoeffSnapshot, StrategySet, brute_force_dp,
                          minimize_driver, solve_bsde, surface_at_origin)
 from defaultbsde.cli import main
 
-from conftest import (BOND_BUY, BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM,
-                      bond_model, merton_model, random_claim, random_mild_model,
-                      solve_setup)
+from conftest import (BOND_BUY, BOND_CLAIM, BOND_J0, MERTON_J0, PUT_1, ZERO_CLAIM,
+                      bond_model, complete_model, merton_model, random_claim,
+                      random_mild_model, solve_setup)
 
 
 def check(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -48,6 +48,69 @@ def test_criterion_2_defaultable_bond():
     err_p = abs(rep.buy_price - BOND_BUY)
     check(2, "defaultable bond value and price", err_j < 5e-3 and err_p < 5e-3,
           f"|J0-{BOND_J0:.6f}|={err_j:.2e}, |p-{BOND_BUY:.6f}|={err_p:.2e}")
+
+
+def replication(claim, sigma: float, horizon: float, x: float = 0.0) -> tuple[float, float]:
+    """(C, S dC/dS) at log S = x (s0 = 1) for a claim paid the same in both
+    default states: C = E_Q[xi(S_T)], with log S_T ~ N(x - sigma^2 T/2,
+    sigma^2 T) under Q (r = 0).  xi is linear in log S between its nodes and
+    flat beyond them, so C and its log-price derivative are closed sums of
+    Phi and phi terms, one per segment."""
+    def cdf(d):
+        return 0.5 * math.erfc(-d / math.sqrt(2.0))
+
+    def pdf(d):
+        return math.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+
+    xs, vs = [math.log(s) for s in claim.s_nodes], claim.values[0]
+    mean, sd = x - 0.5 * sigma * sigma * horizon, sigma * math.sqrt(horizon)
+    d = [(xk - mean) / sd for xk in xs]
+    value, delta = vs[0] * cdf(d[0]) + vs[-1] * (1.0 - cdf(d[-1])), 0.0
+    for k in range(len(xs) - 1):
+        slope = (vs[k + 1] - vs[k]) / (xs[k + 1] - xs[k])
+        mass = cdf(d[k + 1]) - cdf(d[k])
+        value += (vs[k] + slope * (mean - xs[k])) * mass + slope * sd * (pdf(d[k]) - pdf(d[k + 1]))
+        delta += slope * mass
+    return value, delta
+
+
+# The complete market: beta = 0, one (mu, sigma) before and after default, and
+# a claim paid the same in both states.  Default then touches neither the stock
+# nor the claim, so buy = sell = E_Q[xi] = 0.0957271 for the strike-1 put, and
+# the buyer holds Merton's amount less the claim's delta,
+# pi* = mu/(gamma sigma^2) - S dC/dS.  The claim is not flat in x, so these
+# measure the interpolation in x, which criteria 1 and 2 do not.
+COMPLETE_PRICE = replication(PUT_1, 0.25, 1.0)[0]
+
+
+def complete_price_errors(n: int) -> tuple[float, float]:
+    """(buy, sell) minus E_Q[xi] for the strike-1 put at N = M = n."""
+    model = complete_model(n)
+    space, quad = solve_setup(model, m_space=n)
+    rep = indifference_price(model, PUT_1, space, quad)
+    return rep.buy_price - COMPLETE_PRICE, rep.sell_price - COMPLETE_PRICE
+
+
+def test_complete_market_price():
+    assert abs(COMPLETE_PRICE - 0.0957271) < 5e-8
+    buy, sell = complete_price_errors(100)
+    assert abs(buy) <= 2e-4 and abs(sell) <= 2e-4, (buy, sell)
+
+
+def test_complete_market_error_does_not_grow_with_the_grid():
+    errors = np.abs([complete_price_errors(n) for n in (50, 100, 200, 400)])
+    assert np.all(np.diff(errors, axis=0) <= 0.0), errors
+
+
+def test_complete_market_strategy():
+    model = complete_model(100)
+    space, quad = solve_setup(model, m_space=100)
+    surf = solve_bsde(model, PUT_1, StrategySet.symmetric(4.0), space, quad)
+    strategy, merton = extract_optimal_strategy(surf), 0.05 / 0.25 ** 2
+    err = max(abs(float(strategy(0.0, s, 0))
+                  - (merton - replication(PUT_1, 0.25, 1.0, math.log(s))[1]))
+              for s in (0.8, 0.9, 1.0, 1.1, 1.25))
+    assert err <= 1e-3, err
 
 
 def test_criterion_3_cash_translation():

@@ -13,9 +13,9 @@ from defaultbsde.approx import converge_legs
 from defaultbsde.driver import minimize_driver_grid
 from defaultbsde.solver import solve_j0_batch
 
-from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
-                      coeffs_in_force, merton_model, random_claim, random_mild_model,
-                      solve_setup)
+from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, PUT_1, S_NODES, ZERO_CLAIM, bond_model,
+                      coeffs_in_force, complete_model, merton_model, random_claim,
+                      random_mild_model, solve_setup)
 
 
 class TestKSweep:
@@ -183,12 +183,27 @@ class TestConverge:
 ONE_SCHEME = pytest.mark.parametrize("refined", [False])
 
 
+def cubic_read(x, y, at):
+    """y at the points ``at`` by the cubic Lagrange polynomial through the
+    nodes j - 1 .. j + 2 around each point's cell [x_j, x_j+1), with those
+    indices clipped to the grid, so that values beyond it stay flat."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    pos = (at - x[0]) / h
+    j = np.floor(pos)
+    a = pos - j
+    out = np.zeros_like(a)
+    for k in (-1, 0, 1, 2):
+        weight = np.prod([(a - m) / (k - m) for m in (-1, 0, 1, 2) if m != k], axis=0)
+        out += weight * y[np.clip(j + k, 0, x.size - 1).astype(int)]
+    return out
+
+
 def reference_step(c, strat, x, quad, dt, y_next, y_jump):
-    """One regime of one column by np.interp at every move: the step before stencils."""
+    """One regime of one column, read by `cubic_read` at every move: the step
+    without stencils."""
     sqdt = math.sqrt(dt)
     moves = np.log(1.0 + c.mu * dt + c.sigma * sqdt * quad.nodes)
-    vals = np.interp((x[:, None] + moves[None, :]).ravel(), x,
-                     y_next).reshape(x.size, quad.nodes.size)
+    vals = cubic_read(x, y_next, x[:, None] + moves[None, :])
     nojump = vals @ quad.weights
     p = 1.0 - math.exp(-c.lam * dt)
     Z = (1.0 - p) * (vals @ (quad.weights * quad.nodes)) / sqdt
@@ -196,7 +211,7 @@ def reference_step(c, strat, x, quad, dt, y_next, y_jump):
     if y_jump is None:
         E = nojump
     else:
-        vjump = np.interp(x + math.log1p(c.beta), x, y_jump)
+        vjump = cubic_read(x, y_jump, x + math.log1p(c.beta))
         E = (1.0 - p) * nojump + p * vjump
         if c.lam > 0.0:
             u_eff = vjump - nojump
@@ -218,7 +233,6 @@ def reference_j0(model, claim, k, space, quad):
     return float(np.interp(0.0, x, pre))
 
 
-S_NODES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 PUT = Claim(S_NODES, (tuple(max(1.0 - s, 0.0) for s in S_NODES),
                       tuple(max(0.9 - s, 0.0) for s in S_NODES)))
 
@@ -476,9 +490,12 @@ def loop_price(model, claim, space, quad):
 
 def priced_markets():
     """(model, claim, M) of the prices in the suite: the acceptance criteria's,
-    TestSharedRows' markets, and the random_mild_model markets of tests/."""
+    the complete market's, TestSharedRows' markets, and the random_mild_model
+    markets of tests/."""
     yield bond_model(100), BOND_CLAIM, 100  # criterion 2
     yield bond_model(100), BOND_CLAIM, 60  # criterion 9
+    for n in (50, 100, 200, 400):  # the complete market, next to criterion 2
+        yield complete_model(n), PUT_1, n
     rng = np.random.default_rng(101)  # criterion 3
     for _ in range(5):
         model, claim = random_mild_model(rng, n_steps=50), random_claim(rng)
@@ -506,6 +523,24 @@ class TestLoopGate:
             assert (rep.buy_price, rep.sell_price) == (buy, sell), i
 
 
+def test_buy_not_above_sell():
+    # buy <= sell holds for the exact prices; a constant claim's two prices
+    # are c up to rounding.  One random_mild_model bond at N = 50 (a true spread
+    # of about 1.5e-4 at N = 800) has it flipped by the scheme's first-order
+    # time error: sell - buy = -6.0e-5 at N = 50 and +5.1e-5 at N = 100
+    flipped = []
+    for model, claim, m in priced_markets():
+        rep = indifference_price(model, claim, *solve_setup(model, m_space=m))
+        if rep.buy_price > rep.sell_price + 1e-12:
+            flipped.append((model, claim, rep.buy_price - rep.sell_price))
+    assert len(flipped) == 1, flipped
+    model, claim, gap = flipped[0]
+    assert model.grid.n_steps == 50 and not claim.depends_on_s and gap < 1e-4
+    finer = MarketModel(grid=TimeGrid(1.0, 100), coeffs=model.coeffs, gamma=model.gamma)
+    rep = indifference_price(finer, claim, *solve_setup(finer, m_space=40))
+    assert rep.buy_price < rep.sell_price
+
+
 class TestDriverContract:
     """The driver checks nothing: every call the solver makes keeps its shape
     rule and its domain, because the solver checks them first."""
@@ -524,10 +559,11 @@ class TestDriverContract:
                 assert type(u) is float and u == 0.0
             assert np.all(y > 0.0) and np.all(y + u >= 0.0)
             # one call steps both regimes: the middle axis of the rows [b, n, j]
-            # and the leading axis of every coefficient is the default state n
+            # and of every coefficient is the default state n; the coefficients
+            # come at the rows' own shape, each constant but along that axis
             assert y.ndim == 3 and y.shape[1] == 2
             for v in (c.mu, c.sigma, c.lam, c.beta):
-                assert np.shape(v) == (2, 1)
+                assert np.shape(v) == y.shape and np.all(v == v[:1, :, :1])
             calls.append(y.shape)
             return real(c, strat, y, z, u)
 

@@ -11,7 +11,7 @@ from defaultbsde import (Claim, DPTree, MarketModel, PiecewiseConstant, RegimeCo
                          solve_bsde, surface_at_origin, validate_model)
 from defaultbsde.oracle import dp_violations
 
-from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, ZERO_CLAIM, bond_model,
+from conftest import (BOND_CLAIM, BOND_J0, MERTON_J0, PUT_1, ZERO_CLAIM, bond_model,
                       coeffs_in_force, merton_model, piecewise_model, solve_setup)
 
 
@@ -216,6 +216,21 @@ class TestMartingaleCheck:
         drift = martingale_check(model, ZERO_CLAIM, surf,
                                  extract_optimal_strategy(surf), 10_000, seed=1)
         assert drift.within(3.0)
+
+    def test_drift_gate_on_a_put_at_twice_the_steps(self):
+        # the benchmark's oracle-mc market and its strike-1 put, at N = 2M;
+        # the drift of a linear stencil grew with N at fixed M (z = 3.7 .. 7.5
+        # on these seeds), as its O(h^2/dt) error does
+        model = MarketModel(grid=TimeGrid(1.0, 200),
+                            coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25,
+                                                               beta=-0.3, lam=0.3),
+                            gamma=1.0)
+        space, quad = solve_setup(model, m_space=100)
+        surf = solve_bsde(model, PUT_1, StrategySet.symmetric(2.0), space, quad)
+        drifts = [martingale_check(model, PUT_1, surf, extract_optimal_strategy(surf),
+                                   20_000, seed=seed) for seed in (1, 2, 3, 4)]
+        assert all(d.within(3.0) for d in drifts), [
+            d.aggregate_mean / d.aggregate_se for d in drifts]
 
     def test_zero_strategy_is_strict_submartingale(self):
         model = merton_model(200)

@@ -211,6 +211,66 @@ class TestInvariants:
             solve(model, Claim.constant(0.0), m_space=20, quad_nodes=20)
 
 
+class TestStencil:
+    """The cubic taps of `solver._stencil` and the products `_step` takes with them."""
+
+    def setup_method(self):
+        self.model = MarketModel(grid=TimeGrid(1.0, 50),
+                                 coeffs=RegimeCoefficients.constant(mu=0.05, sigma=0.25,
+                                                                    beta=-0.3, lam=0.3),
+                                 gamma=1.0)
+        self.space = SpaceGrid.for_model(self.model, 100)
+        self.quad = Quadrature.gauss_hermite(7)
+
+    def test_cubics_read_exactly_inside_the_grid(self):
+        x = self.space.nodes
+        moves = np.array([-0.13, -0.02, 0.0, 0.071])
+        idx, taps = solver._stencil(self.space, moves, np.eye(4), False)
+        inside = slice(20, 81)  # every tap of these nodes lies on the grid
+        assert np.all((idx[:, inside] > 0) & (idx[:, inside] < 100))
+        for poly in ([1.0], [0.3, -1.2], [0.5, 0.1, 2.0], [-1.0, 0.4, 0.7, 3.0]):
+            got = taps @ np.polynomial.polynomial.polyval(x, poly)[idx]
+            want = np.polynomial.polynomial.polyval(x[None, :] + moves[:, None], poly)
+            np.testing.assert_allclose(got[:, inside], want[:, inside], rtol=0, atol=1e-13)
+
+    def test_beta_zero_jump_is_the_identity(self):
+        idx, taps = solver._stencil(self.space, np.array([0.0]), np.ones((1, 1)), False)
+        assert taps.tolist() == [[0.0, 1.0, 0.0, 0.0]]
+        y = np.random.default_rng(1).uniform(0.1, 2.0, 101)
+        assert (taps @ y[idx]).tobytes() == y.tobytes()
+
+    def test_products_do_not_depend_on_the_batch_or_row_width(self):
+        # TestSharedRows and TestFlatRows rest on this: a column's bits equal its
+        # one-column pass's only if a row's sums do not depend on how many rows
+        # the product takes, nor on how wide they are
+        rng = np.random.default_rng(2)
+
+        def products(rows, flat):
+            (_, _, _, offsets, (lo, hi), jump_taps), = _regimes(self.model, self.space,
+                                                                self.quad, flat)[:1]
+            b, r, w = rows.shape
+            taken = rows.reshape(b, r * w).take(offsets, axis=-1)
+            h = lo.shape[-1]
+            assert lo.shape == hi.shape == (2, 2, 14) and jump_taps.shape == (2, 1, 4)
+            return (lo @ taken[:, :, :h], hi @ taken[:, :, h:h + h],
+                    jump_taps @ taken[:, :, h + h:])
+
+        property_ = ("this numpy/BLAS build sums a matmul row differently at different "
+                     "batch or row widths, so batched columns no longer equal their "
+                     "one-column passes bit for bit")
+        level = rng.uniform(0.1, 2.0, (5, 2, 1))  # flat rows: one value per row
+        want = products(level[:1].repeat(2, axis=-1), True)
+        for b in (1, 5):
+            for width, flat in ((2, True), (101, False)):
+                got = products(level[:b].repeat(width, axis=-1), flat)
+                for g, w in zip(got, want):
+                    assert g[:1].tobytes() == w[:, :, :, :1].repeat(width, axis=-1).tobytes(), (
+                        f"B = {b}, width {width}: {property_}")
+        rows = rng.uniform(0.1, 2.0, (5, 2, 101))
+        for g, w in zip(products(rows, False), products(rows[:1], False)):
+            assert g[:1].tobytes() == w.tobytes(), f"B = 5 against B = 1: {property_}"
+
+
 class TestStrategyExtraction:
     def test_merton_constant_one(self):
         surf = solve(merton_model(100), Claim.constant(0.0), m_space=60)
