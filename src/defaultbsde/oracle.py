@@ -256,19 +256,24 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     shared = (not keep_paths and isinstance(strategy, OptimalStrategy)
               and strategy.surface is surface)
     pi_row = [None]
+    discount = np.empty(n_paths)  # exp(-gamma X) of the visited step
 
     def visit(i: int, n_row: np.ndarray, s_row: np.ndarray, w_row: np.ndarray) -> None:
         cell = surface.cell(s_row, n_row)
         if shared and i < n:
             pi_row[0] = strategy.in_cell(i, cell)
         v_i = surface.y_in(i, cell)
-        v_i *= np.exp(-model.gamma * w_row)
+        np.multiply(w_row, -model.gamma, out=discount)
+        v_i *= np.exp(discount, out=discount)
         if i == 0:
             v[0] = v_i
         else:
+            # numpy's mean and std(ddof=1) bit for bit, in one pass fewer
             inc = v_i - v[1]
-            step_mean[i - 1] = inc.mean()
-            step_se[i - 1] = inc.std(ddof=1) / sq
+            step_mean[i - 1] = mean = inc.sum() / n_paths
+            inc -= mean
+            inc *= inc
+            step_se[i - 1] = math.sqrt(inc.sum() / (n_paths - 1)) / sq
         v[1] = v_i
 
     if keep_paths:

@@ -8,10 +8,10 @@ the last regime, jumps nowhere (p = 0): it is a pure-diffusion BSDE.
 Per step i and node x_j (pre-default):
 
     p  = 1 - exp(-lambda dt)
-    NJ = sum_m w_m Y[i+1](x_j + log(1 + mu dt + sigma sqrt(dt) zeta_m), 0)
-    VJ = Y[i+1](x_j + log(1 + beta), 1)
+    NJ = Y0 + sum_m w_m (Y[i+1](x_j + log(1 + mu dt + sigma sqrt(dt) zeta_m), 0) - Y0)
+    VJ = Y1 + (Y[i+1](x_j + log(1 + beta), 1) - Y1),  Yn = Y[i+1](x_j, n)
     E  = (1-p) NJ + p VJ
-    Z  = (1-p) sum_m w_m Y[i+1](...) zeta_m / sqrt(dt)
+    Z  = (1-p) sum_m w_m (Y[i+1](...) - Y0) zeta_m / sqrt(dt)
     U  = VJ - NJ
     Y[i] = E + dt * f_min(coeffs(t_i), C, E, Z, U)
 
@@ -45,14 +45,17 @@ a k schedule, where the ks of one claim share a row until they bind.  Its
 visitor sees each step's rows once: `solve_bsde` is the one-column pass
 whose visitor keeps the whole surface, and `pricing`'s visitor records k-bar.
 
+Each move is read as a difference from the row value at its output node,
+Y0 or Y1 above, added back after the taps.  The taps of a move sum to 1 and
+sum w zeta = 0, so this changes nothing in exact arithmetic, while a row
+constant in x maps to itself bit for bit, at any width and batch.
+
 The coefficients depend on t only, so a claim paid on the default alone
 (a bond, a constant, the zero leg of a price) has a value function of
 (t, N_t) only: its rows are flat in x.  When every terminal row of a pass is
-flat, the pass runs on rows two nodes wide whose gathers all read node 0,
-with the full grid's taps.  Each node then does a full-width node's
-arithmetic, so the rows stay flat and equal the full-width rows bit for bit.
-The width is 2, not 1, because numpy sends a one-column matmul to another
-BLAS kernel, whose sums differ in the last bits.
+flat, the pass runs on rows one node wide and takes no stencil: NJ = Y,
+VJ = the next regime's Y and Z = 0, which is what the full-width step gives
+a constant row, bit for bit.
 """
 from __future__ import annotations
 
@@ -87,6 +90,8 @@ __all__ = [
 TINY = float(np.finfo(float).tiny)
 # the regimes' names in error texts, indexed by n = N_t
 _NAMES = ("pre-default", "post-default")
+# the regime that regime n jumps to: n + 1, and the last regime to itself
+_JUMP_TO = np.minimum(np.arange(1, len(_NAMES) + 1), len(_NAMES) - 1)
 # solve_bsde keeps Y, Z, pi_hat (both regimes) and U, 56 bytes per
 # node-step of the (N+1) x (M+1) surface; tracemalloc puts its peak at 56-61
 # (N = 100..400, M = 400..2000), so this cap holds it near 1.1 GB
@@ -261,7 +266,7 @@ def _read(table: np.ndarray, cell: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return out[()]
 
 
-def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: bool):
+def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray):
     """(idx, taps) with taps @ rows[..., idx] = sum_m weights[:, m] rows(x + moves[m]).
 
     On the uniform grid a move is o + a cells, 0 <= a < 1, read by the cubic
@@ -274,8 +279,7 @@ def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: boo
     At a = 0 the taps are (0, 1, 0, 0): the beta = 0 jump is the identity.
     Two of the four taps are negative for 0 < a < 1, so the scheme is not
     monotone in the sense of Barles and Souganidis; the step's domain checks
-    raise where a negative tap would take E or Y out of the domain.  With
-    ``flat``, idx has two columns that read node 0 only, for rows flat in x.
+    raise where a negative tap would take E or Y out of the domain.
     """
     m = space.m_intervals
     cells = moves * (m / (space.half_width + space.half_width))
@@ -286,8 +290,7 @@ def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray, flat: boo
                          -(a + 1.0) * a * (a - 2.0) / 2.0,
                          (a + 1.0) * a * (a - 1.0) / 6.0])
     idx = (o + np.arange(-1.0, 3.0)[:, None]).ravel().astype(np.intp)[:, None] + np.arange(m + 1)
-    idx = np.zeros_like(idx[:, :2]) if flat else np.clip(idx, 0, m)
-    return idx, (weights[:, None, :] * lagrange).reshape(len(weights), -1)
+    return np.clip(idx, 0, m), (weights[:, None, :] * lagrange).reshape(len(weights), -1)
 
 
 def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
@@ -299,8 +302,8 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
     taps is the pair of (R, 2, 2q) halves for the offsets o - 1, o and
     o + 1, o + 2 (see `_step`).  The last regime jumps nowhere: its jump
     reads its own rows through the identity stencil of beta = 0, with p = 0.
-    Built once per distinct coefficient row; ``flat`` builds the stencils for
-    rows two nodes wide (see `_stencil`).
+    Built once per distinct coefficient row; ``flat`` builds only
+    (snapshot, p, 1 - p), for rows one node wide that need no stencil.
     """
     g = model.grid
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
@@ -308,20 +311,22 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
     @functools.cache
     def regime(mu, sigma, lam, beta):
         moves = np.log(1.0 + mu * g.dt + sigma * math.sqrt(g.dt) * quad.nodes)
-        return (1.0 - math.exp(-lam * g.dt), _stencil(space, moves, weights, flat),
-                _stencil(space, np.array([math.log1p(beta)]), np.ones((1, 1)), flat))
+        return (_stencil(space, moves, weights),
+                _stencil(space, np.array([math.log1p(beta)]), np.ones((1, 1))))
 
     @functools.cache
     def step(coeffs):
-        ps, moves, jumps = zip(*(regime(*c) for c in coeffs))
-        last, w = len(coeffs) - 1, moves[0][0].shape[-1]
-        offsets = np.stack([np.concatenate([idx + n * w, jidx + min(n + 1, last) * w])
+        p = np.array([1.0 - math.exp(-lam * g.dt) for _, _, lam, _ in coeffs])[:, None]
+        head = (CoeffSnapshot(*np.array(coeffs).T[..., None], gamma=model.gamma), p, 1.0 - p)
+        if flat:
+            return head
+        moves, jumps = zip(*(regime(*c) for c in coeffs))
+        w = space.nodes.size
+        offsets = np.stack([np.concatenate([idx + n * w, jidx + _JUMP_TO[n] * w])
                             for n, ((idx, _), (jidx, _)) in enumerate(zip(moves, jumps))])
         taps, jump_taps = (np.stack([t for _, t in m]) for m in (moves, jumps))
         half = taps.shape[-1] // 2
-        p = np.array(ps)[:, None]
-        return (CoeffSnapshot(*np.array(coeffs).T[..., None], gamma=model.gamma), p, 1.0 - p,
-                offsets, (taps[..., :half].copy(), taps[..., half:].copy()), jump_taps)
+        return (*head, offsets, (taps[..., :half].copy(), taps[..., half:].copy()), jump_taps)
 
     tab = model.step_table
     changed = np.r_[True, (tab[1:] != tab[:-1]).any(axis=(1, 2))]
@@ -344,12 +349,14 @@ def _spread(regime: tuple, shape: tuple) -> tuple:
 
 def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, step: int):
     """One backward step of every regime from the step-(i+1) rows ``ys``
-    (B, R, M+1); returns (Y, Z, U, pi), (B, R, M+1) each.
+    (B, R, width); returns (Y, Z, U, pi), (B, R, width) each.
 
     Row b is batch row b, with its own bounds in ``strat`` (None: unbounded).
     Regime n < R-1 jumps to the rows of regime n+1; the last regime jumps
     to its own rows with p = 0, so its E is its no-jump mean and its U
     enters only the E + U check.  ``pi`` is the driver's argmin, the strategy.
+    Each move reads differences from the output node's value (see the module
+    docstring); a regime without stencils steps flat rows one node wide.
 
     The moves' taps are applied as two products of inner dimension 2q, the
     offsets o - 1, o and then o + 1, o + 2, added elementwise.  With numpy
@@ -358,16 +365,23 @@ def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, s
     row's sums are fixed, so a column's bits do not depend on the batch
     (`tests/test_solver.py` checks this for the 7-node rule).
     """
-    c, p, stay, offsets, (lo, hi), jump_taps = regime
+    c, p, stay, *stencils = regime
     b, r, w = ys.shape  # one take reads every regime's moves in ys[b] laid end to end
-    rows = ys.reshape(b, r * w).take(offsets, axis=-1)
-    h = lo.shape[-1]
-    moved = lo @ rows[:, :, :h]
-    moved += hi @ rows[:, :, h:h + h]
-    nojump = moved[:, :, 0]
-    vjump = (jump_taps @ rows[:, :, h + h:])[:, :, 0]
+    target = ys.take(_JUMP_TO, axis=1)  # the rows each regime jumps to
+    if stencils:
+        offsets, (lo, hi), jump_taps = stencils
+        rows = ys.reshape(b, r * w).take(offsets, axis=-1)
+        h = lo.shape[-1]
+        rows[:, :, :h + h] -= ys[:, :, None]
+        rows[:, :, h + h:] -= target[:, :, None]
+        moved = lo @ rows[:, :, :h]
+        moved += hi @ rows[:, :, h:h + h]
+        nojump = moved[:, :, 0] + ys
+        vjump = (jump_taps @ rows[:, :, h + h:])[:, :, 0] + target
+        Z = stay * moved[:, :, 1] / math.sqrt(dt)
+    else:  # flat rows one node wide: every move reads the node itself
+        nojump, vjump, Z = ys, target, np.zeros(ys.shape)
     E = stay * nojump + p * vjump
-    Z = stay * moved[:, :, 1] / math.sqrt(dt)
     U = vjump - nojump
     # E + U >= 0 binds only where lam > 0; elsewhere it holds wherever E >= TINY
     # and the rows read are >= 0.  A failed fast check is settled per regime.
@@ -410,7 +424,7 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
 
     The one-column pass of `solve_j0_batch`, at k = strat.hi, with a visitor
     that keeps every step's rows: one driver call per step, for both regimes,
-    at the conditional mean E.  A flat claim's two-node rows are spread over
+    at the conditional mean E.  A flat claim's one-node rows are spread over
     the grid as they are kept.
 
     Raises ValueError, before any work, when the strategy set is not
@@ -433,8 +447,7 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
 
     def keep(i, y, z, u, pi):
-        j = slice(None) if y.shape[-1] == m1 else slice(1)  # a flat row: node 0 for every node
-        Y[i], Z[i], U[i], pi_hat[i] = y[0, :, j].T, z[0, :, j].T, u[0, 0, j], pi[0, :, j].T
+        Y[i], Z[i], U[i], pi_hat[i] = y[0].T, z[0].T, u[0, 0], pi[0].T  # a flat row broadcasts
 
     solve_j0_batch(model, (claim,), [strat.hi], space, quad, keep)
     Y[n_steps] = terminal_rows(model, (claim,), space)[0].T
@@ -490,10 +503,7 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
         raise SolverError("solver: " + "; ".join(bad))
     ys = terminal_rows(model, [claims[g[0]] for g in cols], space)
     flat = bool(np.all(ys == ys[..., :1]))  # every row equals its node 0
-    if flat:
-        # 2 nodes, not 1: numpy sends a one-column matmul to another BLAS
-        # kernel, while two columns reproduce the full-width product bit for bit
-        ys = ys[..., :2]
+    ys = ys[..., :1] if flat else ys
     regimes, regime = _regimes(model, space, quad, flat), None
     for i in reversed(range(len(regimes))):
         if regimes[i] is not regime or ys.shape != spread[1].shape:  # a new row or a new B
@@ -522,8 +532,8 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
         if visit is not None:
             visit(i, *out)
     j0 = np.empty(len(claims))
-    for g, row in zip(cols, ys[:, 0]):  # a two-node row is flat: node 0 is J0
-        j0[g] = row[0] if row.size < space.nodes.size else np.interp(0.0, space.nodes, row)
+    for g, row in zip(cols, ys[:, 0]):
+        j0[g] = row[0] if flat else np.interp(0.0, space.nodes, row)
     return j0, bound
 
 

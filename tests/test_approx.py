@@ -681,7 +681,7 @@ class TestBlockFailures:
                            self.space, self.quad)
 
     def test_flat_pass_names_node_0(self, monkeypatch):
-        # the bond's pass runs two nodes wide; a full-width flat row names
+        # the bond's pass runs one node wide; a full-width flat row names
         # node 0 as well, since argmin over equal values returns the first
         assert self.legs(BOND_CLAIM)[0].ks == [0.5, 1.0, 2.0, 4.0, 8.0]
         fail_columns_above(monkeypatch, 3.0, node=None)
@@ -694,7 +694,7 @@ FLAT_LEGS = (ZERO_CLAIM, BOND_CLAIM, BOND_CLAIM.negated())
 
 
 class TestFlatRows:
-    """A pass whose terminal rows are all flat in x runs two nodes wide, and
+    """A pass whose terminal rows are all flat in x runs one node wide, and
     gives the full-width pass's numbers bit for bit."""
 
     @ONE_SCHEME
@@ -702,7 +702,7 @@ class TestFlatRows:
     def test_rows_two_wide_until_one_leg_depends_on_s(self, monkeypatch, market, refined):
         model, claim = market()
         calls, _ = recorded_pass(monkeypatch, model, list(FLAT_LEGS), [0.5, 1.0, 2.0])
-        assert {width for *_, width in calls} == {2}
+        assert {width for *_, width in calls} == {1}
         calls, _ = recorded_pass(monkeypatch, model, [*FLAT_LEGS, PUT], [0.5, 1.0, 2.0, 1.0])
         assert {width for *_, width in calls} == {41}
 
@@ -737,7 +737,7 @@ class TestFlatRows:
         model, _ = piecewise_market()
         table = Claim(S_NODES, ((0.8,) * len(S_NODES), (0.3,) * len(S_NODES)))
         calls, _ = recorded_pass(monkeypatch, model, [table], [1.0])
-        assert {width for *_, width in calls} == {2}
+        assert {width for *_, width in calls} == {1}
         space, quad = solve_setup(model, m_space=40)
         want, _ = solve_j0_batch(model, [Claim.default_indicator(0.8, 0.3)], [1.0], space, quad)
         got, _ = solve_j0_batch(model, [table], [1.0], space, quad)

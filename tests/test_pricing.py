@@ -64,6 +64,18 @@ class TestBuyPrice:
         assert diag["ks"] == [diag["k_bar"]] and diag["k_star"] == diag["k_bar"]
         assert diag["monotonicity"] == model.gamma * diag["k_bar"] * 0.2 * math.sqrt(1 / 50)
 
+    def test_k_bar_does_not_depend_on_the_default_claim(self):
+        # every leg of a default-indicator price is constant in x, so its Z is
+        # exactly 0 and its strategy is the vertex mu / (gamma sigma^2) itself,
+        # whatever the claim pays
+        model = drifted_bond_model()
+        space, quad = solve_setup(model, m_space=60)
+        k_bars = {indifference_price(model, Claim.default_indicator(s_pay, d_pay), space,
+                                     quad).diagnostics["k_bar"]
+                  for s_pay, d_pay in [(1.0, 0.0), (0.5, 0.0), (1.5, 0.5), (0.8, 0.3),
+                                       (1.2, 0.1), (0.6, 0.4), (1.0, 0.25), (2.0, 1.0)]}
+        assert k_bars == {0.1 / (1.0 * 0.2 * 0.2)}
+
     def test_translation_by_constant(self):
         model = bond_model(50)
         base = price(model, BOND_CLAIM, with_selling=False)

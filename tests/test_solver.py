@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -14,7 +15,7 @@ from defaultbsde import (Claim, MarketModel, PiecewiseConstant,
 from defaultbsde import solver
 from defaultbsde.solver import _regimes, _step
 
-from conftest import BOND_CLAIM, BOND_J0, MERTON_J0, bond_model, merton_model
+from conftest import BOND_CLAIM, BOND_J0, MERTON_J0, S_NODES, bond_model, merton_model
 
 
 def solve(model, claim, k=2.0, m_space=100, quad_nodes=7):
@@ -84,6 +85,23 @@ class TestInvariants:
         claim = Claim.default_indicator(-0.5, 1.0)  # bounded below by -K = -0.5
         surf = solve(model, claim, m_space=60)
         assert np.all(surf.Y <= math.exp(model.gamma * 0.5) + 1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.25, 0.3])
+    def test_constant_post_default_row_carried_exactly(self, sigma):
+        # mu_post = 0: the post-default strategy is 0, so a constant post-default
+        # row solves its BSDE exactly, in a full-width pass (the put's
+        # pre-default row depends on S) and in a flat one
+        post = 0.3
+        put = Claim(S_NODES, (tuple(max(1.0 - s, 0.0) for s in S_NODES), (post,) * len(S_NODES)))
+        for n_steps, m_space in itertools.product((50, 100, 200), (40, 80, 100)):
+            model = MarketModel(grid=TimeGrid(1.0, n_steps),
+                                coeffs=RegimeCoefficients.constant(mu=0.05, sigma=sigma,
+                                                                   beta=-0.3, lam=0.3,
+                                                                   mu_post=0.0),
+                                gamma=1.0)
+            for claim in (put, Claim.default_indicator(0.8, post)):
+                surf = solve(model, claim, m_space=m_space)
+                assert np.all(surf.Y[:, :, 1] == math.exp(-post)), (n_steps, m_space, claim)
 
     def test_cash_translation(self):
         model = MarketModel(grid=TimeGrid(1.0, 60),
@@ -225,7 +243,7 @@ class TestStencil:
     def test_cubics_read_exactly_inside_the_grid(self):
         x = self.space.nodes
         moves = np.array([-0.13, -0.02, 0.0, 0.071])
-        idx, taps = solver._stencil(self.space, moves, np.eye(4), False)
+        idx, taps = solver._stencil(self.space, moves, np.eye(4))
         inside = slice(20, 81)  # every tap of these nodes lies on the grid
         assert np.all((idx[:, inside] > 0) & (idx[:, inside] < 100))
         for poly in ([1.0], [0.3, -1.2], [0.5, 0.1, 2.0], [-1.0, 0.4, 0.7, 3.0]):
@@ -234,41 +252,32 @@ class TestStencil:
             np.testing.assert_allclose(got[:, inside], want[:, inside], rtol=0, atol=1e-13)
 
     def test_beta_zero_jump_is_the_identity(self):
-        idx, taps = solver._stencil(self.space, np.array([0.0]), np.ones((1, 1)), False)
+        idx, taps = solver._stencil(self.space, np.array([0.0]), np.ones((1, 1)))
         assert taps.tolist() == [[0.0, 1.0, 0.0, 0.0]]
         y = np.random.default_rng(1).uniform(0.1, 2.0, 101)
         assert (taps @ y[idx]).tobytes() == y.tobytes()
 
     def test_products_do_not_depend_on_the_batch_or_row_width(self):
-        # TestSharedRows and TestFlatRows rest on this: a column's bits equal its
-        # one-column pass's only if a row's sums do not depend on how many rows
-        # the product takes, nor on how wide they are
-        rng = np.random.default_rng(2)
+        # TestSharedRows rests on this: a column's bits equal its one-column
+        # pass's only if a row's sums do not depend on how many rows the
+        # product takes
+        (_, _, _, offsets, (lo, hi), jump_taps), = _regimes(self.model, self.space,
+                                                            self.quad, False)[:1]
+        assert lo.shape == hi.shape == (2, 2, 14) and jump_taps.shape == (2, 1, 4)
 
-        def products(rows, flat):
-            (_, _, _, offsets, (lo, hi), jump_taps), = _regimes(self.model, self.space,
-                                                                self.quad, flat)[:1]
+        def products(rows):
             b, r, w = rows.shape
             taken = rows.reshape(b, r * w).take(offsets, axis=-1)
             h = lo.shape[-1]
-            assert lo.shape == hi.shape == (2, 2, 14) and jump_taps.shape == (2, 1, 4)
             return (lo @ taken[:, :, :h], hi @ taken[:, :, h:h + h],
                     jump_taps @ taken[:, :, h + h:])
 
-        property_ = ("this numpy/BLAS build sums a matmul row differently at different "
-                     "batch or row widths, so batched columns no longer equal their "
-                     "one-column passes bit for bit")
-        level = rng.uniform(0.1, 2.0, (5, 2, 1))  # flat rows: one value per row
-        want = products(level[:1].repeat(2, axis=-1), True)
-        for b in (1, 5):
-            for width, flat in ((2, True), (101, False)):
-                got = products(level[:b].repeat(width, axis=-1), flat)
-                for g, w in zip(got, want):
-                    assert g[:1].tobytes() == w[:, :, :, :1].repeat(width, axis=-1).tobytes(), (
-                        f"B = {b}, width {width}: {property_}")
-        rows = rng.uniform(0.1, 2.0, (5, 2, 101))
-        for g, w in zip(products(rows, False), products(rows[:1], False)):
-            assert g[:1].tobytes() == w.tobytes(), f"B = 5 against B = 1: {property_}"
+        rows = np.random.default_rng(2).uniform(0.1, 2.0, (5, 2, 101))
+        for g, w in zip(products(rows), products(rows[:1])):
+            assert g[:1].tobytes() == w.tobytes(), (
+                "B = 5 against B = 1: this numpy/BLAS build sums a matmul row differently "
+                "at different batch widths, so batched columns no longer equal their "
+                "one-column passes bit for bit")
 
 
 class TestStrategyExtraction:
