@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .approx import (NonConvergenceError, check_doubling, check_schedule, converge,
                      k_sweep)
 from .driver import StrategySet
-from .model import (DW_CLIP, Claim, MarketModel, PiecewiseConstant, RegimeCoefficients,
-                    TimeGrid, ValidationReport, coefficient_violations, validate_model)
+from .model import (Claim, MarketModel, PiecewiseConstant, RegimeCoefficients, TimeGrid,
+                    ValidationReport, coefficient_violations, validate_model)
 from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
                      monte_carlo_violation)
 from .pricing import PriceReport, indifference_price, price_legs
@@ -167,7 +167,7 @@ def load_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         # a coefficient that breaks the rule at a step time can leave no grid: name the rule too
         raise ConfigError(f"config: numerics: {exc}" + "".join(
-            f"; model: {v}" for v in coefficient_violations(model, grid, None))) from exc
+            f"; model: {v}" for v in coefficient_violations(model, grid))) from exc
     # the solver's and the k loop's own checks, so validate rejects what they reject
     try:
         quad = Quadrature.gauss_hermite(quad_nodes)
@@ -226,11 +226,12 @@ def _diag(msg: str) -> None:
 
 
 def _validate(cfg: RunConfig, legs: tuple = ()) -> ValidationReport:
-    """validate_model at the largest move of any scheme, plus the terminal-row checks.
+    """validate_model, whose coefficient rule is the one the solver's pass
+    checks, plus the terminal-row checks.
 
     The terminal rows checked are those of ``legs``, or of the claim alone,
     which is what `solve`, `converge` and `oracle` solve."""
-    rep = validate_model(cfg.model, max(DW_CLIP, cfg.quad.max_abs_node))
+    rep = validate_model(cfg.model)
     try:
         terminal_rows(cfg.model, legs or (cfg.claim,), cfg.space)
     except SolverError as exc:

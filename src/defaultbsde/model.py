@@ -10,9 +10,9 @@ a set of times, the (mu, sigma, lam, beta) of regime n = N_t, with
 lam = beta = 0 in the post-default regime n = 1.  The schemes read it at
 the step times t_0..t_{N-1}, through `MarketModel.step_table`.
 
-Forward dynamics (Euler, multiplicative; dW truncated at +-6*sqrt(dt)):
+Forward dynamics (exact log-normal moves with the step's coefficients):
 
-    S <- S * (1 + mu*dt + sigma*dW) * (1 + beta)^dN
+    S <- S * exp((mu - sigma^2/2)*dt + sigma*dW) * (1 + beta)^dN
     X <- X + pi * dS / S,   X_0 = 0
 
 Default occurs in a step with probability 1 - exp(-lambda*dt) if it has not
@@ -46,10 +46,6 @@ __all__ = [
     "simulate_paths",
     "claim_payoff",
 ]
-
-# truncation of Gaussian increments in the forward scheme, in units of sqrt(dt)
-DW_CLIP = 6.0
-
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
@@ -246,12 +242,12 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_model(model: MarketModel, shock: float = DW_CLIP) -> ValidationReport:
+def validate_model(model: MarketModel) -> ValidationReport:
     """Check model invariants; never raises, reports every violation.
 
-    The coefficients at the step times must pass `coefficient_violations`
-    at ``shock``, the largest Gaussian move read there.  The market price of
-    risk alpha = (mu + lam*beta) / sigma at every breakpoint is a report only.
+    The coefficients at the step times must pass `coefficient_violations`.
+    The market price of risk alpha = (mu + lam*beta) / sigma at every
+    breakpoint is a report only.
     """
     rep = ValidationReport()
     g, c = model.grid, model.coeffs
@@ -267,7 +263,7 @@ def validate_model(model: MarketModel, shock: float = DW_CLIP) -> ValidationRepo
             rep.violations.append(f"{name}: breakpoints must start at 0")
         if pc.breaks[-1] > g.horizon:
             rep.violations.append(f"{name}: breakpoint beyond the horizon")
-    rep.violations += coefficient_violations(model, g, shock)
+    rep.violations += coefficient_violations(model, g)
 
     starts = sorted({b for _, pc in named for b in pc.breaks})
     for t, ((mu0, s0_, lam0, beta0), (mu1, s1_, _, _)) in zip(starts,
@@ -277,14 +273,12 @@ def validate_model(model: MarketModel, shock: float = DW_CLIP) -> ValidationRepo
     return rep
 
 
-def coefficient_violations(model: MarketModel, grid: TimeGrid,
-                           shock: float | None) -> list[str]:
+def coefficient_violations(model: MarketModel, grid: TimeGrid) -> list[str]:
     """The bounded-coefficient rule at the times t_0..t_{n-1} of ``grid``, where
     a scheme of step grid.dt reads the coefficients: every value finite,
-    sigma > 0, beta > -1, lambda >= 0, lambda dt < 1 and, given ``shock``, the
-    largest normalized Gaussian move read, 1 + mu dt - shock sigma sqrt(dt) > 0.
-    A NaN fails every test.  One message per failed test names its latest
-    step (the first a backward sweep meets) and that step's t.
+    sigma > 0, beta > -1, lambda >= 0 and lambda dt < 1.  A NaN fails every
+    test.  One message per failed test names its latest step (the first a
+    backward sweep meets) and that step's t.
     """
     tab = model.step_table if grid == model.grid else model.coeffs.table(grid.times()[:-1])
     dt = grid.dt
@@ -294,11 +288,6 @@ def coefficient_violations(model: MarketModel, grid: TimeGrid,
               ("dt * max(lambda) must be < 1 (refine the time grid)", ~(tab[:, 0, 2] * dt < 1.0))]
     for n, regime in enumerate(("pre", "post")):
         checks.append((f"sigma_{regime}: sigma must be positive", ~(tab[:, n, 1] > 0.0)))
-        if shock is not None:
-            with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails
-                factor = 1.0 + tab[:, n, 0] * dt - tab[:, n, 1] * math.sqrt(dt) * shock
-            checks.append((f"{regime}-default Euler factor 1 + mu*dt - {shock:.4g}*sigma*sqrt(dt)"
-                           " is nonpositive (dt too coarse for this sigma)", ~(factor > 0.0)))
     return [f"{what} at step {i} (t={grid.times()[i]:g})" for what, bad in checks
             for i in np.flatnonzero(bad)[-1:].tolist()]
 
@@ -307,7 +296,7 @@ def coefficient_violations(model: MarketModel, grid: TimeGrid,
 class PathEnsemble:
     """Simulated (W, N, S, X) paths on the model's time grid.
 
-    ``dW`` holds the (truncated) Brownian increments, shape (n_paths, N);
+    ``dW`` holds the Brownian increments, shape (n_paths, N);
     ``n_path``, ``stock``, ``wealth`` are states at grid times, shape
     (n_paths, N+1).  simulate_paths stores all four time-major and hands out
     transposed views, so the column ``[:, i]`` of step i is contiguous and
@@ -353,7 +342,7 @@ Strategy = Callable[[float, np.ndarray, np.ndarray], np.ndarray | float]
 
 def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
                    seed: int, visit: Callable[..., None] | None = None) -> PathEnsemble | None:
-    """Euler forward simulation of (S, X) under a bounded strategy pi(t, s, n).
+    """Exact log-normal forward steps of (S, X) under a bounded strategy pi(t, s, n).
 
     All draws come from one Philox stream keyed by ``seed``: first one Exp(1)
     default clock per path, then, step by step, that step's n_paths
@@ -391,10 +380,10 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
                           side="right").astype(np.min_scalar_type(n))
 
     sq = math.sqrt(dt)
-    # per step and regime n: 1 + mu dt and sigma, read per path through
-    # its default state, and the jump factor 1 + beta
-    drift = 1.0 + tab[:, :, 0] * dt
+    # per step and regime n: the log drift (mu - sigma^2/2) dt and sigma, read
+    # per path through its default state, and the jump factor 1 + beta
     vol = tab[:, :, 1]
+    drift = (tab[:, :, 0] - 0.5 * vol * vol) * dt
     jump = 1.0 + tab[:, 0, 3]
 
     rows = n + 1 if visit is None else 2  # state row of step i: i % rows
@@ -413,21 +402,19 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
         dw = dW[i % len(dW)]  # the row of step i, or the one row with visit
         gen.standard_normal(out=dw)
         dw *= sq
-        np.clip(dw, -DW_CLIP * sq, DW_CLIP * sq, out=dw)
         regime = n_path[r]  # 0 or 1, as take indices
         np.equal(tau, i, out=jumps)
 
-        # ret = (1 + mu dt + sigma dW)(1 + beta dN) - 1: the jump composed
-        # multiplicatively keeps S > 0 for every beta > -1 and makes the
-        # self-financing identity dX = pi * dS/S exact per step
+        # ret = S_{i+1}/S_i = exp((mu - sigma^2/2) dt + sigma dW)(1 + beta dN) > 0
+        # for every beta > -1, then less 1, so dX = pi * dS/S exactly per step
         # indices are 0 or 1; mode="clip" skips the copy that "raise" makes of out
         np.take(vol[i], regime, out=ret, mode="clip")
         ret *= dw
         ret += np.take(drift[i], regime, mode="clip")
+        np.exp(ret, out=ret)
         np.multiply(ret, jump[i], out=ret, where=jumps)
+        np.multiply(stock[r], ret, out=stock[r1])
         ret -= 1.0
-        np.add(ret, 1.0, out=stock[r1])
-        stock[r1] *= stock[r]
         # pi per path, or one scalar; read inline so no pi row outlives the step
         np.multiply(ret, strategy(float(times[i]), stock[r], n_path[r]), out=wealth[r1])
         wealth[r1] += wealth[r]

@@ -2,11 +2,12 @@
 
 The DP oracle discretizes the noise itself (moment-matched Gaussian
 quantization x {jump, no-jump}) and minimizes over an explicit strategy grid,
-so it shares nothing with the BSDE solver except the model.  Exponential
-utility factors wealth out multiplicatively, so for claims whose payoff does
-not depend on S_T the recursion collapses exactly to the two default states;
-stock-dependent claims are enumerated on the full non-recombining tree under
-a node budget.
+so it shares nothing with the BSDE solver except the model: its tree is its
+own Euler discretization of the same SDE, where the solver takes exact
+log-normal moves.  Exponential utility factors wealth out multiplicatively, so
+for claims whose payoff does not depend on S_T the recursion collapses exactly
+to the two default states; stock-dependent claims are enumerated on the full
+non-recombining tree under a node budget.
 
 The martingale checker simulates exp(-gamma X_t) Y(t, S_t, N_t) along forward
 paths: under any bounded strategy its drift must be >= 0 (dynamic programming
@@ -81,12 +82,20 @@ def dp_violations(model: MarketModel, claim: Claim, tree: DPTree) -> list[str]:
     """`coefficient_violations` at the DP's times i T / n_small; the claim's
     table values, where exp(-gamma xi) must be a finite normal double, as in
     `terminal_rows` (every payoff lies between them); for a claim that depends
-    on S, whose full tree alone takes a log of S, the q-node Euler factor and
-    the (2q)^n_small leaves against NODE_BUDGET."""
-    stock = claim.depends_on_s
-    shock = Quadrature.gauss_hermite(tree.q).max_abs_node if stock else None
-    bad = [f"DP {v}" for v in coefficient_violations(
-        model, TimeGrid(model.grid.horizon, tree.n_small), shock)]
+    on S, whose full tree alone takes a log of S, its Euler factor at the
+    largest q-node move z, 1 + mu dt - z sigma sqrt(dt) > 0 at its latest
+    step in each regime, and the (2q)^n_small leaves against NODE_BUDGET."""
+    stock, grid = claim.depends_on_s, TimeGrid(model.grid.horizon, tree.n_small)
+    bad = [f"DP {v}" for v in coefficient_violations(model, grid)]
+    if stock:
+        z, dt = Quadrature.gauss_hermite(tree.q).nodes.max(), grid.dt
+        tab = model.coeffs.table(grid.times()[:-1])
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails
+            factor = 1.0 + tab[:, :, 0] * dt - tab[:, :, 1] * math.sqrt(dt) * z
+        bad += [f"DP {regime}-default Euler factor 1 + mu*dt - {z:.4g}*sigma*sqrt(dt) is "
+                f"nonpositive (dt too coarse for this sigma) at step {i} (t={grid.times()[i]:g})"
+                for n, regime in enumerate(("pre", "post"))
+                for i in np.flatnonzero(~(factor[:, n] > 0.0))[-1:].tolist()]
     gxi = model.gamma * np.array(claim.values, dtype=float)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)

@@ -8,7 +8,7 @@ the last regime, jumps nowhere (p = 0): it is a pure-diffusion BSDE.
 Per step i and node x_j (pre-default):
 
     p  = 1 - exp(-lambda dt)
-    NJ = Y0 + sum_m w_m (Y[i+1](x_j + log(1 + mu dt + sigma sqrt(dt) zeta_m), 0) - Y0)
+    NJ = Y0 + sum_m w_m (Y[i+1](x_j + (mu - sigma^2/2) dt + sigma sqrt(dt) zeta_m, 0) - Y0)
     VJ = Y1 + (Y[i+1](x_j + log(1 + beta), 1) - Y1),  Yn = Y[i+1](x_j, n)
     E  = (1-p) NJ + p VJ
     Z  = (1-p) sum_m w_m (Y[i+1](...) - Y0) zeta_m / sqrt(dt)
@@ -20,8 +20,8 @@ point and flat extrapolation beyond [-L, L].  The driver is called once per
 step for both regimes, at the conditional mean E: the scheme is explicit and
 first order in dt.  Its interpolation error is O(h^4 / dt) (Falcone and
 Ferretti, 2014), where linear taps gave O(h^2 / dt), which grew as N grew at
-fixed M.  The diffusion move is the no-jump branch of the forward Euler step,
-so the solver and the path simulator discretize the same dynamics.
+fixed M.  The diffusion move is the exact log-normal move over the step at
+the coefficients of t_i, as in the path simulator, and exists for every sigma.
 
 Two of the four cubic taps are negative inside a cell, so the step is not
 monotone in the sense of Barles and Souganidis (1991): rows >= 0 may give a
@@ -166,11 +166,6 @@ class Quadrature:
         z.flags.writeable = w.flags.writeable = False
         return cls(z, w)
 
-    @property
-    def max_abs_node(self) -> float:
-        """Largest normalized Gaussian move; bounds the Euler factors the solver uses."""
-        return float(np.max(np.abs(self.nodes)))
-
 
 @dataclass
 class ValueSurface:
@@ -310,7 +305,7 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
 
     @functools.cache
     def regime(mu, sigma, lam, beta):
-        moves = np.log(1.0 + mu * g.dt + sigma * math.sqrt(g.dt) * quad.nodes)
+        moves = (mu - 0.5 * sigma * sigma) * g.dt + sigma * math.sqrt(g.dt) * quad.nodes
         return (_stencil(space, moves, weights),
                 _stencil(space, np.array([math.log1p(beta)]), np.ones((1, 1))))
 
@@ -430,9 +425,9 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     Raises ValueError, before any work, when the strategy set is not
     [-k, k] with k > 0, or when the surface exceeds SURFACE_NODE_BUDGET;
     SolverError when the coefficients at the step times break
-    `coefficient_violations` at the quadrature's largest node, or when an
-    iterate violates Y >= TINY (a positive normal double) or Y + U >= 0,
-    reporting the offending step and node.
+    `coefficient_violations`, or when an iterate violates Y >= TINY (a
+    positive normal double) or Y + U >= 0, reporting the offending step and
+    node.
     """
     if strat.lo != -strat.hi:
         raise ValueError(f"solver: the strategy set must be symmetric, [-k, k]; "
@@ -498,7 +493,7 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
 
         strat = bounds(range(len(cols)))
         limit = strat.hi[:, 0, 0].copy()  # a row's k; inf once it binds, as no wider k is left
-    bad = coefficient_violations(model, model.grid, quad.max_abs_node)
+    bad = coefficient_violations(model, model.grid)
     if bad:
         raise SolverError("solver: " + "; ".join(bad))
     ys = terminal_rows(model, [claims[g[0]] for g in cols], space)

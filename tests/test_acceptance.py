@@ -100,6 +100,7 @@ def test_complete_market_price():
 def test_complete_market_error_does_not_grow_with_the_grid():
     errors = np.abs([complete_price_errors(n) for n in (50, 100, 200, 400)])
     assert np.all(np.diff(errors, axis=0) <= 0.0), errors
+    assert errors[-1, 1] <= 2e-6, errors  # the sell error at N = M = 400
 
 
 def test_complete_market_strategy():

@@ -202,7 +202,7 @@ def reference_step(c, strat, x, quad, dt, y_next, y_jump):
     """One regime of one column, read by `cubic_read` at every move: the step
     without stencils."""
     sqdt = math.sqrt(dt)
-    moves = np.log(1.0 + c.mu * dt + c.sigma * sqdt * quad.nodes)
+    moves = (c.mu - 0.5 * c.sigma * c.sigma) * dt + c.sigma * sqdt * quad.nodes
     vals = cubic_read(x, y_next, x[:, None] + moves[None, :])
     nojump = vals @ quad.weights
     p = 1.0 - math.exp(-c.lam * dt)

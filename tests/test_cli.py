@@ -73,17 +73,6 @@ class TestValidate:
         assert payload["alpha_pre"][-1] == payload["alpha_post"][-1] == {"t": 1.0, "alpha": None}
         assert main(["price", str(cfg)]) == 0
 
-    def test_solver_euler_factor_exits_2(self, tmp_path, capsys):
-        # 20 quadrature nodes reach 7.62 > DW_CLIP: 1 - 7.62 * 0.3 * sqrt(0.25) < 0
-        cfg = write_config(tmp_path,
-                           model={"N": 4, "pre_default": {"mu": 0.0, "sigma": 0.3,
-                                                          "lambda": 0.1, "beta": 0.0}},
-                           numerics={"quad_nodes": 20})
-        assert main(["validate", str(cfg)]) == 2
-        assert "Euler factor" in capsys.readouterr().err
-        assert main(["solve", str(cfg)]) == 2
-        assert "Euler factor" in capsys.readouterr().err
-
     @pytest.mark.parametrize("value", [800.0, -800.0, 740.0])
     def test_terminal_row_out_of_range_exits_2(self, tmp_path, capsys, value):
         # exp(-gamma xi) leaves the normal doubles: validate rejects what solve rejects
@@ -359,6 +348,27 @@ class TestSolveAndOracle:
         lines = out.read_text().splitlines()
         assert lines[0] == "step,t,mean_increment,stderr"
         assert len(lines) == 101
+
+    def test_wide_sigma_at_coarse_steps_runs_every_command(self, tmp_path, capsys):
+        # sigma = 0.8 at N = 10: an Euler factor 1 + mu dt - 6 sigma sqrt(dt) would be
+        # negative, but the exact log-normal moves hold for every sigma; the DP's own
+        # tree (N_small = 4, q = 3) keeps a positive factor
+        put = {"variant": "stock_payoff", "s_nodes": [0.5, 1.0, 2.0],
+               "survive_values": [0.5, 0.0, 0.0], "default_values": [0.5, 0.0, 0.0]}
+        cfg = write_config(tmp_path,
+                           model={"N": 10, "pre_default": {"mu": 0.05, "sigma": 0.8,
+                                                           "lambda": 0.3, "beta": -0.3}},
+                           claim=put, numerics={"M": 100, "k": 2.0},
+                           oracle={"N_small": 4, "q": 3, "G": 41, "n_paths": 20_000,
+                                   "seed": 1})
+        for subcommand in ("validate", "price", "oracle"):
+            assert main([subcommand, str(cfg)]) == 0, subcommand
+            err = capsys.readouterr().err
+            assert "Euler factor" not in err
+        dp, solver = map(float, re.search(r"dp=(\S+) solver=(\S+)", err).groups())
+        mean, se = map(float, re.search(r"drift mean=(\S+) se=(\S+)", err).groups())
+        assert abs(dp - solver) / abs(dp) < 2e-2, (dp, solver)
+        assert abs(mean) <= 3.0 * se, (mean, se)
 
     def test_seed_override_changes_drift(self, tmp_path):
         out1, out2, out3 = (tmp_path / f"d{i}.csv" for i in (1, 2, 3))

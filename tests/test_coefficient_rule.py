@@ -3,9 +3,9 @@
 Each config puts a piece [b1, b2) into one or two coefficients.  Its ends
 fall on step times, between step times and on the DP's times i T / N_small,
 and its value is a good one or one that breaks the rule: sigma <= 0,
-beta <= -1, lambda < 0, lambda dt >= 1, a sigma or mu that makes an Euler
-factor nonpositive, NaN or infinity.  The verdict comes from `rejects`, a loop over
-the times that reads each PiecewiseConstant by a scalar call
+beta <= -1, lambda < 0, lambda dt >= 1, a sigma or mu that makes the DP
+tree's Euler factor nonpositive, NaN or infinity.  The verdict comes from
+`rejects`, a loop over the times that reads each PiecewiseConstant by a scalar call
 (`conftest.coeffs_in_force`), not through `RegimeCoefficients.table`.
 """
 import json
@@ -18,7 +18,6 @@ import pytest
 from defaultbsde import (MarketModel, PiecewiseConstant, Quadrature, RegimeCoefficients,
                          TimeGrid, cli, oracle)
 from defaultbsde.cli import main
-from defaultbsde.model import DW_CLIP
 
 from conftest import coeffs_in_force
 
@@ -29,8 +28,9 @@ BREAKS = sorted({*STEPS.times()[1:-1].tolist(),
                  *(0.5 * (STEPS.times()[1:] + STEPS.times()[:-1])).tolist(),
                  *DP.times()[1:-1].tolist()})
 GOOD = {"mu": (-0.2, 0.2), "sigma": (0.1, 0.4), "beta": (-0.5, 0.5), "lambda": (0.0, 2.0)}
-# sigma 0.8 breaks the step times' factor (DW_CLIP) only, 1.5 the DP's too;
-# mu = -5 breaks the DP's factor; lambda = 5 breaks lambda dt < 1 at the DP's dt only
+# sigma 0.8 is valid at the step times, where the moves are exact, and for the
+# DP; 1.5 and mu = -5 break the DP tree's Euler factor; lambda = 5 breaks
+# lambda dt < 1 at the DP's dt only
 BAD = {"mu": (math.nan, math.inf, -5.0, -20.0),
        "sigma": (0.0, -0.2, 0.8, 1.5, math.nan, math.inf),
        "beta": (-1.0, -1.5, math.nan),
@@ -88,7 +88,8 @@ def model_of(raw: dict) -> MarketModel:
 def rejects(model: MarketModel, grid: TimeGrid, shock: float | None) -> bool:
     """Whether a coefficient read at a time t_0..t_{n-1} of ``grid`` breaks the
     rule: finite values, sigma > 0, beta > -1, lambda >= 0, lambda dt < 1 and,
-    given ``shock``, a positive Euler factor, in both regimes."""
+    given ``shock``, the DP stock tree's largest move, a positive Euler factor,
+    in both regimes."""
     dt = grid.dt
     for t in grid.times()[:-1].tolist():
         for n in (0, 1):
@@ -101,12 +102,10 @@ def rejects(model: MarketModel, grid: TimeGrid, shock: float | None) -> bool:
     return False
 
 
-def step_shock() -> float:
-    return max(DW_CLIP, Quadrature.gauss_hermite(QUAD_NODES).max_abs_node)
-
-
 def dp_shock(raw: dict) -> float | None:
-    return Quadrature.gauss_hermite(Q).max_abs_node if raw["claim"] is PUT else None
+    """The largest q-node move of the DP's stock tree, which only a claim that
+    depends on S builds."""
+    return float(Quadrature.gauss_hermite(Q).nodes.max()) if raw["claim"] is PUT else None
 
 
 def run_config(tmp_path, raw, subcommand):
@@ -116,7 +115,7 @@ def run_config(tmp_path, raw, subcommand):
 
 
 def test_generated_configs_cover_every_case():
-    verdicts = [(rejects(model_of(raw), STEPS, step_shock()),
+    verdicts = [(rejects(model_of(raw), STEPS, None),
                  rejects(model_of(raw), DP, dp_shock(raw))) for raw in CONFIGS]
     assert sum(s for s, _ in verdicts) >= 40          # rejected at the step times
     assert sum(not s for s, _ in verdicts) >= 40      # read as valid there
@@ -139,7 +138,7 @@ def test_validate_rejects_what_the_step_times_break(tmp_path, capsys):
         out = capsys.readouterr().out
         if out:  # the loader's rejections write no report
             json.loads(out, parse_constant=pytest.fail)  # strict JSON
-        if (code == 2) != rejects(model_of(raw), STEPS, step_shock()):
+        if (code == 2) != rejects(model_of(raw), STEPS, None):
             wrong.append((c, code))
     assert wrong == []
 
@@ -179,7 +178,7 @@ def test_oracle_rejects_before_work_what_any_of_its_times_break(tmp_path, capsys
     wrong = []
     for c, raw in enumerate(CONFIGS):
         model = model_of(raw)
-        bad = rejects(model, STEPS, step_shock()) or rejects(model, DP, dp_shock(raw))
+        bad = rejects(model, STEPS, None) or rejects(model, DP, dp_shock(raw))
         try:
             code = run_config(tmp_path, raw, "oracle")
         except WorkStarted:
@@ -188,6 +187,6 @@ def test_oracle_rejects_before_work_what_any_of_its_times_break(tmp_path, capsys
         if (code == 2) != bad or (code is None) == bad:
             wrong.append((c, code, err))
     assert wrong == []
-    assert len(dp_runs) == sum(not (rejects(model_of(raw), STEPS, step_shock())
+    assert len(dp_runs) == sum(not (rejects(model_of(raw), STEPS, None)
                                     or rejects(model_of(raw), DP, dp_shock(raw)))
                                for raw in CONFIGS)

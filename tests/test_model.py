@@ -8,7 +8,7 @@ import pytest
 from defaultbsde import (Claim, MarketModel, PathEnsemble,
                          PiecewiseConstant, RegimeCoefficients, TimeGrid,
                          claim_payoff, simulate_paths, validate_model)
-from defaultbsde.model import DW_CLIP, coefficient_violations
+from defaultbsde.model import coefficient_violations
 
 from conftest import coeffs_in_force, merton_model, piecewise_model
 
@@ -40,7 +40,7 @@ def reference_simulate(model, strategy, n_paths, seed):
     hazard = 0.0
     for i in range(n):
         t = float(times[i])
-        dW[:, i] = np.clip(gen.standard_normal(n_paths) * sq, -DW_CLIP * sq, DW_CLIP * sq)
+        dW[:, i] = gen.standard_normal(n_paths) * sq
         alive = n_path[i] == 0
         mu0, s0_, lam, beta0 = coeffs_in_force(model, t, 0)
         mu1, s1_, _, _ = coeffs_in_force(model, t, 1)
@@ -51,9 +51,9 @@ def reference_simulate(model, strategy, n_paths, seed):
         tau_step[jumps] = i
         dN = jumps.astype(float)
         pi = strategy(t, stock[i], n_path[i])
-        ret = (1.0 + mu * dt + sig * dW[:, i]) * (1.0 + beta0 * dN) - 1.0
-        stock[i + 1] = stock[i] * (1.0 + ret)
-        wealth[i + 1] = wealth[i] + pi * ret
+        factor = np.exp(sig * dW[:, i] + (mu - 0.5 * sig * sig) * dt) * (1.0 + beta0 * dN)
+        stock[i + 1] = stock[i] * factor
+        wealth[i + 1] = wealth[i] + pi * (factor - 1.0)
         n_path[i + 1] = np.where(jumps, 1, n_path[i])
     return PathEnsemble(times=times, dW=dW, n_path=n_path.T, stock=stock.T,
                         wealth=wealth.T, tau_step=tau_step, seed=seed)
@@ -81,8 +81,8 @@ class TestValidate:
 
     def test_nan_fails_every_test_of_the_rule(self):
         model = flat_model(mu=math.nan, sigma=math.nan, beta=math.nan, lam=math.nan, N=10)
-        got = coefficient_violations(model, model.grid, DW_CLIP)
-        assert len(got) == 8 and all(v.endswith("at step 9 (t=0.9)") for v in got)
+        got = coefficient_violations(model, model.grid)
+        assert len(got) == 6 and all(v.endswith("at step 9 (t=0.9)") for v in got)
 
     def test_rule_names_the_latest_step_read(self):
         # sigma_pre = 0 on [0.3, 0.55): steps 3, 4, 5 of 10 read it, and t = 0.5 of a DP
@@ -90,11 +90,11 @@ class TestValidate:
         model = flat_model(N=10)
         model = dataclasses.replace(model, coeffs=dataclasses.replace(
             model.coeffs, sigma_pre=PiecewiseConstant((0.0, 0.3, 0.55), (0.2, 0.0, 0.2))))
-        assert coefficient_violations(model, model.grid, None) == [
+        assert coefficient_violations(model, model.grid) == [
             "sigma_pre: sigma must be positive at step 5 (t=0.5)"]
-        assert coefficient_violations(model, TimeGrid(1.0, 4), None) == [
+        assert coefficient_violations(model, TimeGrid(1.0, 4)) == [
             "sigma_pre: sigma must be positive at step 2 (t=0.5)"]
-        assert coefficient_violations(model, TimeGrid(1.0, 1), None) == []
+        assert coefficient_violations(model, TimeGrid(1.0, 1)) == []
 
     def test_value_read_at_no_step_time_is_no_violation(self):
         # sigma = 0 from t = T on: alpha there is reported as infinite, not flagged
@@ -178,10 +178,11 @@ class TestSimulate:
         assert np.all(ens.wealth == 0.0)
 
     def test_deterministic_drift_only(self):
-        # sigma -> 0, lam = 0: X_T = mu * T for pi = 1
+        # sigma = 0, lam = 0: each step returns e^{mu dt} - 1, so X_T = N (e^{mu dt} - 1)
+        # for pi = 1
         m = flat_model(mu=0.1, sigma=0.0, beta=0.0, lam=0.0, T=1.0, N=128)
         ens = simulate_paths(m, lambda t, s, n: 1.0, 8, seed=3)
-        assert np.allclose(ens.wealth[:, -1], 0.1, atol=1e-12)
+        assert np.allclose(ens.wealth[:, -1], 128 * math.expm1(0.1 / 128), rtol=0.0, atol=1e-12)
 
     def test_default_fraction_matches_survival(self):
         lam, T = 0.2, 1.0
@@ -218,7 +219,7 @@ class TestSimulate:
         ens = simulate_paths(m, lambda t, s, n: 0.0, 20_000, seed=17)
         dt, size = m.grid.dt, ens.dW.size
         # Gaussian sample: SE of the mean is sqrt(dt/size), of the variance
-        # sqrt(2/size)*dt; truncation at 6 sqrt(dt) shifts neither visibly
+        # sqrt(2/size)*dt
         assert abs(ens.dW.mean()) <= 3 * math.sqrt(dt / size)
         assert abs(ens.dW.var() - dt) <= 3 * math.sqrt(2.0 / size) * dt
 
@@ -228,9 +229,9 @@ class TestSimulate:
         b = simulate_paths(m, lambda t, s, n: 0.0, 100, seed=22)
         assert not np.any(a.dW == b.dW)
 
-    def test_step_matches_euler_formula(self):
-        # S_{i+1}/S_i = (1 + mu dt + sigma dW)(1 + beta dN), with the
-        # post-default coefficients after the jump, and dX = pi dS/S
+    def test_step_matches_log_normal_formula(self):
+        # S_{i+1}/S_i = exp((mu - sigma^2/2) dt + sigma dW)(1 + beta dN), with
+        # the post-default coefficients after the jump, and dX = pi dS/S
         m = MarketModel(grid=TimeGrid(1.0, 40),
                         coeffs=RegimeCoefficients.constant(mu=0.1, sigma=0.2, beta=-0.3,
                                                            lam=2.0, mu_post=-0.05,
@@ -243,7 +244,7 @@ class TestSimulate:
         post = (tau >= 0) & (step > tau)
         dN = (step == tau).astype(float)
         mu, sig = np.where(post, -0.05, 0.1), np.where(post, 0.4, 0.2)
-        ret = (1.0 + mu * dt + sig * ens.dW) * (1.0 - 0.3 * dN) - 1.0
+        ret = np.exp((mu - 0.5 * sig ** 2) * dt + sig * ens.dW) * (1.0 - 0.3 * dN) - 1.0
         assert np.any(ens.tau_step >= 0) and np.any(ens.tau_step < 0)
         assert np.allclose(ens.stock[:, 1:] / ens.stock[:, :-1] - 1.0, ret,
                            rtol=0.0, atol=1e-13)
