@@ -10,8 +10,9 @@ against brute-force dynamic programming and Monte Carlo drift tests.
 from .approx import KSweepResult, NonConvergenceError, converge, k_sweep
 from .driver import (CoeffSnapshot, StrategySet, f_pi, g_quadratic,
                      jump_comparison_bounds, lipschitz_bound, minimize_driver)
-from .model import (Claim, MarketModel, PathEnsemble, PiecewiseConstant, RegimeCoefficients,
-                    TimeGrid, ValidationReport, claim_payoff, simulate_paths, validate_model)
+from .model import (Claim, InputError, MarketModel, PathEnsemble, PiecewiseConstant,
+                    RegimeCoefficients, TimeGrid, ValidationReport, claim_payoff,
+                    simulate_paths, validate_model)
 from .oracle import DPTree, DriftReport, brute_force_dp, martingale_check
 from .pricing import PriceReport, indifference_price, wealth_scaling
 from .solver import (Quadrature, SolverError, SpaceGrid, ValueSurface,
@@ -24,7 +25,7 @@ __all__ = [
     "lipschitz_bound", "jump_comparison_bounds",
     "Claim", "MarketModel",
     "PiecewiseConstant", "RegimeCoefficients", "TimeGrid", "PathEnsemble",
-    "ValidationReport", "validate_model", "simulate_paths", "claim_payoff",
+    "ValidationReport", "InputError", "validate_model", "simulate_paths", "claim_payoff",
     "Quadrature", "SpaceGrid", "ValueSurface", "SolverError", "solve_bsde",
     "extract_optimal_strategy", "surface_at_origin",
     "KSweepResult", "NonConvergenceError", "k_sweep", "converge",

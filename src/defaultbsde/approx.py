@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import open_output
-from .model import Claim, MarketModel
+from .model import Claim, InputError, MarketModel
 from .solver import Quadrature, SolverError, SpaceGrid, solve_j0_batch
 # imported only so that benchmark/tracing.py can wrap it by this name
 from .solver import solve_bsde  # noqa: F401
@@ -70,36 +70,37 @@ class KSweepResult:
 
 
 def check_doubling(k0: float, tol_rel: float) -> None:
-    """Raise ValueError unless the doubling start k0 and tolerance are positive and finite."""
+    """Raise InputError unless the doubling start k0 and tolerance are positive and finite."""
     if not 0 < k0 < math.inf:
-        raise ValueError("k0 must be positive and finite")
+        raise InputError("k0 must be positive and finite")
     if not 0 < tol_rel < math.inf:
-        raise ValueError("tol_rel must be positive and finite")
+        raise InputError("tol_rel must be positive and finite")
 
 
 def check_schedule(ks: list[float]) -> None:
-    """Raise ValueError unless ks is nonempty, positive, finite and strictly increasing."""
+    """Raise InputError unless ks is nonempty, positive, finite and strictly increasing."""
     if not ks:
-        raise ValueError("ks must be nonempty")
+        raise InputError("ks must be nonempty")
     if any(not 0 < k < math.inf for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly increasing, positive and finite")
+        raise InputError("ks must be strictly increasing, positive and finite")
 
 
 def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
                 ks: list[float]):
     """Yield (k, J0 and bound per leg, runtime_ms) in k order from one pass over every (leg, k).
 
-    runtime_ms is the k's share of the pass's wall time.  A failed pass is
-    solved again one k at a time, so an error carries the ``k=...:`` tag of
-    a serial run, and a k past the caller's stopping point never raises.
+    runtime_ms is the k's share of the pass's wall time.  A pass that fails
+    during its steps is solved again one k at a time, so a SolverError carries
+    the ``k=...:`` tag of a serial run, and a k past the caller's stopping
+    point never raises.  An InputError, found before any work, passes as it is.
     """
     t0 = time.perf_counter()
     try:
         j0, bound = solve_j0_batch(model, [claim for _ in ks for claim in claims],
                                    np.repeat(ks, len(claims)), space, quad)
-    except (SolverError, ValueError) as exc:
+    except SolverError as exc:
         if len(ks) == 1:
-            raise type(exc)(f"k={ks[0]:g}: {exc}") from exc
+            raise SolverError(f"k={ks[0]:g}: {exc}") from exc
         for k in ks:
             yield from _solve_pass(model, claims, space, quad, [k])
         return

@@ -7,9 +7,10 @@ Subcommands:
     price      indifference price report (JSON)
     oracle     brute-force DP + martingale drift check (drift CSV)
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 I/O error.  Diagnostics go to stderr; machine output goes only to the
-declared output files or stdout.
+Exit codes: 0 success, 2 an InputError (found before any work), 3 numerical
+failure, 4 I/O error.  Diagnostics go to stderr; machine output goes only to
+the declared output files or stdout.  The work rejects its own inputs, so
+only `oracle`, whose DP runs first, checks any up front.
 """
 from __future__ import annotations
 
@@ -22,19 +23,15 @@ from dataclasses import dataclass, field
 from .approx import (NonConvergenceError, check_doubling, check_schedule, converge,
                      k_sweep)
 from .driver import StrategySet
-from .model import (Claim, MarketModel, PiecewiseConstant, RegimeCoefficients, TimeGrid,
-                    ValidationReport, coefficient_violations, validate_model)
+from .model import (Claim, InputError, MarketModel, PiecewiseConstant, RegimeCoefficients,
+                    TimeGrid, coefficient_violations)
 from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
                      monte_carlo_violation)
-from .pricing import PriceReport, indifference_price, price_legs
+from .pricing import PriceReport, indifference_price
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
-                     solve_bsde, surface_at_origin, surface_violation, terminal_rows)
+                     pass_inputs, solve_bsde, surface_at_origin, surface_violation)
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
-
-
-class ConfigError(ValueError):
-    """Configuration file fails schema validation."""
 
 
 @dataclass
@@ -62,13 +59,13 @@ def _block(block, where: str, required, optional=()) -> dict:
     outside ``required`` and ``optional``: a key that the loader does not read
     is rejected, never silently ignored."""
     if not isinstance(block, dict):
-        raise ConfigError(f"config: {where} must be a JSON object")
+        raise InputError(f"config: {where} must be a JSON object")
     extra = sorted(set(block) - set(required) - set(optional))
     if extra:
-        raise ConfigError(f"config: {where}: unknown keys {extra}")
+        raise InputError(f"config: {where}: unknown keys {extra}")
     for key in required:
         if key not in block:
-            raise ConfigError(f"config: missing '{key}' in {where}")
+            raise InputError(f"config: missing '{key}' in {where}")
     return block
 
 
@@ -80,9 +77,9 @@ def _number(kind, raw, key: str, where: str):
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: '{key}' in {where} must be a number, got {raw!r}") from exc
+        raise InputError(f"config: '{key}' in {where} must be a number, got {raw!r}") from exc
     if kind is int and not value.is_integer():
-        raise ConfigError(f"config: '{key}' in {where} must be an integer, got {raw!r}")
+        raise InputError(f"config: '{key}' in {where} must be an integer, got {raw!r}")
     return kind(value)
 
 
@@ -94,8 +91,8 @@ def _coefficient(raw, name: str) -> PiecewiseConstant:
             return PiecewiseConstant(tuple(float(p[0]) for p in raw),
                                      tuple(float(p[1]) for p in raw))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config: coefficient '{name}': {exc}") from exc
-    raise ConfigError(f"config: coefficient '{name}' must be a number or [[t, value], ...]")
+            raise InputError(f"config: coefficient '{name}': {exc}") from exc
+    raise InputError(f"config: coefficient '{name}' must be a number or [[t, value], ...]")
 
 
 def _floats(raw) -> tuple:
@@ -114,14 +111,14 @@ CLAIMS = {
 def _build_claim(block) -> Claim:
     variant = block.get("variant") if isinstance(block, dict) else None
     if not isinstance(variant, str) or variant not in CLAIMS:
-        raise ConfigError(f"config: claim 'variant' must be one of {list(CLAIMS)}, "
-                          f"got {variant!r}")
+        raise InputError(f"config: claim 'variant' must be one of {list(CLAIMS)}, "
+                         f"got {variant!r}")
     kind, convert, fields = CLAIMS[variant]
     _block(block, f"claim ({variant})", fields, ("variant",))
     try:
         return kind(*(convert(block[key]) for key in fields))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: claim: {exc}") from exc
+        raise InputError(f"config: claim: {exc}") from exc
 
 
 def load_config(raw: dict) -> RunConfig:
@@ -135,7 +132,7 @@ def load_config(raw: dict) -> RunConfig:
     try:
         grid = TimeGrid(horizon, n_steps)
     except ValueError as exc:
-        raise ConfigError(f"config: model: {exc}") from exc
+        raise InputError(f"config: model: {exc}") from exc
     coeffs = RegimeCoefficients(
         mu_pre=_coefficient(pre["mu"], "pre mu"),
         sigma_pre=_coefficient(pre["sigma"], "pre sigma"),
@@ -154,7 +151,7 @@ def load_config(raw: dict) -> RunConfig:
                 ("M", "L_mult", "quad_nodes", "k0", "tol_rel", "k", "ks"))
     ks = nm.get("ks", [])
     if not isinstance(ks, list):
-        raise ConfigError(f"config: 'ks' in numerics must be a list of numbers, got {ks!r}")
+        raise InputError(f"config: 'ks' in numerics must be a list of numbers, got {ks!r}")
     ks = [_number(float, v, "ks", "numerics") for v in ks]
     m_space = _number(int, nm.get("M", 100), "M", "numerics")
     l_mult = _number(float, nm.get("L_mult", 6.0), "L_mult", "numerics")
@@ -166,7 +163,7 @@ def load_config(raw: dict) -> RunConfig:
         space = SpaceGrid.for_model(model, m_space, l_mult)
     except ValueError as exc:
         # a coefficient that breaks the rule at a step time can leave no grid: name the rule too
-        raise ConfigError(f"config: numerics: {exc}" + "".join(
+        raise InputError(f"config: numerics: {exc}" + "".join(
             f"; model: {v}" for v in coefficient_violations(model, grid))) from exc
     # the solver's and the k loop's own checks, so validate rejects what they reject
     try:
@@ -176,7 +173,7 @@ def load_config(raw: dict) -> RunConfig:
         if ks:
             check_schedule(ks)
     except ValueError as exc:
-        raise ConfigError(f"config: numerics: {exc}") from exc
+        raise InputError(f"config: numerics: {exc}") from exc
     ob = _block(raw.get("oracle", {}), "oracle", (), ("N_small", "q", "G", "n_paths", "seed"))
     out = _block(raw.get("output", {}), "output", (), ("validation_json", "surface_csv",
                                                        "sweep_csv", "price_json", "drift_csv",
@@ -225,22 +222,9 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _validate(cfg: RunConfig, legs: tuple = ()) -> ValidationReport:
-    """validate_model, whose coefficient rule is the one the solver's pass
-    checks, plus the terminal-row checks.
-
-    The terminal rows checked are those of ``legs``, or of the claim alone,
-    which is what `solve`, `converge` and `oracle` solve."""
-    rep = validate_model(cfg.model)
-    try:
-        terminal_rows(cfg.model, legs or (cfg.claim,), cfg.space)
-    except SolverError as exc:
-        rep.violations.append(str(exc))
-    return rep
-
-
 def _cmd_validate(cfg: RunConfig) -> int:
-    rep = _validate(cfg)
+    # the rules of a pass over the claim alone, which `solve`, `converge` and `oracle` solve
+    _, rep = pass_inputs(cfg.model, (cfg.claim,), cfg.space)
     payload = {
         "ok": rep.ok,
         "violations": rep.violations,
@@ -256,21 +240,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_valid(cfg: RunConfig, legs: tuple = ()) -> None:
-    rep = _validate(cfg, legs)
-    if not rep.ok:
-        raise ConfigError("model: " + "; ".join(rep.violations))
-
-
-def _require_surface(cfg: RunConfig) -> None:
-    bad = surface_violation(cfg.model, cfg.space)
-    if bad is not None:
-        raise ConfigError(f"solver: {bad}")
-
-
 def _cmd_solve(cfg: RunConfig) -> int:
-    _require_surface(cfg)
-    _require_valid(cfg)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
                          cfg.space, cfg.quad)
     _diag(f"solve: k={cfg.k:g} J0={surface_at_origin(surface):.12g}")
@@ -279,7 +249,6 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _cmd_converge(cfg: RunConfig) -> int:
-    _require_valid(cfg)
     if cfg.ks:
         res = k_sweep(cfg.model, cfg.claim, cfg.space, cfg.quad, cfg.ks)
     else:
@@ -294,8 +263,6 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 
 def _cmd_price(cfg: RunConfig) -> int:
-    # every leg of the pass, the negated claim too, so its rows fail here with exit 2
-    _require_valid(cfg, price_legs(cfg.claim))
     report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad)
     _diag(f"price: buy={report.buy_price:.12g} sell="
           f"{'-' if report.sell_price is None else format(report.sell_price, '.12g')}")
@@ -304,18 +271,24 @@ def _cmd_price(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
+    # the DP runs first, so the checks of martingale_check, solve_bsde and
+    # brute_force_dp run here, before it, and again where the work runs
     bad = monte_carlo_violation(cfg.model, cfg.n_paths, cfg.seed)
     if bad is not None:
-        raise ConfigError(f"oracle: {bad}")
+        raise InputError(f"oracle: {bad}")
     try:
         tree = DPTree(cfg.n_small, cfg.q, cfg.g, cfg.k)  # the DP oracle's own range checks
     except ValueError as exc:
-        raise ConfigError(f"oracle: {exc}") from exc
-    _require_surface(cfg)
-    _require_valid(cfg)
+        raise InputError(f"oracle: {exc}") from exc
+    bad = surface_violation(cfg.model, cfg.space)
+    if bad is not None:
+        raise InputError(f"solver: {bad}")
+    _, rep = pass_inputs(cfg.model, (cfg.claim,), cfg.space)
+    if not rep.ok:
+        raise InputError("model: " + "; ".join(rep.violations))
     bad = dp_violations(cfg.model, cfg.claim, tree)
     if bad:
-        raise ConfigError("oracle: " + "; ".join(bad))
+        raise InputError("oracle: " + "; ".join(bad))
     dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
                          cfg.space, cfg.quad)
@@ -359,7 +332,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         if seed is not None:
             cfg.seed = seed
         return COMMANDS[subcommand](cfg)
-    except ConfigError as exc:
+    except InputError as exc:
         _diag(str(exc))
         return 2
     except (SolverError, NonConvergenceError, ValueError) as exc:

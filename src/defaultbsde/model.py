@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "MarketModel",
     "Claim",
     "ValidationReport",
+    "InputError",
     "PathEnsemble",
     "validate_model",
     "coefficient_violations",
@@ -229,27 +230,46 @@ def claim_payoff(claim: Claim, s_T: float, n_T: int) -> float:
     return float(claim.payoff(s_T, n_T))
 
 
+class InputError(ValueError):
+    """An input that a command or a pass rejects before any work."""
+
+
 @dataclass
 class ValidationReport:
-    """Outcome of validate_model: violations plus market-price-of-risk diagnostics."""
+    """Outcome of validate_model: the violations, plus the market price of risk
+    alpha = (mu + lam*beta) / sigma at every breakpoint, a report worked out when read."""
 
+    model: MarketModel
     violations: list[str] = field(default_factory=list)
-    alpha_pre: list[tuple[float, float]] = field(default_factory=list)
-    alpha_post: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def alpha_pre(self) -> list[tuple[float, float]]:
+        return [(t, (mu + lam * beta) / s if s != 0 else math.inf)
+                for t, (mu, s, lam, beta) in self._at_breakpoints(0)]
+
+    @property
+    def alpha_post(self) -> list[tuple[float, float]]:
+        return [(t, mu / s if s != 0 else math.inf)
+                for t, (mu, s, _, _) in self._at_breakpoints(1)]
+
+    def _at_breakpoints(self, n: int):
+        c = self.model.coeffs
+        starts = sorted({b for f in fields(c) for b in getattr(c, f.name).breaks})
+        return zip(starts, c.table(starts)[:, n].tolist())
+
 
 def validate_model(model: MarketModel) -> ValidationReport:
     """Check model invariants; never raises, reports every violation.
 
-    The coefficients at the step times must pass `coefficient_violations`.
-    The market price of risk alpha = (mu + lam*beta) / sigma at every
-    breakpoint is a report only.
+    gamma and s0 must be positive, every coefficient's breakpoints must start
+    at 0 and end by T, and the coefficients at the step times must pass
+    `coefficient_violations`.
     """
-    rep = ValidationReport()
+    rep = ValidationReport(model)
     g, c = model.grid, model.coeffs
     if not model.gamma > 0:
         rep.violations.append("gamma must be positive")
@@ -264,12 +284,6 @@ def validate_model(model: MarketModel) -> ValidationReport:
         if pc.breaks[-1] > g.horizon:
             rep.violations.append(f"{name}: breakpoint beyond the horizon")
     rep.violations += coefficient_violations(model, g)
-
-    starts = sorted({b for _, pc in named for b in pc.breaks})
-    for t, ((mu0, s0_, lam0, beta0), (mu1, s1_, _, _)) in zip(starts,
-                                                             c.table(starts).tolist()):
-        rep.alpha_pre.append((t, (mu0 + lam0 * beta0) / s0_ if s0_ != 0 else math.inf))
-        rep.alpha_post.append((t, mu1 / s1_ if s1_ != 0 else math.inf))
     return rep
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import open_output
-from .model import (Claim, MarketModel, PathEnsemble, TimeGrid, coefficient_violations,
-                    simulate_paths)
+from .model import (Claim, InputError, MarketModel, PathEnsemble, TimeGrid,
+                    coefficient_violations, simulate_paths)
 from .solver import TINY, OptimalStrategy, Quadrature, ValueSurface
 
 __all__ = ["DPTree", "DriftReport", "brute_force_dp", "dp_violations", "martingale_check",
@@ -81,7 +81,7 @@ class DPTree:
 def dp_violations(model: MarketModel, claim: Claim, tree: DPTree) -> list[str]:
     """`coefficient_violations` at the DP's times i T / n_small; the claim's
     table values, where exp(-gamma xi) must be a finite normal double, as in
-    `terminal_rows` (every payoff lies between them); for a claim that depends
+    `solver.pass_inputs` (every payoff lies between them); for a claim that depends
     on S, whose full tree alone takes a log of S, its Euler factor at the
     largest q-node move z, 1 + mu dt - z sigma sqrt(dt) > 0 at its latest
     step in each regime, and the (2q)^n_small leaves against NODE_BUDGET."""
@@ -121,12 +121,12 @@ def brute_force_dp(model: MarketModel, claim: Claim, k: float, n_small: int,
     pi * (mu dt + sigma dW + beta dN).  Stock-dependent claims enumerate the
     full tree; there every node of a level is valued against the whole
     strategy grid at once, as one (nodes, q) @ (q, g) product per branch, and
-    then minimized over the grid.  Raises ValueError on what `dp_violations` reports.
+    then minimized over the grid.  Raises InputError on what `dp_violations` reports.
     """
     tree = DPTree(n_small=n_small, q=q, g=g, k=k)
     bad = dp_violations(model, claim, tree)
     if bad:
-        raise ValueError("oracle: " + "; ".join(bad))
+        raise InputError("oracle: " + "; ".join(bad))
     dt = model.grid.horizon / n_small
     dw, w = tree.increments(dt)
     pis = tree.strategy_grid()
@@ -253,9 +253,9 @@ def martingale_check(model: MarketModel, claim: Claim, surface: ValueSurface,
     """
     bad = monte_carlo_violation(model, n_paths, seed)
     if bad is not None:
-        raise ValueError(f"oracle: {bad}")
+        raise InputError(f"oracle: {bad}")
     if surface.model != model or surface.claim != claim:
-        raise ValueError("oracle: surface was solved on a different model or claim")
+        raise InputError("oracle: surface was solved on a different model or claim")
     n = model.grid.n_steps
     sq = math.sqrt(n_paths)
     step_mean, step_se = np.empty(n), np.empty(n)

@@ -44,6 +44,8 @@ current rows and returns J0 per column: unbounded, one row per claim, or on
 a k schedule, where the ks of one claim share a row until they bind.  Its
 visitor sees each step's rows once: `solve_bsde` is the one-column pass
 whose visitor keeps the whole surface, and `pricing`'s visitor records k-bar.
+Before any work the pass checks its inputs once, in `pass_inputs`, and
+raises one InputError listing every rule they break.
 
 Each move is read as a difference from the row value at its output node,
 Y0 or Y1 above, added back after the taps.  The taps of a move sum to 1 and
@@ -67,7 +69,7 @@ import numpy as np
 
 from ._util import open_output
 from .driver import CoeffSnapshot, StrategySet, minimize_driver_grid
-from .model import Claim, MarketModel, coefficient_violations
+from .model import Claim, InputError, MarketModel, ValidationReport, validate_model
 
 __all__ = [
     "SpaceGrid",
@@ -79,7 +81,7 @@ __all__ = [
     "surface_violation",
     "solve_bsde",
     "solve_j0_batch",
-    "terminal_rows",
+    "pass_inputs",
     "extract_optimal_strategy",
     "OptimalStrategy",
     "surface_at_origin",
@@ -102,7 +104,7 @@ MAX_QUAD_NODES = 1000
 
 
 class SolverError(RuntimeError):
-    """A terminal row or an iterate left the domain of the value function Y > 0, Y + U >= 0."""
+    """An iterate of a backward step left the domain of the value function Y > 0, Y + U >= 0."""
 
 
 @dataclass(frozen=True)
@@ -393,14 +395,23 @@ def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, s
     return y, Z, U, pi
 
 
-def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
-    """exp(-gamma xi) on the grid: row [b, n] for claims[b] and N_T = n.
-    Raises SolverError naming the leg b and gamma*xi where that is no finite
-    normal double (gamma*xi below -709.78 or above 708.39, or NaN): below the
-    smallest normal double the scheme silently loses relative precision."""
+def _gamma_xi(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
+    """gamma * xi on the grid, [b, n, j] for claims[b], N_T = n and node j."""
     s_nodes = model.s0 * np.exp(space.nodes)
-    gxi = model.gamma * np.array([[claim.payoff(s_nodes, n) for n in (0, 1)]
-                                  for claim in claims], dtype=float)
+    return model.gamma * np.array([[claim.payoff(s_nodes, n) for n in (0, 1)]
+                                   for claim in claims], dtype=float)
+
+
+def pass_inputs(model: MarketModel, claims,
+                space: SpaceGrid) -> tuple[np.ndarray, ValidationReport]:
+    """The terminal rows exp(-gamma xi) of a pass, row [b, n] for claims[b]
+    and N_T = n, and the report of every rule the pass checks before any
+    work: `validate_model`'s, then that each row is a finite normal double
+    (gamma*xi between -709.78 and 708.39, no NaN), as below the smallest one
+    the scheme silently loses relative precision; the first that is not is
+    named by its leg b, gamma*xi, the node and N_T."""
+    rep = validate_model(model)
+    gxi = _gamma_xi(model, claims, space)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)
     # post-default rows first, as the backward pass checks them first
@@ -408,9 +419,10 @@ def terminal_rows(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
     bad = np.argwhere(~(by_state >= TINY) | np.isinf(by_state))
     if bad.size:
         m, b, j = bad[0].tolist()
-        raise SolverError(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite normal "
-                          f"double at gamma*xi = {gxi[b, 1 - m, j]:g}, node {j}, N_T = {1 - m}")
-    return rows
+        rep.violations.append(f"solver: leg {b} ({claims[b]!r}): exp(-gamma*xi) is no finite "
+                              f"normal double at gamma*xi = {gxi[b, 1 - m, j]:g}, node {j}, "
+                              f"N_T = {1 - m}")
+    return rows, rep
 
 
 def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
@@ -422,30 +434,29 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     at the conditional mean E.  A flat claim's one-node rows are spread over
     the grid as they are kept.
 
-    Raises ValueError, before any work, when the strategy set is not
-    [-k, k] with k > 0, or when the surface exceeds SURFACE_NODE_BUDGET;
-    SolverError when the coefficients at the step times break
-    `coefficient_violations`, or when an iterate violates Y >= TINY (a
-    positive normal double) or Y + U >= 0, reporting the offending step and
-    node.
+    Raises InputError, before any work, when the strategy set is not
+    [-k, k], when the surface exceeds SURFACE_NODE_BUDGET, or on what
+    `pass_inputs` reports; SolverError when an iterate violates Y >= TINY
+    (a positive normal double) or Y + U >= 0, reporting the offending step
+    and node.
     """
     if strat.lo != -strat.hi:
-        raise ValueError(f"solver: the strategy set must be symmetric, [-k, k]; "
+        raise InputError(f"solver: the strategy set must be symmetric, [-k, k]; "
                          f"got [{strat.lo:g}, {strat.hi:g}]")
     bad = surface_violation(model, space)
     if bad is not None:
-        raise ValueError(f"solver: {bad}")
+        raise InputError(f"solver: {bad}")
     n_steps, m1 = model.grid.n_steps, space.nodes.size
-    Y = np.empty((n_steps + 1, m1, 2))
-    Z = np.full((n_steps + 1, m1, 2), np.nan)
-    U = np.full((n_steps + 1, m1), np.nan)
-    pi_hat = np.full((n_steps + 1, m1, 2), np.nan)
+    # the pass writes every row but the last, so no page is touched before its checks
+    Y, Z, pi_hat = (np.empty((n_steps + 1, m1, 2)) for _ in range(3))
+    U = np.empty((n_steps + 1, m1))
 
     def keep(i, y, z, u, pi):
         Y[i], Z[i], U[i], pi_hat[i] = y[0].T, z[0].T, u[0, 0], pi[0].T  # a flat row broadcasts
 
     solve_j0_batch(model, (claim,), [strat.hi], space, quad, keep)
-    Y[n_steps] = terminal_rows(model, (claim,), space)[0].T
+    Y[n_steps] = np.exp(-_gamma_xi(model, (claim,), space)[0]).T  # checked by the pass
+    Z[n_steps] = U[n_steps] = pi_hat[n_steps] = np.nan
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
 
@@ -475,8 +486,9 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
     tested, so no flag is set; its J0 is that of every k >= k-bar, the
     largest |pi| it reaches, bit for bit.  ``visit(i, y, z, u, pi)`` is
     called once per step, i = N-1 down to 0, with the step's (B, 2, width)
-    rows, new rows last; it writes none of them.  Holds rows, no surface;
-    errors are solve_bsde's.
+    rows, new rows last; it writes none of them.  Holds rows, no surface.
+    Raises InputError("model: ...") before any work, listing what
+    `pass_inputs` reports; SolverError as solve_bsde.
     """
     dt = model.grid.dt
     bound = np.zeros(len(claims), dtype=bool)
@@ -493,10 +505,9 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
 
         strat = bounds(range(len(cols)))
         limit = strat.hi[:, 0, 0].copy()  # a row's k; inf once it binds, as no wider k is left
-    bad = coefficient_violations(model, model.grid)
-    if bad:
-        raise SolverError("solver: " + "; ".join(bad))
-    ys = terminal_rows(model, [claims[g[0]] for g in cols], space)
+    ys, rep = pass_inputs(model, [claims[g[0]] for g in cols], space)
+    if not rep.ok:
+        raise InputError("model: " + "; ".join(rep.violations))
     flat = bool(np.all(ys == ys[..., :1]))  # every row equals its node 0
     ys = ys[..., :1] if flat else ys
     regimes, regime = _regimes(model, space, quad, flat), None

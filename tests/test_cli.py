@@ -440,13 +440,13 @@ class TestBeforeWork:
 
     @pytest.fixture
     def no_work(self, monkeypatch):
-        from defaultbsde import cli, oracle
+        from defaultbsde import cli, oracle, solver
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the inputs were checked")
 
         monkeypatch.setattr(cli, "brute_force_dp", no_work)
-        monkeypatch.setattr(cli, "solve_bsde", no_work)
+        monkeypatch.setattr(solver, "solve_j0_batch", no_work)
         monkeypatch.setattr(oracle, "simulate_paths", no_work)
 
     def test_value_read_by_the_dp_alone_exits_2(self, tmp_path, capsys, no_work):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defaultbsde import (Claim, MarketModel, PiecewiseConstant,
+from defaultbsde import (Claim, InputError, MarketModel, PiecewiseConstant,
                          Quadrature, RegimeCoefficients, SolverError, SpaceGrid,
                          StrategySet, TimeGrid, extract_optimal_strategy, solve_bsde,
                          surface_at_origin)
@@ -196,8 +196,8 @@ class TestInvariants:
     def test_terminal_row_out_of_range(self, claim, where):
         # exp(-800) underflows to 0 and exp(800) overflows; either is caught
         # where the row is built, with no RuntimeWarning (tier-1 makes it an error)
-        with pytest.raises(SolverError, match=rf"leg 0 \({re.escape(repr(claim))}\): "
-                                              rf".* gamma\*xi = {where}$"):
+        with pytest.raises(InputError, match=rf"leg 0 \({re.escape(repr(claim))}\): "
+                                             rf".* gamma\*xi = {where}$"):
             solve(bond_model(4), claim, m_space=20)
 
     def test_surface_budget_checked_before_any_work(self):
