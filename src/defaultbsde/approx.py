@@ -13,7 +13,8 @@ to the cap for every leg in one backward pass, where a leg's ks share a row
 until their constraint binds, then applies the stopping rule k by k, so the
 schedule, k* and the errors are those of a serial run.  `k_sweep` solves its
 schedule in one pass too.  A k's runtime_ms is its share of its pass; `bound`
-records whether it binds.  `pricing` solves C = R directly, in one pass.
+records whether it binds: the clip gives +-k exactly, so whether the column's
+reach, its largest |pi|, is >= k.  `pricing` solves C = R directly, in one pass.
 
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported
@@ -89,15 +90,16 @@ def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
                 ks: list[float]):
     """Yield (k, J0 and bound per leg, runtime_ms) in k order from one pass over every (leg, k).
 
-    runtime_ms is the k's share of the pass's wall time.  A pass that fails
-    during its steps is solved again one k at a time, so a SolverError carries
-    the ``k=...:`` tag of a serial run, and a k past the caller's stopping
-    point never raises.  An InputError, found before any work, passes as it is.
+    A leg binds at k when its reach, its largest |pi|, is >= k.  runtime_ms
+    is the k's share of the pass's wall time.  A pass that fails during its
+    steps is solved again one k at a time, so a SolverError carries the
+    ``k=...:`` tag of a serial run, and a k past the caller's stopping point
+    never raises.  An InputError, found before any work, passes as it is.
     """
-    t0 = time.perf_counter()
+    t0, col_ks = time.perf_counter(), np.repeat(ks, len(claims))
     try:
-        j0, bound = solve_j0_batch(model, [claim for _ in ks for claim in claims],
-                                   np.repeat(ks, len(claims)), space, quad)
+        j0, reach = solve_j0_batch(model, [claim for _ in ks for claim in claims], col_ks,
+                                   space, quad)
     except SolverError as exc:
         if len(ks) == 1:
             raise SolverError(f"k={ks[0]:g}: {exc}") from exc
@@ -106,7 +108,8 @@ def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
         return
     ms = 1e3 * (time.perf_counter() - t0) / len(ks)
     shape = (len(ks), len(claims))
-    for k, row, hit in zip(ks, j0.reshape(shape).tolist(), bound.reshape(shape).tolist()):
+    bound = (reach >= col_ks).reshape(shape).tolist()  # the clip gives +-k exactly
+    for k, row, hit in zip(ks, j0.reshape(shape).tolist(), bound):
         yield k, row, hit, ms
 
 

@@ -24,7 +24,7 @@ from .approx import (NonConvergenceError, check_doubling, check_schedule, conver
                      k_sweep)
 from .driver import StrategySet
 from .model import (Claim, InputError, MarketModel, PiecewiseConstant, RegimeCoefficients,
-                    TimeGrid, coefficient_violations)
+                    TimeGrid, validate_model)
 from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
                      monte_carlo_violation)
 from .pricing import PriceReport, indifference_price
@@ -162,9 +162,9 @@ def load_config(raw: dict) -> RunConfig:
     try:
         space = SpaceGrid.for_model(model, m_space, l_mult)
     except ValueError as exc:
-        # a coefficient that breaks the rule at a step time can leave no grid: name the rule too
+        # a coefficient that breaks the rule at a step time can leave no grid: name the rules too
         raise InputError(f"config: numerics: {exc}" + "".join(
-            f"; model: {v}" for v in coefficient_violations(model, grid))) from exc
+            f"; model: {v}" for v in validate_model(model).violations)) from exc
     # the solver's and the k loop's own checks, so validate rejects what they reject
     try:
         quad = Quadrature.gauss_hermite(quad_nodes)

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import InputError
+
 __all__ = [
     "CoeffSnapshot",
     "StrategySet",
@@ -116,15 +118,15 @@ class StrategySet:
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise ValueError("strategy bounds must be finite")
+            raise InputError("strategy bounds must be finite")
         if np.any(np.asarray(self.lo) > self.hi):
-            raise ValueError("lo must not exceed hi")
+            raise InputError("lo must not exceed hi")
 
     @classmethod
     def symmetric(cls, k: float) -> "StrategySet":
         """C = [-k, k]; k must be positive (an array gives one interval per row)."""
         if not np.all(np.asarray(k) > 0):
-            raise ValueError(f"k must be positive, got {k}")
+            raise InputError(f"k must be positive, got {k}")
         return cls(-k, k)
 
     @property

@@ -93,9 +93,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+            raise InputError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be >= 1 and an integer, got {self.n_steps!r}")
+            raise InputError(f"n_steps must be >= 1 and an integer, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:

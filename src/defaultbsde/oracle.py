@@ -56,9 +56,9 @@ class DPTree:
         for name, v, cap in (("n_small", self.n_small, MAX_N_SMALL), ("q", self.q, MAX_Q),
                              ("strategy grid count", self.g, MAX_G)):
             if not (isinstance(v, (int, np.integer)) and 1 <= v <= cap):
-                raise ValueError(f"{name} must be in [1, {cap}] and an integer, got {v!r}")
+                raise InputError(f"{name} must be in [1, {cap}] and an integer, got {v!r}")
         if not 0 < self.k < math.inf:
-            raise ValueError(f"k must be positive and finite, got {self.k!r}")
+            raise InputError(f"k must be positive and finite, got {self.k!r}")
 
     def strategy_grid(self) -> np.ndarray:
         if self.g == 1:

@@ -12,14 +12,13 @@ The paper reaches the unconstrained value as the limit of the values on
 C = [-k, k].  The scheme reaches it exactly: the driver's argmin is closed
 form, and a pass whose strategy stays within [-k, k] is, bit for bit, the
 pass with that bound.  So the one pass gives J0 at every k >= k-bar, the
-largest |pi| it reaches; the k sequence itself is `approx.converge`'s.
+largest |pi| it reaches, which the pass returns as its legs' reach; the k
+sequence itself is `approx.converge`'s.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 # solve_j0 is imported only so that benchmark/tracing.py can wrap it by this name
 from .approx import solve_j0  # noqa: F401
@@ -63,20 +62,14 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
 
     Solves xi = 0, xi = claim and, when the selling price is wanted,
     xi = -claim in one unbounded pass with identical numerical settings.
-    diagnostics: k_bar, the largest |pi| of any leg, recorded by a visitor
-    of the pass; ks = [k_bar] and k_star = k_bar, the bound whose J0 the
+    diagnostics: k_bar, the largest |pi| of any leg, the largest reach the
+    pass returns; ks = [k_bar] and k_star = k_bar, the bound whose J0 the
     pass equals; monotonicity, gamma k_bar sigma_max sqrt(dt) with sigma_max
     over both regimes.
     """
     gamma, dt = model.gamma, model.grid.dt
-    reach = 0.0  # per node: the largest |pi| of the steps visited so far
-
-    def visit(i, y, z, u, pi):
-        nonlocal reach
-        reach = np.maximum(reach, np.abs(pi))
-
-    (zero, held, *sold), _ = solve_j0_batch(model, price_legs(claim, with_selling), None,
-                                            space, quad, visit)
+    (zero, held, *sold), reach = solve_j0_batch(model, price_legs(claim, with_selling), None,
+                                                space, quad)
     k_bar = float(reach.max())
     sigma_max = float(model.step_table[:, :, 1].max())
     return PriceReport(

@@ -40,10 +40,11 @@ broadcasts the snapshot, p and 1 - p to its rows' full shape once, and again
 when a split changes the number of rows.
 
 `solve_j0_batch` holds the one loop over the steps.  It keeps only the
-current rows and returns J0 per column: unbounded, one row per claim, or on
-a k schedule, where the ks of one claim share a row until they bind.  Its
-visitor sees each step's rows once: `solve_bsde` is the one-column pass
-whose visitor keeps the whole surface, and `pricing`'s visitor records k-bar.
+current rows and returns J0 and the reach, the largest |pi|, per column:
+unbounded, one row per claim, or on a k schedule, where the ks of one claim
+share a row until they bind.  The reach decides binding, splits and k-bar.
+Its visitor sees each step's rows once: `solve_bsde` is the one-column pass
+whose visitor keeps the whole surface, and the loop's only visitor.
 Before any work the pass checks its inputs once, in `pass_inputs`, and
 raises one InputError listing every rule they break.
 
@@ -119,9 +120,9 @@ class SpaceGrid:
 
     def __post_init__(self):
         if not (isinstance(self.m_intervals, (int, np.integer)) and self.m_intervals >= 2):
-            raise ValueError(f"m must be >= 2 and an integer, got {self.m_intervals!r}")
+            raise InputError(f"m must be >= 2 and an integer, got {self.m_intervals!r}")
         if not 0 < self.half_width < math.inf:
-            raise ValueError(f"grid half-width L = L_mult * sigma_max * sqrt(T) = "
+            raise InputError(f"grid half-width L = L_mult * sigma_max * sqrt(T) = "
                              f"{self.half_width:g} must be positive and finite")
 
     @functools.cached_property
@@ -152,14 +153,14 @@ class Quadrature:
     def gauss_hermite(cls, m: int = 7) -> "Quadrature":
         """The m-node rule, built once per m; its arrays are read-only."""
         if m < 1:
-            raise ValueError("need at least one quadrature node")
+            raise InputError("need at least one quadrature node")
         if m > MAX_QUAD_NODES:  # hermgauss would first build a dense m x m matrix
-            raise ValueError(f"{m} quadrature nodes exceed the cap of {MAX_QUAD_NODES}")
+            raise InputError(f"{m} quadrature nodes exceed the cap of {MAX_QUAD_NODES}")
         # a rule too large for double precision comes back with NaN weights
         with np.errstate(all="ignore"):
             x, w = np.polynomial.hermite.hermgauss(m)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-            raise ValueError(f"the {m}-node Gauss-Hermite rule is not finite in double precision")
+            raise InputError(f"the {m}-node Gauss-Hermite rule is not finite in double precision")
         z = math.sqrt(2.0) * x
         w = w / w.sum()
         # enforce exact symmetry so odd moments cancel pairwise
@@ -403,14 +404,17 @@ def _gamma_xi(model: MarketModel, claims, space: SpaceGrid) -> np.ndarray:
 
 
 def pass_inputs(model: MarketModel, claims,
-                space: SpaceGrid) -> tuple[np.ndarray, ValidationReport]:
+                space: SpaceGrid) -> tuple[np.ndarray | None, ValidationReport]:
     """The terminal rows exp(-gamma xi) of a pass, row [b, n] for claims[b]
     and N_T = n, and the report of every rule the pass checks before any
     work: `validate_model`'s, then that each row is a finite normal double
     (gamma*xi between -709.78 and 708.39, no NaN), as below the smallest one
     the scheme silently loses relative precision; the first that is not is
-    named by its leg b, gamma*xi, the node and N_T."""
+    named by its leg b, gamma*xi, the node and N_T.  An s0 that
+    `validate_model` rejects gives no prices to pay on: no rows, no row rule."""
     rep = validate_model(model)
+    if not 0.0 < model.s0 < math.inf:
+        return None, rep
     gxi = _gamma_xi(model, claims, space)
     with np.errstate(over="ignore"):
         rows = np.exp(-gxi)
@@ -474,24 +478,24 @@ def surface_violation(model: MarketModel, space: SpaceGrid) -> str | None:
 def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
                    quad: Quadrature, visit=None) -> tuple[np.ndarray, np.ndarray]:
     """J0 of each column (claims[b], C = [-ks[b], ks[b]]) from one backward
-    pass, and whether the column's strategy reached +-ks[b] at some node and step.
+    pass, and the column's reach: the largest |pi| at any node and step.
 
     The columns of one claim object share a row, solved at their smallest k,
     until its strategy reaches +-k at some node of either regime: then the
     smallest k keeps the row and the wider ks get a new row, re-solved for
     that step from the rows of step i+1 (again if it binds too).  A row that
     never reaches its bound is the row of every wider bound, and no row
-    depends on the batch width, so each J0 is a one-column pass's bit for
-    bit.  With ks None, C = R: each claim is one row, never clipped nor
-    tested, so no flag is set; its J0 is that of every k >= k-bar, the
-    largest |pi| it reaches, bit for bit.  ``visit(i, y, z, u, pi)`` is
+    depends on the batch width, so each J0 and reach is a one-column pass's
+    bit for bit.  The clip gives +-k exactly, so a column binds iff its
+    reach >= k.  Only a row that holds a wider column is tested for a split.
+    With ks None, C = R: each claim is one row, never clipped, and its J0 is
+    that of every k >= its reach, bit for bit.  ``visit(i, y, z, u, pi)`` is
     called once per step, i = N-1 down to 0, with the step's (B, 2, width)
     rows, new rows last; it writes none of them.  Holds rows, no surface.
     Raises InputError("model: ...") before any work, listing what
     `pass_inputs` reports; SolverError as solve_bsde.
     """
     dt = model.grid.dt
-    bound = np.zeros(len(claims), dtype=bool)
     cols, strat = [[b] for b in range(len(claims))], None  # per row, its columns
     if ks is not None:
         ks, groups = np.asarray(ks, dtype=float), {}
@@ -504,43 +508,40 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
             return StrategySet.symmetric(ks[[cols[r][0] for r in rows]][:, None, None])
 
         strat = bounds(range(len(cols)))
-        limit = strat.hi[:, 0, 0].copy()  # a row's k; inf once it binds, as no wider k is left
     ys, rep = pass_inputs(model, [claims[g[0]] for g in cols], space)
     if not rep.ok:
         raise InputError("model: " + "; ".join(rep.violations))
     flat = bool(np.all(ys == ys[..., :1]))  # every row equals its node 0
     ys = ys[..., :1] if flat else ys
+    reach = np.zeros(ys.shape)  # per row and node, the largest |pi| of the steps so far
+    wide = [r for r, g in enumerate(cols) if len(g) > 1]  # the rows a split test reads
     regimes, regime = _regimes(model, space, quad, flat), None
     for i in reversed(range(len(regimes))):
         if regimes[i] is not regime or ys.shape != spread[1].shape:  # a new row or a new B
             regime = regimes[i]
             spread = _spread(regime, ys.shape)
         out = _step(spread, strat, dt, ys, i)
-        if strat is not None:
-            rows = src = np.arange(len(cols))  # src: each row's row at step i+1
-            pi = out[3]
-            while (hit := (np.abs(pi).max(axis=(1, 2)) >= limit[rows]).nonzero()[0]).size:
-                bound[[cols[r][0] for r in rows[hit]]] = True
-                limit[rows[hit]] = np.inf
-                if not (wide := [j for j in hit if len(cols[rows[j]]) > 1]):
-                    break
-                for r in rows[wide]:
-                    cols.append(cols[r][1:])
-                    del cols[r][1:]
-                src, rows = src[wide], np.arange(len(cols) - len(wide), len(cols))
-                batch = bounds(rows)
-                limit = np.concatenate([limit, batch.hi[:, 0, 0]])
-                more = _step(_spread(regime, ys[src].shape), batch, dt, ys[src], i)
-                out, pi = tuple(map(np.concatenate, zip(out, more))), more[3]
-            if len(cols) > len(strat.hi):
-                strat = bounds(range(len(cols)))
+        last, reach = reach, np.maximum(reach, np.abs(out[3]))
+        while hit := [r for r in wide if reach[r].max() >= ks[cols[r][0]]]:
+            for r in hit:
+                cols.append(cols[r][1:])
+                del cols[r][1:]
+            wide = [r for r, g in enumerate(cols) if len(g) > 1]
+            rows = ys[hit]  # the new rows re-solve step i from their source rows of step i+1
+            more = _step(_spread(regime, rows.shape), bounds(range(len(ys), len(cols))), dt,
+                         rows, i)
+            ys, last = np.concatenate([ys, rows]), np.concatenate([last, last[hit]])
+            out = tuple(map(np.concatenate, zip(out, more)))
+            reach = np.concatenate([reach, np.maximum(last[hit], np.abs(more[3]))])
+            strat = bounds(range(len(cols)))
         ys = out[0]
         if visit is not None:
             visit(i, *out)
-    j0 = np.empty(len(claims))
-    for g, row in zip(cols, ys[:, 0]):
+    j0, top = np.empty(len(claims)), np.empty(len(claims))
+    for g, row, r in zip(cols, ys[:, 0], reach.max(axis=(1, 2)).tolist()):
         j0[g] = row[0] if flat else np.interp(0.0, space.nodes, row)
-    return j0, bound
+        top[g] = r
+    return j0, top
 
 
 def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:

@@ -335,9 +335,10 @@ LOG_CLAIM = Claim((0.1, 10.0), ((0.5 * math.log(0.1), 0.5 * math.log(10.0)),
 
 
 def recorded_pass(monkeypatch, model, claims, ks):
-    """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and binding
-    flag checked bit for bit against a one-column pass.  Returns, per _step
-    call, (step, k per row, (post, pre) reach per row = max |pi|, width of the rows)."""
+    """solve_j0_batch over the columns (claims[b], ks[b]), each J0 and reach
+    checked bit for bit against a one-column pass.  Returns, per _step call,
+    (step, k per row, (post, pre) reach per row = max |pi|, width of the rows),
+    and per column whether it binds, reach >= k."""
     space, quad = solve_setup(model, m_space=40)
     calls, real = [], solver._step
 
@@ -349,11 +350,11 @@ def recorded_pass(monkeypatch, model, claims, ks):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_step", step)
-        j0, bound = solve_j0_batch(model, claims, ks, space, quad)
+        j0, reach = solve_j0_batch(model, claims, ks, space, quad)
     for b, (claim, k) in enumerate(zip(claims, ks)):
-        one_j0, one_bound = solve_j0_batch(model, [claim], [k], space, quad)
-        assert (j0[b], bound[b]) == (one_j0[0], one_bound[0])
-    return calls, bound
+        one_j0, one_reach = solve_j0_batch(model, [claim], [k], space, quad)
+        assert (j0[b], reach[b]) == (one_j0[0], one_reach[0])
+    return calls, reach >= ks
 
 
 def split_steps(calls):
@@ -378,8 +379,8 @@ class TestSharedRows:
                                  for w in want):
             ks.append(0.25 * 2.0 ** len(ks))
             for w, leg in zip(want, legs):
-                j0, bound = solve_j0_batch(model, [leg], [ks[-1]], space, quad)
-                w.append((j0[0], bound[0]))
+                j0, reach = solve_j0_batch(model, [leg], [ks[-1]], space, quad)
+                w.append((j0[0], reach[0] >= ks[-1]))
         for res, w in zip(got, want):
             assert (res.ks, res.k_star) == (ks, ks[-1])
             assert list(zip(res.j0s, res.bound)) == w
@@ -443,7 +444,17 @@ class TestSharedRows:
 
 
 class TestVisitors:
-    """solve_bsde's surface and the price's k-bar are visitors of one loop."""
+    """solve_bsde's surface is the one visitor of the loop, and the pass's
+    reach, which gives the price's k-bar, is its strategy's peak."""
+
+    @pytest.mark.parametrize("k", [0.5, 4.0])  # binds, free
+    def test_reach_is_the_surface_strategy_peak(self, k):
+        model, claim = jump_market()
+        space, quad = solve_setup(model, m_space=40)
+        _, reach = solve_j0_batch(model, [claim], [k], space, quad)
+        surf = solve_bsde(model, claim, StrategySet.symmetric(k), space, quad)
+        assert reach[0] == np.nanmax(np.abs(surf.pi_hat))
+        assert (reach[0] >= k) == (k == 0.5)
 
     def test_price_k_bar_is_the_surface_strategy_peak(self):
         # the drifted bond's legs all sit at the vertex 2.5; a bound of 2 k-bar never binds

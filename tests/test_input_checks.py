@@ -11,13 +11,14 @@ callers to the few listed here.
 import ast
 import collections
 import json
+import math
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from defaultbsde import (InputError, NonConvergenceError, Quadrature, SolverError, SpaceGrid,
-                         approx, cli, converge, model, solver)
+                         TimeGrid, approx, cli, converge, model, oracle, solver)
 from defaultbsde.solver import solve_j0_batch
 
 from test_coefficient_rule import CONFIGS, PUT, model_of, run_config
@@ -72,23 +73,48 @@ def rejection(solve) -> str | None:
 
 def test_library_pass_rejects_what_validate_rejects(tmp_path, capsys):
     wrong, codes = [], []
-    # s0 = -1 takes the log of negative prices, which numpy warns of
-    with np.errstate(invalid="ignore"):
-        for c, raw in enumerate(CONFIGS + EDGES):
-            code = run_config(tmp_path, raw, "validate")
-            codes.append(code)
-            captured = capsys.readouterr()
-            if captured.out:
-                want = "model: " + "; ".join(json.loads(captured.out)["violations"])
-            else:  # the loader found no grid and named the coefficient rule
-                want = "model: " + "; ".join(captured.err.strip().split("; model: ")[1:])
-            m, claim, space, quad = inputs(raw)
-            got = [rejection(lambda: solve_j0_batch(m, (claim,), [2.0], space, quad)),
-                   rejection(lambda: converge(m, claim, space, quad, 0.25, 1e-6))]
-            if got != [want if code == 2 else None] * 2:
-                wrong.append((c, code, want, got))
+    for c, raw in enumerate(CONFIGS + EDGES):
+        code = run_config(tmp_path, raw, "validate")
+        codes.append(code)
+        captured = capsys.readouterr()
+        if captured.out:
+            want = "model: " + "; ".join(json.loads(captured.out)["violations"])
+        else:  # the loader found no grid and named the model's rules
+            want = "model: " + "; ".join(captured.err.strip().split("; model: ")[1:])
+        m, claim, space, quad = inputs(raw)
+        got = [rejection(lambda: solve_j0_batch(m, (claim,), [2.0], space, quad)),
+               rejection(lambda: converge(m, claim, space, quad, 0.25, 1e-6))]
+        if got != [want if code == 2 else None] * 2:
+            wrong.append((c, code, want, got))
     assert wrong == []
     assert codes[len(CONFIGS):] == [2] * len(EDGES) and set(codes[:len(CONFIGS)]) == {0, 2}
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "price", "solve", "converge"])
+def test_rejected_s0_is_its_one_violation(tmp_path, capsys, subcommand):
+    # a negative s0 gives negative prices, whose payoff rows are not built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_config(tmp_path, edited("s0", value=-1.0), subcommand) == 2
+    assert capsys.readouterr().err == "model: s0 must be positive and finite\n"
+
+
+def test_loader_without_a_grid_names_every_model_rule(tmp_path, capsys):
+    raw = edited("pre_default", "sigma", value=[[0.0, 0.2], [0.5, math.nan]])
+    raw["model"]["gamma"] = 0.0
+    assert run_config(tmp_path, raw, "validate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: numerics: ") and "; model: gamma must be positive" in err
+
+
+def test_value_objects_raise_input_errors():
+    m, claim, space, quad = inputs(VALID)
+    for build in (lambda: oracle.brute_force_dp(m, claim, -1.0, 3, 3, 5),
+                  lambda: approx.solve_j0(m, claim, space, quad, -1.0),
+                  lambda: TimeGrid(1.0, 0), lambda: SpaceGrid(1, 1.0),
+                  lambda: Quadrature.gauss_hermite(0)):
+        with pytest.raises(InputError):
+            build()
 
 
 @pytest.fixture
@@ -125,12 +151,12 @@ def test_converge_raises_a_rejection_once_and_untagged(calls):
 
 # per checked name, the (module, top-level definition) of each call allowed in the package
 CALLERS = {
-    # the coefficient rule: at the step times for the model's report, at the
-    # DP's own times, and in the loader's message when a coefficient leaves no grid
-    "coefficient_violations": {("model", "validate_model"), ("oracle", "dp_violations"),
-                               ("cli", "load_config")},
-    # the model's rules, which a pass reads through its one check
-    "validate_model": {("solver", "pass_inputs")},
+    # the coefficient rule: at the step times for the model's report, and at the
+    # DP's own times
+    "coefficient_violations": {("model", "validate_model"), ("oracle", "dp_violations")},
+    # the model's rules, which a pass reads through its one check, and which
+    # the loader names when a coefficient leaves no grid
+    "validate_model": {("solver", "pass_inputs"), ("cli", "load_config")},
     # the pass's check: by the pass, by `validate`, and by `oracle` before its DP
     "pass_inputs": {("solver", "solve_j0_batch"), ("cli", "_cmd_validate"),
                     ("cli", "_cmd_oracle")},

@@ -2,8 +2,8 @@
 
 `solver._step` is called only inside `solve_j0_batch`, from any module of the
 package, and every call there sits in one `for` loop.  `solve_bsde`'s surface
-and the price's k-bar are visitors of that loop, so a second backward loop
-fails here.
+is that loop's one visitor, and the price reads k-bar from the pass's reach,
+so a second backward loop, or a second visitor, fails here.
 """
 import ast
 from pathlib import Path
@@ -61,3 +61,30 @@ def test_guard_sees_each_kind_of_call():
         (3, "solve_j0_batch"), (5, "solve_j0_batch"), (8, "solve_bsde"), (9, "<module>")]
     assert calls[0][2] is calls[1][2] is not calls[2][2]
     assert calls[3][2] is None
+
+
+def visitor_passes(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level definition) of every call of `solve_j0_batch` in
+    ``tree`` that passes a visitor: a sixth argument or ``visit=``."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and LOOP_OWNER in (getattr(func, "id", None),
+                                                              getattr(func, "attr", None))
+                    and (len(node.args) > 5 or any(kw.arg == "visit" for kw in node.keywords))):
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_only_solve_bsde_passes_a_visitor():
+    found = [(path.name, owner) for path in sorted(PACKAGE.glob("*.py"))
+             for _, owner in visitor_passes(ast.parse(path.read_text()))]
+    assert found == [("solver.py", "solve_bsde")]
+
+
+def test_visitor_guard_sees_each_kind_of_call():
+    src = ("def f():\n    solve_j0_batch(m, c, ks, s, q, keep)\n"
+           "def g():\n    solver.solve_j0_batch(m, c, ks, s, q, visit=keep)\n"
+           "def h():\n    solve_j0_batch(m, c, ks, s, q)\n")
+    assert visitor_passes(ast.parse(src)) == [(2, "f"), (4, "g")]

@@ -145,12 +145,12 @@ class TestOnePass:
         k_bar, legs = rep.diagnostics["k_bar"], pricing.price_legs(BOND_CLAIM)
         assert k_bar == pytest.approx(vertex, rel=1e-12)
         for k in (k_bar, 2.0 * k_bar, 1e6):
-            j0, bound = solver.solve_j0_batch(model, legs, [k] * 3, space, quad)
-            assert (j0[0], j0[1]) == (rep.J0_zero, rep.J0_claim)
+            j0, reach = solver.solve_j0_batch(model, legs, [k] * 3, space, quad)
+            assert (j0[0], j0[1], reach.max()) == (rep.J0_zero, rep.J0_claim, k_bar)
             assert -math.log(j0[0] / j0[2]) / model.gamma == rep.sell_price
-            assert any(bound) == (k == k_bar)  # some leg reaches k_bar
-        _, bound = solver.solve_j0_batch(model, legs, [0.99 * k_bar] * 3, space, quad)
-        assert all(bound)
+            assert any(reach >= k) == (k == k_bar)  # some leg reaches k_bar
+        _, reach = solver.solve_j0_batch(model, legs, [0.99 * k_bar] * 3, space, quad)
+        assert all(reach >= 0.99 * k_bar)
 
     def test_no_k_schedule(self, monkeypatch):
         # the case of test_approx's test_nonconvergence_reports_sequence: a one-
