@@ -31,8 +31,9 @@ u = (1/gamma) log(1 + U/Y), the same infimum becomes the quadratic driver
 and the two are linked by f_min(y, z, u) = gamma * y * g(z/(gamma y),
 (1/gamma) log(1 + u/y)).
 
-`minimize_driver_grid` checks nothing: its callers keep y > 0, y + u >= 0 and
-the shape rule that y, z and u (unless u is the scalar 0.0) share one shape.
+`minimize_driver_grid` checks nothing: its callers keep y > 0 and the shape
+rule that y, z and u (unless u is the scalar 0.0) share one shape, and they
+keep y + u >= 0 by construction: the solver's y + u is a post-jump value.
 Its coefficients may be per-regime arrays, one regime per entry of the
 second-to-last axis of y (see `CoeffSnapshot`); its strategy set None is C = R.
 """
@@ -77,13 +78,13 @@ class CoeffSnapshot:
 
     def __post_init__(self):
         if not np.all(np.greater(self.sigma, 0)):
-            raise ValueError("sigma must be positive")
+            raise InputError("sigma must be positive")
         if np.any(np.less(self.lam, 0)):
-            raise ValueError("lambda must be nonnegative")
+            raise InputError("lambda must be nonnegative")
         if not np.all(np.greater(self.beta, -1)):
-            raise ValueError("beta must exceed -1")
+            raise InputError("beta must exceed -1")
         if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+            raise InputError("gamma must be positive")
 
     @functools.cached_property
     def driver_terms(self) -> tuple:

@@ -48,6 +48,11 @@ __all__ = [
     "claim_payoff",
 ]
 
+
+class InputError(ValueError):
+    """An input that a command or a pass rejects before any work."""
+
+
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """Right-open piecewise-constant function of time.
@@ -61,11 +66,11 @@ class PiecewiseConstant:
 
     def __post_init__(self):
         if len(self.breaks) != len(self.values) or not self.breaks:
-            raise ValueError("breaks and values must be nonempty and of equal length")
+            raise InputError("breaks and values must be nonempty and of equal length")
         if not all(math.isfinite(b) for b in self.breaks):
-            raise ValueError("breaks must be finite")
+            raise InputError("breaks must be finite")
         if any(b >= a for a, b in zip(self.breaks[1:], self.breaks[:-1])):
-            raise ValueError("breaks must be strictly increasing")
+            raise InputError("breaks must be strictly increasing")
 
     @classmethod
     def flat(cls, value: float) -> "PiecewiseConstant":
@@ -178,15 +183,15 @@ class Claim:
 
     def __post_init__(self):
         if len(self.values) != 2:
-            raise ValueError("need two rows of values, one per default state")
+            raise InputError("need two rows of values, one per default state")
         if not all(len(row) == len(self.s_nodes) for row in self.values):
-            raise ValueError("table columns must have equal length")
+            raise InputError("table columns must have equal length")
         if not self.s_nodes:
-            raise ValueError("need at least one table node")
+            raise InputError("need at least one table node")
         if not all(0.0 < s < math.inf for s in self.s_nodes):
-            raise ValueError("s_nodes must be positive and finite")
+            raise InputError("s_nodes must be positive and finite")
         if any(b >= a for a, b in zip(self.s_nodes[1:], self.s_nodes[:-1])):
-            raise ValueError("s_nodes must be strictly increasing")
+            raise InputError("s_nodes must be strictly increasing")
 
     @classmethod
     def constant(cls, value: float) -> "Claim":
@@ -226,12 +231,8 @@ class Claim:
 def claim_payoff(claim: Claim, s_T: float, n_T: int) -> float:
     """Evaluate the terminal payoff xi at (s_T, n_T); requires s_T > 0."""
     if not s_T > 0.0:
-        raise ValueError("claim_payoff requires a positive terminal price")
+        raise InputError("claim_payoff requires a positive terminal price")
     return float(claim.payoff(s_T, n_T))
-
-
-class InputError(ValueError):
-    """An input that a command or a pass rejects before any work."""
 
 
 @dataclass
@@ -378,9 +379,9 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     runs in place in preallocated rows.
     """
     if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
+        raise InputError("n_paths must be positive")
     if seed < 0:
-        raise ValueError("seed must be nonnegative")
+        raise InputError("seed must be nonnegative")
     g = model.grid
     n, dt = g.n_steps, g.dt
     times = g.times()

@@ -5,29 +5,32 @@ step advances every default state at once: the pre-default slice couples to
 the post-default slice through its jump branch, and the post-default slice,
 the last regime, jumps nowhere (p = 0): it is a pure-diffusion BSDE.
 
-Per step i and node x_j (pre-default):
+Per step i and node x_j (pre-default), with l = ln Y[i+1], Yn = Y[i+1](x_j, n):
 
-    p  = 1 - exp(-lambda dt)
-    NJ = Y0 + sum_m w_m (Y[i+1](x_j + (mu - sigma^2/2) dt + sigma sqrt(dt) zeta_m, 0) - Y0)
-    VJ = Y1 + (Y[i+1](x_j + log(1 + beta), 1) - Y1),  Yn = Y[i+1](x_j, n)
-    E  = (1-p) NJ + p VJ
-    Z  = (1-p) sum_m w_m (Y[i+1](...) - Y0) zeta_m / sqrt(dt)
-    U  = VJ - NJ
-    Y[i] = E + dt * f_min(coeffs(t_i), C, E, Z, U)
+    p   = 1 - exp(-lambda dt)
+    d_m = l(x_j + (mu - sigma^2/2) dt + sigma sqrt(dt) zeta_m, 0) - l(x_j, 0)
+    d_J = l(x_j + log(1 + beta), 1) - l(x_j, 1)
+    NJ  = Y0 + Y0 sum_m w_m expm1(d_m),  VJ = Y1 + Y1 expm1(d_J)
+    E   = (1-p) NJ + p VJ
+    Z   = (1-p) Y0 sum_m w_m zeta_m expm1(d_m) / sqrt(dt)
+    U   = VJ - E
+    Y[i] = E exp(dt f_min(coeffs(t_i), C, E, Z, U) / E)
 
-with cubic Lagrange interpolation in x through the four nodes around each
-point and flat extrapolation beyond [-L, L].  The driver is called once per
-step for both regimes, at the conditional mean E: the scheme is explicit and
-first order in dt.  Its interpolation error is O(h^4 / dt) (Falcone and
+with cubic Lagrange interpolation of ln Y in x through the four nodes around
+each point and flat extrapolation beyond [-L, L].  The driver is called once
+per step for both regimes, at the conditional mean E: the scheme is explicit
+and first order in dt.  Its interpolation error is O(h^4 / dt) (Falcone and
 Ferretti, 2014), where linear taps gave O(h^2 / dt), which grew as N grew at
 fixed M.  The diffusion move is the exact log-normal move over the step at
 the coefficients of t_i, as in the path simulator, and exists for every sigma.
 
-Two of the four cubic taps are negative inside a cell, so the step is not
-monotone in the sense of Barles and Souganidis (1991): rows >= 0 may give a
-negative E.  The step's domain checks (`_check_domain`) raise a SolverError
-where that would happen, rather than pass it on.  The surface's reads
-(`ValueSurface.y_at`, `OptimalStrategy`, `surface_at_origin`) stay linear.
+The step is positive by construction, so it keeps the domain Y > 0,
+Y + U >= 0 (E + U = VJ): two of the four cubic taps are negative, but they
+act on ln Y; and the exponential step (Hochbruck and Ostermann, 2010) is
+exact for Y' = Y phi with phi frozen, as f is homogeneous of degree 1.  As
+f_min <= 0 (0 is in C), Y only shrinks backward: what the step checks is
+underflow, E and Y >= TINY.  The surface's reads (`ValueSurface.y_at`,
+`OptimalStrategy`, `surface_at_origin`) stay linear in Y.
 
 The backward pass carries its rows as one array indexed (b, n, j): the
 batch row b, then the default state n = N_t (0 pre-default, 1 post-default),
@@ -35,9 +38,9 @@ as in the coefficient table (`RegimeCoefficients.table`), then the node j.
 Each row b has its own terminal condition and its own C = [-k, k], or none.
 On the uniform grid every move is a fixed stencil of taps, built once per
 distinct coefficient row together with its coefficient snapshot, and stacked
-over the regimes, so one reshape and one take gather a step.  Each pass
-broadcasts the snapshot, p and 1 - p to its rows' full shape once, and again
-when a split changes the number of rows.
+over the regimes, so two takes (moves, output nodes) gather a step.  Each
+pass broadcasts the snapshot, p and 1 - p to its rows' full shape once, and
+again when a split changes the number of rows.
 
 `solve_j0_batch` holds the one loop over the steps.  It keeps only the
 current rows and returns J0 and the reach, the largest |pi|, per column:
@@ -48,10 +51,10 @@ whose visitor keeps the whole surface, and the loop's only visitor.
 Before any work the pass checks its inputs once, in `pass_inputs`, and
 raises one InputError listing every rule they break.
 
-Each move is read as a difference from the row value at its output node,
-Y0 or Y1 above, added back after the taps.  The taps of a move sum to 1 and
-sum w zeta = 0, so this changes nothing in exact arithmetic, while a row
-constant in x maps to itself bit for bit, at any width and batch.
+Each move reads ln Y as a difference from l at its output node, and Y0 or
+Y1 is added back after the taps.  The taps of a move sum to 1, so this
+changes nothing in exact arithmetic, while a row constant in x has d = 0
+and maps to itself bit for bit, at any width and batch.
 
 The coefficients depend on t only, so a claim paid on the default alone
 (a bond, a constant, the zero leg of a price) has a value function of
@@ -105,7 +108,7 @@ MAX_QUAD_NODES = 1000
 
 
 class SolverError(RuntimeError):
-    """An iterate of a backward step left the domain of the value function Y > 0, Y + U >= 0."""
+    """E or Y of a backward step underflowed below TINY, the smallest normal double."""
 
 
 @dataclass(frozen=True)
@@ -264,20 +267,19 @@ def _read(table: np.ndarray, cell: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return out[()]
 
 
-def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray):
-    """(idx, taps) with taps @ rows[..., idx] = sum_m weights[:, m] rows(x + moves[m]).
+def _stencil(space: SpaceGrid, moves: np.ndarray):
+    """(idx, taps) with sum_o taps[o] * rows[idx[o]] = rows(x + moves[m]) at [m, j].
 
     On the uniform grid a move is o + a cells, 0 <= a < 1, read by the cubic
     Lagrange polynomial through the nodes j + o - 1 .. j + o + 2:
 
         -a(a-1)(a-2)/6, (a+1)(a-1)(a-2)/2, -(a+1)a(a-2)/2, (a+1)a(a-1)/6
 
-    idx and taps run offset by offset (o - 1, o, o + 1, o + 2), each over the
-    moves.  Indices are clipped to the grid, so values beyond it stay flat.
-    At a = 0 the taps are (0, 1, 0, 0): the beta = 0 jump is the identity.
-    Two of the four taps are negative for 0 < a < 1, so the scheme is not
-    monotone in the sense of Barles and Souganidis; the step's domain checks
-    raise where a negative tap would take E or Y out of the domain.
+    idx is (4, moves, M + 1) and taps (4, moves, 1), offset by offset
+    (o - 1, o, o + 1, o + 2).  Indices are clipped to the grid, so values
+    beyond it stay flat.  At a = 0 the taps are (0, 1, 0, 0): the beta = 0
+    jump is the identity.  `_step` applies the taps to ln Y, so the negative
+    ones cannot take a move's value below 0.
     """
     m = space.m_intervals
     cells = moves * (m / (space.half_width + space.half_width))
@@ -287,21 +289,22 @@ def _stencil(space: SpaceGrid, moves: np.ndarray, weights: np.ndarray):
                          (a + 1.0) * (a - 1.0) * (a - 2.0) / 2.0,
                          -(a + 1.0) * a * (a - 2.0) / 2.0,
                          (a + 1.0) * a * (a - 1.0) / 6.0])
-    idx = (o + np.arange(-1.0, 3.0)[:, None]).ravel().astype(np.intp)[:, None] + np.arange(m + 1)
-    return np.clip(idx, 0, m), (weights[:, None, :] * lagrange).reshape(len(weights), -1)
+    idx = (o + np.arange(-1.0, 3.0)[:, None]).astype(np.intp)[..., None] + np.arange(m + 1)
+    return np.clip(idx, 0, m), lagrange[..., None]
 
 
 def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool) -> list:
-    """Per step i < N, (snapshot, p, 1 - p, offsets, taps, jump taps) of the
-    regimes at t_i, stacked on a regime axis n from the coefficient table.
+    """Per step i < N, (snapshot, p, 1 - p, offsets, homes, taps, weights) of
+    the regimes at t_i, stacked on a regime axis n from the coefficient table.
 
-    offsets[n] reads the rows of one batch row laid end to end: regime n's
-    diffusion moves at the four tap offsets, then its jump into regime n + 1.
-    taps is the pair of (R, 2, 2q) halves for the offsets o - 1, o and
-    o + 1, o + 2 (see `_step`).  The last regime jumps nowhere: its jump
-    reads its own rows through the identity stencil of beta = 0, with p = 0.
-    Built once per distinct coefficient row; ``flat`` builds only
-    (snapshot, p, 1 - p), for rows one node wide that need no stencil.
+    offsets[n] (4, q + 1, M + 1) reads the rows of one batch row laid end to
+    end: regime n's q moves, then its jump into regime n + 1, at the four tap
+    offsets, with the cubic taps[n] (4, q + 1, 1); homes[n] reads each move's
+    output node.  weights are the (2, q) quadrature weights w and w zeta.  The
+    last regime jumps nowhere: its jump reads its own rows through the
+    identity stencil of beta = 0, with p = 0.  Built once per distinct
+    coefficient row; ``flat`` builds only (snapshot, p, 1 - p), for rows one
+    node wide that need no stencil.
     """
     g = model.grid
     weights = np.stack([quad.weights, quad.weights * quad.nodes])
@@ -309,8 +312,7 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
     @functools.cache
     def regime(mu, sigma, lam, beta):
         moves = (mu - 0.5 * sigma * sigma) * g.dt + sigma * math.sqrt(g.dt) * quad.nodes
-        return (_stencil(space, moves, weights),
-                _stencil(space, np.array([math.log1p(beta)]), np.ones((1, 1))))
+        return _stencil(space, np.append(moves, math.log1p(beta)))
 
     @functools.cache
     def step(coeffs):
@@ -318,13 +320,12 @@ def _regimes(model: MarketModel, space: SpaceGrid, quad: Quadrature, flat: bool)
         head = (CoeffSnapshot(*np.array(coeffs).T[..., None], gamma=model.gamma), p, 1.0 - p)
         if flat:
             return head
-        moves, jumps = zip(*(regime(*c) for c in coeffs))
-        w = space.nodes.size
-        offsets = np.stack([np.concatenate([idx + n * w, jidx + _JUMP_TO[n] * w])
-                            for n, ((idx, _), (jidx, _)) in enumerate(zip(moves, jumps))])
-        taps, jump_taps = (np.stack([t for _, t in m]) for m in (moves, jumps))
-        half = taps.shape[-1] // 2
-        return (*head, offsets, (taps[..., :half].copy(), taps[..., half:].copy()), jump_taps)
+        idx, taps = zip(*(regime(*c) for c in coeffs))
+        # the start of the rows each move reads: regime n's, and n + 1's for its jump
+        starts = space.nodes.size * np.array([[[n]] * quad.nodes.size + [[_JUMP_TO[n]]]
+                                              for n in range(len(coeffs))])
+        return (*head, np.stack(idx) + starts[:, None], starts + np.arange(space.nodes.size),
+                np.stack(taps), weights)
 
     tab = model.step_table
     changed = np.r_[True, (tab[1:] != tab[:-1]).any(axis=(1, 2))]
@@ -351,13 +352,13 @@ def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, s
 
     Row b is batch row b, with its own bounds in ``strat`` (None: unbounded).
     Regime n < R-1 jumps to the rows of regime n+1; the last regime jumps
-    to its own rows with p = 0, so its E is its no-jump mean and its U
-    enters only the E + U check.  ``pi`` is the driver's argmin, the strategy.
-    Each move reads differences from the output node's value (see the module
+    to its own rows with p = 0, so its E is its no-jump mean and no driver
+    lane reads its U.  ``pi`` is the driver's argmin, the strategy.  Each
+    move reads ln Y as a difference from the output node's (see the module
     docstring); a regime without stencils steps flat rows one node wide.
 
-    The moves' taps are applied as two products of inner dimension 2q, the
-    offsets o - 1, o and then o + 1, o + 2, added elementwise.  With numpy
+    The taps are summed elementwise, offset by offset, and the one product
+    is the (2, q) quadrature weighting, of inner dimension q.  With numpy
     2.4.6 and its OpenBLAS, a product whose inner dimension is 16 or more
     sums a row differently at different row and batch widths; below that a
     row's sums are fixed, so a column's bits do not depend on the batch
@@ -367,32 +368,32 @@ def _step(regime: tuple, strat: StrategySet | None, dt: float, ys: np.ndarray, s
     b, r, w = ys.shape  # one take reads every regime's moves in ys[b] laid end to end
     target = ys.take(_JUMP_TO, axis=1)  # the rows each regime jumps to
     if stencils:
-        offsets, (lo, hi), jump_taps = stencils
-        rows = ys.reshape(b, r * w).take(offsets, axis=-1)
-        h = lo.shape[-1]
-        rows[:, :, :h + h] -= ys[:, :, None]
-        rows[:, :, h + h:] -= target[:, :, None]
-        moved = lo @ rows[:, :, :h]
-        moved += hi @ rows[:, :, h:h + h]
-        nojump = moved[:, :, 0] + ys
-        vjump = (jump_taps @ rows[:, :, h + h:])[:, :, 0] + target
-        Z = stay * moved[:, :, 1] / math.sqrt(dt)
+        offsets, homes, taps, weights = stencils
+        logs = np.log(ys).reshape(b, r * w)
+        rows = logs.take(offsets, axis=-1)  # (b, r, 4, q + 1, w)
+        rows -= logs.take(homes, axis=-1)[:, :, None]
+        rows *= taps
+        d = rows[:, :, 0] + rows[:, :, 1] + rows[:, :, 2] + rows[:, :, 3]
+        np.expm1(d, out=d)  # per move, Y(x_j + move) / Y_j - 1
+        moved = weights @ d[:, :, :-1]
+        nojump = ys * moved[:, :, 0] + ys
+        vjump = target * d[:, :, -1] + target
+        Z = stay * ys * moved[:, :, 1] / math.sqrt(dt)
     else:  # flat rows one node wide: every move reads the node itself
         nojump, vjump, Z = ys, target, np.zeros(ys.shape)
     E = stay * nojump + p * vjump
-    U = vjump - nojump
-    # E + U >= 0 binds only where lam > 0; elsewhere it holds wherever E >= TINY
-    # and the rows read are >= 0.  A failed fast check is settled per regime.
-    # The checks reduce by the ufunc: ndarray.min adds a Python layer per call
+    U = vjump - E  # E + U is the post-jump value VJ >= 0
+    # E and Y are positive by construction, so the checks are for underflow;
+    # they reduce by the ufunc: ndarray.min adds a Python layer per call
     least = np.minimum.reduce
-    if not (least(E, axis=None) >= TINY and least(E + U, axis=None) >= 0.0):
+    if not least(E, axis=None) >= TINY:
         for n in reversed(range(r)):
-            _check_domain(E[:, n], U[:, n], step, f"E ({_NAMES[n]})")
+            _check_normal(E[:, n], step, f"E ({_NAMES[n]})")
     f, pi = minimize_driver_grid(c, strat, E, Z, U)
-    y = E + dt * f
+    y = E * np.exp(dt * f / E)  # the exponential step, exact for Y' = Y f / Y frozen
     if not least(y, axis=None) >= TINY:
         for n in reversed(range(r)):
-            _check_domain(y[:, n], 0.0, step, f"Y ({_NAMES[n]})")
+            _check_normal(y[:, n], step, f"Y ({_NAMES[n]})")
     return y, Z, U, pi
 
 
@@ -440,9 +441,8 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
 
     Raises InputError, before any work, when the strategy set is not
     [-k, k], when the surface exceeds SURFACE_NODE_BUDGET, or on what
-    `pass_inputs` reports; SolverError when an iterate violates Y >= TINY
-    (a positive normal double) or Y + U >= 0, reporting the offending step
-    and node.
+    `pass_inputs` reports; SolverError when E or Y underflows below TINY
+    (the smallest normal double), reporting the offending step and node.
     """
     if strat.lo != -strat.hi:
         raise InputError(f"solver: the strategy set must be symmetric, [-k, k]; "
@@ -544,19 +544,17 @@ def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,
     return j0, top
 
 
-def _check_domain(y: np.ndarray, u, step: int, what: str) -> None:
-    """Raise SolverError naming the step and node unless (y, u) is in the
-    driver's domain: y >= TINY, a positive normal double, and, where u is a
-    row, not the scalar 0.0, y + u >= 0.  A NaN fails either test."""
-    bad, rule, cause = y, f"{what} positivity", "grid too coarse or L too small"
-    if y.min() >= TINY:
-        if not isinstance(u, np.ndarray) or (y + u).min() >= 0.0:
-            return
-        bad, rule = y + u, "Y + U >= 0"
-    elif y.min() > 0.0:
-        rule, cause = f"{what} >= {TINY:g}", "subnormal: gamma*xi too large"
-    j = int(np.argmin(bad)) % bad.shape[-1]
-    raise SolverError(f"solver: {rule} violated at step {step}, node {j} ({cause})")
+def _check_normal(y: np.ndarray, step: int, what: str) -> None:
+    """Raise SolverError naming the step and node unless y >= TINY, a
+    positive normal double.  A NaN fails the test."""
+    least = y.min()
+    if least >= TINY:
+        return
+    rule, cause = ((f"{what} >= {TINY:g}", "subnormal") if least > 0.0
+                   else (f"{what} positivity", "underflow"))  # an exp gave 0, or a NaN
+    j = int(np.argmin(y)) % y.shape[-1]
+    raise SolverError(f"solver: {rule} violated at step {step}, node {j} "
+                      f"({cause}: gamma*xi too large)")
 
 
 @dataclass(frozen=True, eq=False)

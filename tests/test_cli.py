@@ -274,10 +274,10 @@ class TestPrice:
         cfg = write_config(
             tmp_path,
             model={"N": 2,
-                   "pre_default": {"mu": 0.0, "sigma": 0.2, "lambda": 0.5,
+                   "pre_default": {"mu": 0.2, "sigma": 0.2, "lambda": 0.5,
                                    "beta": 0.5}},
             claim={"variant": "default_indicator", "pays_survival": 0.0,
-                   "pays_default": 20.0})
+                   "pays_default": 708.3})
         assert main(["price", str(cfg)]) == 3
         assert "solver" in capsys.readouterr().err
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from defaultbsde import (InputError, NonConvergenceError, Quadrature, SolverError, SpaceGrid,
-                         TimeGrid, approx, cli, converge, model, oracle, solver)
+from defaultbsde import (CoeffSnapshot, InputError, NonConvergenceError, Quadrature, SolverError,
+                         SpaceGrid, TimeGrid, approx, cli, converge, model, oracle, solver)
 from defaultbsde.solver import solve_j0_batch
 
 from test_coefficient_rule import CONFIGS, PUT, model_of, run_config
@@ -113,6 +113,33 @@ def test_value_objects_raise_input_errors():
                   lambda: approx.solve_j0(m, claim, space, quad, -1.0),
                   lambda: TimeGrid(1.0, 0), lambda: SpaceGrid(1, 1.0),
                   lambda: Quadrature.gauss_hermite(0)):
+        with pytest.raises(InputError):
+            build()
+
+
+def test_library_rejections_raise_input_errors():
+    # the coefficient, claim and path-count checks a library caller meets
+    # first raise the one rejection class as well
+    m, claim, _, _ = inputs(VALID)
+
+    def no_trade(t, s, n):
+        return 0.0 * s
+
+    for build in (lambda: model.PiecewiseConstant((0.0, 0.5), (1.0,)),
+                  lambda: model.PiecewiseConstant((0.0, math.inf), (1.0, 2.0)),
+                  lambda: model.PiecewiseConstant((0.5, 0.0), (1.0, 2.0)),
+                  lambda: model.Claim((1.0,), ((0.0,),)),
+                  lambda: model.Claim((1.0, 2.0), ((0.0,), (0.0,))),
+                  lambda: model.Claim((), ((), ())),
+                  lambda: model.Claim((-1.0,), ((0.0,), (0.0,))),
+                  lambda: model.Claim((2.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
+                  lambda: model.claim_payoff(claim, 0.0, 0),
+                  lambda: model.simulate_paths(m, no_trade, 0, 1),
+                  lambda: model.simulate_paths(m, no_trade, 10, -1),
+                  lambda: CoeffSnapshot(0.05, 0.0, 0.1, 0.0, 1.0),
+                  lambda: CoeffSnapshot(0.05, 0.2, -0.1, 0.0, 1.0),
+                  lambda: CoeffSnapshot(0.05, 0.2, 0.1, -1.0, 1.0),
+                  lambda: CoeffSnapshot(0.05, 0.2, 0.1, 0.0, 0.0)):
         with pytest.raises(InputError):
             build()
 

@@ -168,12 +168,13 @@ class TestOnePass:
     def test_solver_failure_names_the_step(self):
         # the market of test_cli's test_numerical_failure_exits_3
         model = MarketModel(grid=TimeGrid(1.0, 2),
-                            coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
+                            coeffs=RegimeCoefficients.constant(mu=0.2, sigma=0.2,
                                                                beta=0.5, lam=0.5),
                             gamma=1.0)
         space, quad = solve_setup(model, m_space=40)
-        with pytest.raises(SolverError, match=r"^solver: Y \+ U >= 0 violated at step 1, node 0 "):
-            indifference_price(model, Claim.default_indicator(0.0, 20.0), space, quad)
+        with pytest.raises(SolverError, match=r"^solver: Y \(post-default\) >= 2.22507e-308 "
+                                              r"violated at step 1, node 0 "):
+            indifference_price(model, Claim.default_indicator(0.0, 708.3), space, quad)
 
 
 class TestWealthScaling:

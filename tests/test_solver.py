@@ -48,20 +48,17 @@ class TestClosedForms:
         assert np.all(np.abs(surf.pi_hat[:-1]) < 1e-6)
 
     def test_merton_grid_convergence(self):
-        errs = []
+        # exact on every grid: the zero claim's rows are flat (see below)
         for n, m in ((50, 50), (100, 100), (200, 200)):
             surf = solve(merton_model(n), Claim.constant(0.0), m_space=m)
-            errs.append(abs(surface_at_origin(surf) - MERTON_J0))
-        assert errs[0] > errs[1] > errs[2]
+            assert abs(surface_at_origin(surf) - MERTON_J0) <= 1e-13, (n, m)
 
     def test_merton_first_order_in_dt(self):
-        # the explicit step grows Y by (1 - theta^2 dt / 2) where the exact
-        # factor is exp(-theta^2 dt / 2): J0 lies below MERTON_J0 by O(dt)
-        errs = [surface_at_origin(solve(merton_model(n), Claim.constant(0.0), m_space=n))
-                - MERTON_J0 for n in (50, 100, 200)]
-        assert all(e < 0.0 for e in errs)
-        for coarse, fine in zip(errs, errs[1:]):
-            assert 1.9 <= coarse / fine <= 2.1
+        # the exponential step grows Y by exp(-theta^2 dt / 2), the exact
+        # factor of a step: J0 is MERTON_J0 to rounding at every dt
+        for n in (50, 100, 200):
+            j0 = surface_at_origin(solve(merton_model(n), Claim.constant(0.0), m_space=n))
+            assert abs(j0 - MERTON_J0) <= 1e-13, n
 
 
 class TestInvariants:
@@ -128,28 +125,31 @@ class TestInvariants:
         assert np.all(s_lo.Y >= s_hi.Y - 1e-12)
 
     def test_domain_violation_reported(self):
-        # huge default-state payoff with coarse dt: E + U < 0 at some node
+        # a default-state payoff near the largest gamma*xi a row takes: the
+        # post-default Y shrinks by exp(-theta^2 dt / 2) below the smallest
+        # normal double
         model = MarketModel(grid=TimeGrid(1.0, 2),
-                            coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
+                            coeffs=RegimeCoefficients.constant(mu=0.2, sigma=0.2,
                                                                beta=0.5, lam=0.5),
                             gamma=1.0)
         with pytest.raises(SolverError, match=r"step \d+"):
-            solve(model, Claim.default_indicator(0.0, 20.0), m_space=20)
+            solve(model, Claim.default_indicator(0.0, 708.3), m_space=20)
 
     def test_post_default_mean_positivity_located(self):
         model = bond_model(4)
         space = SpaceGrid.for_model(model, 20)
         regime = _regimes(model, space, Quadrature.gauss_hermite(7), False)[3]
-        rows = np.stack([np.ones((1, 21)), np.zeros((1, 21))], axis=1)  # [b, n]: pre, post
+        # [b, n]: pre, post; a subnormal flat post-default row has a subnormal E
+        rows = np.stack([np.ones((1, 21)), np.full((1, 21), 1e-310)], axis=1)
         with pytest.raises(SolverError,
-                           match=r"E \(post-default\) positivity violated at step 3, node 0"):
+                           match=r"E \(post-default\) >= 2.22507e-308 violated at step 3, node 0"):
             _step(regime, StrategySet.symmetric(1.0), model.grid.dt, rows, 3)
 
     def test_means_of_both_regimes_checked_before_the_driver(self, monkeypatch):
         # one step checks E of both regimes, post-default first, calls the
         # driver once and then checks Y: a bad pre-default E is named before a
         # bad post-default Y of the same step
-        # lam = 0, so zero pre-default rows give E = 0
+        # lam = 0, so subnormal flat pre-default rows give the same E
         model = MarketModel(grid=TimeGrid(1.0, 4), gamma=1.0,
                             coeffs=RegimeCoefficients.constant(mu=0.0, sigma=0.2,
                                                                beta=0.0, lam=0.0))
@@ -164,8 +164,9 @@ class TestInvariants:
 
         with pytest.raises(SolverError, match=r"Y \(post-default\) positivity violated at step 3"):
             step(1.0)
-        with pytest.raises(SolverError, match=r"E \(pre-default\) positivity violated at step 3"):
-            step(0.0)
+        with pytest.raises(SolverError, match=r"E \(pre-default\) >= 2.22507e-308 violated "
+                                              r"at step 3"):
+            step(1e-310)
 
     def test_subnormal_y_located(self):
         # exp(-708) is a normal double, but Y decays by exp(-theta^2 (T - t) / 2)
@@ -233,37 +234,32 @@ class TestStencil:
     def test_cubics_read_exactly_inside_the_grid(self):
         x = self.space.nodes
         moves = np.array([-0.13, -0.02, 0.0, 0.071])
-        idx, taps = solver._stencil(self.space, moves, np.eye(4))
+        idx, taps = solver._stencil(self.space, moves)
         inside = slice(20, 81)  # every tap of these nodes lies on the grid
-        assert np.all((idx[:, inside] > 0) & (idx[:, inside] < 100))
+        assert np.all((idx[..., inside] > 0) & (idx[..., inside] < 100))
         for poly in ([1.0], [0.3, -1.2], [0.5, 0.1, 2.0], [-1.0, 0.4, 0.7, 3.0]):
-            got = taps @ np.polynomial.polynomial.polyval(x, poly)[idx]
+            got = (taps * np.polynomial.polynomial.polyval(x, poly)[idx]).sum(axis=0)
             want = np.polynomial.polynomial.polyval(x[None, :] + moves[:, None], poly)
             np.testing.assert_allclose(got[:, inside], want[:, inside], rtol=0, atol=1e-13)
 
     def test_beta_zero_jump_is_the_identity(self):
-        idx, taps = solver._stencil(self.space, np.array([0.0]), np.ones((1, 1)))
-        assert taps.tolist() == [[0.0, 1.0, 0.0, 0.0]]
+        idx, taps = solver._stencil(self.space, np.array([0.0]))
+        assert taps.ravel().tolist() == [0.0, 1.0, 0.0, 0.0]
         y = np.random.default_rng(1).uniform(0.1, 2.0, 101)
-        assert (taps @ y[idx]).tobytes() == y.tobytes()
+        assert (taps * y[idx]).sum(axis=0).tobytes() == y.tobytes()
 
     def test_products_do_not_depend_on_the_batch_or_row_width(self):
         # TestSharedRows rests on this: a column's bits equal its one-column
         # pass's only if a row's sums do not depend on how many rows the
         # product takes
-        (_, _, _, offsets, (lo, hi), jump_taps), = _regimes(self.model, self.space,
-                                                            self.quad, False)[:1]
-        assert lo.shape == hi.shape == (2, 2, 14) and jump_taps.shape == (2, 1, 4)
-
-        def products(rows):
-            b, r, w = rows.shape
-            taken = rows.reshape(b, r * w).take(offsets, axis=-1)
-            h = lo.shape[-1]
-            return (lo @ taken[:, :, :h], hi @ taken[:, :, h:h + h],
-                    jump_taps @ taken[:, :, h + h:])
-
+        regime, = _regimes(self.model, self.space, self.quad, False)[:1]
+        _, _, _, offsets, homes, taps, weights = regime
+        assert offsets.shape == (2, 4, 8, 101) and homes.shape == (2, 8, 101)
+        assert taps.shape == (2, 4, 8, 1)
+        assert weights.shape == (2, 7)  # the one product: inner dimension q = 7
         rows = np.random.default_rng(2).uniform(0.1, 2.0, (5, 2, 101))
-        for g, w in zip(products(rows), products(rows[:1])):
+        dt = self.model.grid.dt
+        for g, w in zip(_step(regime, None, dt, rows, 0), _step(regime, None, dt, rows[:1], 0)):
             assert g[:1].tobytes() == w.tobytes(), (
                 "B = 5 against B = 1: this numpy/BLAS build sums a matmul row differently "
                 "at different batch widths, so batched columns no longer equal their "
