@@ -7,14 +7,14 @@ unconstrained value is reached by geometric doubling of k with a relative
 Cauchy stopping rule (once the constraint stops binding, J0(k) flattens
 exponentially fast).
 
-`converge_legs` is the one doubling loop: it solves each claim (leg) once per
-k on a shared schedule; `converge` runs one leg.  It solves every doubling up
-to the cap for every leg in one backward pass, where a leg's ks share a row
-until their constraint binds, then applies the stopping rule k by k, so the
-schedule, k* and the errors are those of a serial run.  `k_sweep` solves its
-schedule in one pass too.  A k's runtime_ms is its share of its pass; `bound`
-records whether it binds: the clip gives +-k exactly, so whether the column's
-reach, its largest |pi|, is >= k.  `pricing` solves C = R directly, in one pass.
+`converge` runs the doubling loop for one claim.  It solves every doubling up
+to the cap in one backward pass, where the ks share a row until their
+constraint binds, then applies the stopping rule k by k, so the schedule, k*
+and the errors are those of a serial run.  `k_sweep` solves its schedule in
+one pass too, and both record their sweep in the one loop of `_sweep`.  A
+k's runtime_ms is its share of its pass; `bound` records whether it binds:
+the clip gives +-k exactly, so whether the claim's reach, its largest |pi|,
+is >= k.  `pricing` solves C = R directly, in one pass.
 
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported
@@ -34,7 +34,7 @@ from .solver import Quadrature, SolverError, SpaceGrid, solve_j0_batch
 # imported only so that benchmark/tracing.py can wrap it by this name
 from .solver import solve_bsde  # noqa: F401
 
-__all__ = ["KSweepResult", "NonConvergenceError", "k_sweep", "converge", "converge_legs", "solve_j0"]
+__all__ = ["KSweepResult", "NonConvergenceError", "k_sweep", "converge", "solve_j0"]
 
 MONOTONE_TOL = 1e-9
 MAX_DOUBLINGS = 20
@@ -86,41 +86,56 @@ def check_schedule(ks: list[float]) -> None:
         raise InputError("ks must be strictly increasing, positive and finite")
 
 
-def _solve_pass(model: MarketModel, claims, space: SpaceGrid, quad: Quadrature,
+def _solve_pass(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
                 ks: list[float]):
-    """Yield (k, J0 and bound per leg, runtime_ms) in k order from one pass over every (leg, k).
+    """Yield (k, J0, bound, runtime_ms) in k order from one pass over every k.
 
-    A leg binds at k when its reach, its largest |pi|, is >= k.  runtime_ms
-    is the k's share of the pass's wall time.  A pass that fails during its
-    steps is solved again one k at a time, so a SolverError carries the
-    ``k=...:`` tag of a serial run, and a k past the caller's stopping point
-    never raises.  An InputError, found before any work, passes as it is.
+    The claim binds at k when its reach, its largest |pi|, is >= k.
+    runtime_ms is the k's share of the pass's wall time.  A pass that fails
+    during its steps is solved again one k at a time, so a SolverError
+    carries the ``k=...:`` tag of a serial run, and a k past the caller's
+    stopping point never raises.  An InputError, found before any work,
+    passes as it is.
     """
-    t0, col_ks = time.perf_counter(), np.repeat(ks, len(claims))
+    t0 = time.perf_counter()
     try:
-        j0, reach = solve_j0_batch(model, [claim for _ in ks for claim in claims], col_ks,
-                                   space, quad)
+        j0, reach = solve_j0_batch(model, [claim] * len(ks), ks, space, quad)
     except SolverError as exc:
         if len(ks) == 1:
             raise SolverError(f"k={ks[0]:g}: {exc}") from exc
         for k in ks:
-            yield from _solve_pass(model, claims, space, quad, [k])
+            yield from _solve_pass(model, claim, space, quad, [k])
         return
     ms = 1e3 * (time.perf_counter() - t0) / len(ks)
-    shape = (len(ks), len(claims))
-    bound = (reach >= col_ks).reshape(shape).tolist()  # the clip gives +-k exactly
-    for k, row, hit in zip(ks, j0.reshape(shape).tolist(), bound):
-        yield k, row, hit, ms
+    # the clip gives +-k exactly
+    yield from zip(ks, j0.tolist(), (reach >= ks).tolist(), [ms] * len(ks))
 
 
 def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
              k: float) -> tuple[float, float]:
     """One solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
-    _, (j0,), _, ms = next(_solve_pass(model, (claim,), space, quad, [k]))
+    _, j0, _, ms = next(_solve_pass(model, claim, space, quad, [k]))
     return j0, ms
 
 
-def _finalize(res: KSweepResult) -> KSweepResult:
+def _sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
+           ks: list[float], tol_rel: float | None = None) -> KSweepResult:
+    """The sweep along ks from one pass, monotonicity checked as `k_sweep` says.
+
+    With tol_rel, stop at the first k where |J0(k) - J0(k/2)| <= tol_rel *
+    J0(k/2), the columns past it dropped, and mark the sweep converged at
+    that k.
+    """
+    res = KSweepResult(ks=[], j0s=[], runtimes_ms=[])
+    for k, j0, hit, ms in _solve_pass(model, claim, space, quad, ks):
+        res.ks.append(k)
+        res.j0s.append(j0)
+        res.bound.append(hit)
+        res.runtimes_ms.append(ms)
+        j = res.j0s
+        if tol_rel is not None and len(j) >= 2 and abs(j[-1] - j[-2]) <= tol_rel * abs(j[-2]):
+            res.converged, res.k_star = True, k
+            break
     res.noise_bound = 32.0 * np.finfo(float).eps * max(abs(v) for v in res.j0s)
     for (k1, j1), (k2, j2) in zip(zip(res.ks, res.j0s), zip(res.ks[1:], res.j0s[1:])):
         excess = j2 - j1 - MONOTONE_TOL - res.noise_bound
@@ -138,59 +153,23 @@ def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature
     Solver failures propagate tagged with the offending k.
     """
     check_schedule(ks)
-    res = KSweepResult(ks=list(ks), j0s=[], runtimes_ms=[])
-    for _, (j0,), (hit,), ms in _solve_pass(model, (claim,), space, quad, res.ks):
-        res.j0s.append(j0)
-        res.bound.append(hit)
-        res.runtimes_ms.append(ms)
-    return _finalize(res)
-
-
-def _cauchy(res: KSweepResult, tol_rel: float) -> bool:
-    j = res.j0s
-    return len(j) >= 2 and abs(j[-1] - j[-2]) <= tol_rel * abs(j[-2])
-
-
-def converge_legs(model: MarketModel, claims: tuple[Claim, ...], names: tuple[str, ...],
-                  space: SpaceGrid, quad: Quadrature, k0: float,
-                  tol_rel: float) -> list[KSweepResult]:
-    """Double k from k0, solving every leg once per k, until all legs are Cauchy.
-
-    Stops at the first k where each leg has |J0(2k) - J0(k)| <= tol_rel * J0(k);
-    returns one sweep per leg on that schedule.  One pass solves every doubling
-    up to the cap; the columns past the stopping k are dropped.  After
-    MAX_DOUBLINGS doublings (read at call time) raises NonConvergenceError
-    that names the failed legs and carries the sequence of the first.
-    """
-    check_doubling(k0, tol_rel)
-    legs = [KSweepResult(ks=[], j0s=[], runtimes_ms=[]) for _ in claims]
-    ks = [k0 * 2.0 ** i for i in range(MAX_DOUBLINGS + 1)]
-    for k, j0s, hits, ms in _solve_pass(model, claims, space, quad, ks):
-        for res, j0, hit in zip(legs, j0s, hits):
-            res.ks.append(k)
-            res.j0s.append(j0)
-            res.bound.append(hit)
-            res.runtimes_ms.append(ms)
-        if all(_cauchy(res, tol_rel) for res in legs):
-            for res in legs:
-                res.converged = True
-                res.k_star = k
-            return [_finalize(res) for res in legs]
-    bad = [i for i, res in enumerate(legs) if not _cauchy(res, tol_rel)]
-    first = legs[bad[0]]
-    raise NonConvergenceError(
-        f"approx: no k-convergence after {MAX_DOUBLINGS} doublings from k0={k0:g} for leg(s) "
-        f"{', '.join(names[i] for i in bad)} (J0 sequence of {names[bad[0]]}: {first.j0s})",
-        first.ks, first.j0s)
+    return _sweep(model, claim, space, quad, ks)
 
 
 def converge(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
              k0: float, tol_rel: float) -> tuple[float, KSweepResult]:
     """Double k from k0 until |J0(2k) - J0(k)| <= tol_rel * J0(k).
 
-    The one-leg case of `converge_legs`.  Returns the last value as the
-    unconstrained J(0) together with the sweep.  Raises NonConvergenceError
-    (with the full sequence) after MAX_DOUBLINGS doublings.
+    One pass solves every doubling up to the cap; the columns past the
+    stopping k are dropped.  Returns the last value as the unconstrained
+    J(0) together with the sweep.  Raises NonConvergenceError (with the full
+    sequence) after MAX_DOUBLINGS doublings, read at call time.
     """
-    (res,) = converge_legs(model, (claim,), ("claim",), space, quad, k0, tol_rel)
+    check_doubling(k0, tol_rel)
+    res = _sweep(model, claim, space, quad, [k0 * 2.0 ** i for i in range(MAX_DOUBLINGS + 1)],
+                 tol_rel)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"approx: no k-convergence after {MAX_DOUBLINGS} doublings from k0={k0:g} "
+            f"(J0 sequence: {res.j0s})", res.ks, res.j0s)
     return res.j0s[-1], res

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 an InputError (found before any work), 3 numerical
 failure, 4 I/O error.  Diagnostics go to stderr; machine output goes only to
-the declared output files or stdout.  The work rejects its own inputs, so
-only `oracle`, whose DP runs first, checks any up front.
+the declared output files or stdout.  The work rejects its own inputs:
+`oracle` checks only its DP and Monte Carlo inputs up front, then solves,
+and the solver checks its own before any work.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .oracle import (DPTree, brute_force_dp, dp_violations, martingale_check,
                      monte_carlo_violation)
 from .pricing import PriceReport, indifference_price
 from .solver import (Quadrature, SolverError, SpaceGrid, extract_optimal_strategy,
-                     pass_inputs, solve_bsde, surface_at_origin, surface_violation)
+                     pass_inputs, solve_bsde, surface_at_origin)
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
 
@@ -264,15 +265,14 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 def _cmd_price(cfg: RunConfig) -> int:
     report = indifference_price(cfg.model, cfg.claim, cfg.space, cfg.quad)
-    _diag(f"price: buy={report.buy_price:.12g} sell="
-          f"{'-' if report.sell_price is None else format(report.sell_price, '.12g')}")
+    _diag(f"price: buy={report.buy_price:.12g} sell={report.sell_price:.12g}")
     emit_report(report, cfg.output.get("price_json"))
     return 0
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
-    # the DP runs first, so the checks of martingale_check, solve_bsde and
-    # brute_force_dp run here, before it, and again where the work runs
+    # the DP and the drift check run after the solve, so their checks run here,
+    # before it, and again where the work runs; solve_bsde checks its own
     bad = monte_carlo_violation(cfg.model, cfg.n_paths, cfg.seed)
     if bad is not None:
         raise InputError(f"oracle: {bad}")
@@ -280,18 +280,12 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         tree = DPTree(cfg.n_small, cfg.q, cfg.g, cfg.k)  # the DP oracle's own range checks
     except ValueError as exc:
         raise InputError(f"oracle: {exc}") from exc
-    bad = surface_violation(cfg.model, cfg.space)
-    if bad is not None:
-        raise InputError(f"solver: {bad}")
-    _, rep = pass_inputs(cfg.model, (cfg.claim,), cfg.space)
-    if not rep.ok:
-        raise InputError("model: " + "; ".join(rep.violations))
     bad = dp_violations(cfg.model, cfg.claim, tree)
     if bad:
         raise InputError("oracle: " + "; ".join(bad))
-    dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     surface = solve_bsde(cfg.model, cfg.claim, StrategySet.symmetric(cfg.k),
                          cfg.space, cfg.quad)
+    dp = brute_force_dp(cfg.model, cfg.claim, cfg.k, cfg.n_small, cfg.q, cfg.g)
     j0 = surface_at_origin(surface)
     strategy = extract_optimal_strategy(surface)
     paths_csv = cfg.output.get("paths_csv")

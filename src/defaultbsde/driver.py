@@ -209,7 +209,7 @@ def minimize_driver(c: CoeffSnapshot, strat: StrategySet, y: float, z: float,
                     u: float) -> tuple[float, float]:
     """Constrained infimum of f_pi over pi in [lo, hi] and its argmin.
 
-    Raises ValueError unless y > 0 and y + u >= 0, the domain where the value
+    Raises InputError unless y > 0 and y + u >= 0, the domain where the value
     function lives.  The argmin is the closed-form root of df/dpi clipped to
     [lo, hi], exact up to rounding; under strict convexity it is unique, and
     in the degenerate width-zero set it is the single point (ties toward the
@@ -217,9 +217,9 @@ def minimize_driver(c: CoeffSnapshot, strat: StrategySet, y: float, z: float,
     """
     y, z, u = np.array([[y], [z], [u]], dtype=float)
     if y[0] <= 0.0:
-        raise ValueError("driver minimization requires y > 0")
+        raise InputError("driver minimization requires y > 0")
     if y[0] + u[0] < 0.0:
-        raise ValueError("driver minimization requires y + u >= 0")
+        raise InputError("driver minimization requires y + u >= 0")
     f, p = minimize_driver_grid(c, strat, y, z, u)
     return float(f[0]), float(p[0])
 

@@ -1,9 +1,8 @@
 """Hodges indifference prices from value functions with unbounded strategies.
 
 Buying price: p = (1/gamma) ln(J(0,0) / J(0,xi)); selling price: p* = -p(-xi).
-`indifference_price` reports both, the selling price when it is wanted.
-The legs of a price -- the zero claim, the claim and, for the selling
-price, the negated claim -- are the rows of one backward pass with C = R
+`indifference_price` reports both.  The legs of a price -- the zero claim,
+the claim and the negated claim -- are the rows of one backward pass with C = R
 (`solver.solve_j0_batch` with no ks).  They share the grid and the
 quadrature, so the discretization bias largely cancels in the ratio, and the
 zero leg serves both prices.
@@ -36,7 +35,7 @@ class PriceReport:
     J0_zero: float
     J0_claim: float
     buy_price: float
-    sell_price: float | None
+    sell_price: float
     settings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -50,26 +49,25 @@ def wealth_scaling(x: float, v0: float, gamma: float) -> float:
     return math.exp(-gamma * x) * v0
 
 
-def price_legs(claim: Claim, with_selling: bool = True) -> tuple:
+def price_legs(claim: Claim) -> tuple:
     """The legs that `indifference_price` solves, in pass order: the zero
-    claim, the claim and, when the selling price is wanted, the negated claim."""
-    return (Claim.constant(0.0), claim) + ((claim.negated(),) if with_selling else ())
+    claim, the claim and the negated claim."""
+    return Claim.constant(0.0), claim, claim.negated()
 
 
 def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
-                       quad: Quadrature, with_selling: bool = True) -> PriceReport:
-    """Hodges buying price of a claim and, when wanted, its selling price.
+                       quad: Quadrature) -> PriceReport:
+    """Hodges buying and selling prices of a claim.
 
-    Solves xi = 0, xi = claim and, when the selling price is wanted,
-    xi = -claim in one unbounded pass with identical numerical settings.
+    Solves xi = 0, xi = claim and xi = -claim in one unbounded pass with
+    identical numerical settings.
     diagnostics: k_bar, the largest |pi| of any leg, the largest reach the
     pass returns; ks = [k_bar] and k_star = k_bar, the bound whose J0 the
     pass equals; monotonicity, gamma k_bar sigma_max sqrt(dt) with sigma_max
     over both regimes.
     """
     gamma, dt = model.gamma, model.grid.dt
-    (zero, held, *sold), reach = solve_j0_batch(model, price_legs(claim, with_selling), None,
-                                                space, quad)
+    (zero, held, sold), reach = solve_j0_batch(model, price_legs(claim), None, space, quad)
     k_bar = float(reach.max())
     sigma_max = float(model.step_table[:, :, 1].max())
     return PriceReport(
@@ -77,7 +75,7 @@ def indifference_price(model: MarketModel, claim: Claim, space: SpaceGrid,
         J0_zero=float(zero),
         J0_claim=float(held),
         buy_price=math.log(zero / held) / gamma,
-        sell_price=-math.log(zero / sold[0]) / gamma if sold else None,
+        sell_price=-math.log(zero / sold) / gamma,
         settings={"N": model.grid.n_steps, "M": space.m_intervals,
                   "quad_nodes": int(quad.nodes.size)},
         diagnostics={"k_bar": k_bar, "ks": [k_bar], "k_star": k_bar,

@@ -82,7 +82,6 @@ __all__ = [
     "SolverError",
     "SURFACE_NODE_BUDGET",
     "MAX_QUAD_NODES",
-    "surface_violation",
     "solve_bsde",
     "solve_j0_batch",
     "pass_inputs",
@@ -447,10 +446,11 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     if strat.lo != -strat.hi:
         raise InputError(f"solver: the strategy set must be symmetric, [-k, k]; "
                          f"got [{strat.lo:g}, {strat.hi:g}]")
-    bad = surface_violation(model, space)
-    if bad is not None:
-        raise InputError(f"solver: {bad}")
     n_steps, m1 = model.grid.n_steps, space.nodes.size
+    if (n_steps + 1) * m1 > SURFACE_NODE_BUDGET:
+        raise InputError(f"solver: {n_steps + 1} steps x {m1} nodes = {(n_steps + 1) * m1} "
+                         f"node-steps exceeds the surface budget {SURFACE_NODE_BUDGET}; "
+                         "reduce N or M")
     # the pass writes every row but the last, so no page is touched before its checks
     Y, Z, pi_hat = (np.empty((n_steps + 1, m1, 2)) for _ in range(3))
     U = np.empty((n_steps + 1, m1))
@@ -463,16 +463,6 @@ def solve_bsde(model: MarketModel, claim: Claim, strat: StrategySet,
     Z[n_steps] = U[n_steps] = pi_hat[n_steps] = np.nan
     return ValueSurface(model=model, claim=claim, strategy_set=strat, space=space,
                         quad=quad, Y=Y, Z=Z, U=U, pi_hat=pi_hat)
-
-
-def surface_violation(model: MarketModel, space: SpaceGrid) -> str | None:
-    """Say why solve_bsde cannot keep the surface of this grid, or None."""
-    nodes = (model.grid.n_steps + 1) * space.nodes.size
-    if nodes > SURFACE_NODE_BUDGET:
-        return (f"{model.grid.n_steps + 1} steps x {space.nodes.size} nodes = {nodes} "
-                f"node-steps exceeds the surface budget {SURFACE_NODE_BUDGET}; "
-                "reduce N or M")
-    return None
 
 
 def solve_j0_batch(model: MarketModel, claims, ks, space: SpaceGrid,

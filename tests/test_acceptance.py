@@ -43,7 +43,7 @@ def test_criterion_2_defaultable_bond():
     space, quad = solve_setup(model, m_space=100)
     surf = solve_bsde(model, BOND_CLAIM, StrategySet(-2, 2), space, quad)
     j0 = surface_at_origin(surf)
-    rep = indifference_price(model, BOND_CLAIM, space, quad, with_selling=False)
+    rep = indifference_price(model, BOND_CLAIM, space, quad)
     err_j = abs(j0 - BOND_J0)
     err_p = abs(rep.buy_price - BOND_BUY)
     check(2, "defaultable bond value and price", err_j < 5e-3 and err_p < 5e-3,
@@ -121,10 +121,9 @@ def test_criterion_3_cash_translation():
         model = random_mild_model(rng, n_steps=50)
         claim = random_claim(rng)
         space, quad = solve_setup(model, m_space=40)
-        base = indifference_price(model, claim, space, quad, with_selling=False).buy_price
+        base = indifference_price(model, claim, space, quad).buy_price
         for c in (-1.0, 0.5, 3.0):
-            shifted = indifference_price(model, claim.shifted(c), space, quad,
-                                         with_selling=False).buy_price
+            shifted = indifference_price(model, claim.shifted(c), space, quad).buy_price
             worst = max(worst, abs((shifted - base) - c))
     check(3, "cash translation p(xi+c)-p(xi)=c", worst < 1e-10, f"worst={worst:.2e}")
 

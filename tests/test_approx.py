@@ -9,7 +9,6 @@ from defaultbsde import (Claim, CoeffSnapshot, MarketModel,
                          SolverError, StrategySet, TimeGrid, converge,
                          approx, indifference_price, k_sweep, solve_bsde, solver,
                          surface_at_origin)
-from defaultbsde.approx import converge_legs
 from defaultbsde.driver import minimize_driver_grid
 from defaultbsde.solver import solve_j0_batch
 
@@ -274,11 +273,9 @@ class TestBatchedPass:
     def test_per_k_j0_matches_interp_reference(self, market, refined):
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
-        legs = (ZERO_CLAIM, claim, claim.negated())
-        got = converge_legs(model, legs, ("zero", "claim", "negated claim"), space, quad,
-                            0.25, 1e-6)
-        assert len(got[0].ks) > 2
-        for res, leg in zip(got, legs):
+        for leg in (ZERO_CLAIM, claim, claim.negated()):
+            _, res = converge(model, leg, space, quad, 0.25, 1e-6)
+            assert len(res.ks) > 2
             want = [reference_j0(model, leg, k, space, quad) for k in res.ks]
             np.testing.assert_allclose(res.j0s, want, rtol=1e-13, atol=0.0)
 
@@ -371,20 +368,27 @@ class TestSharedRows:
     def test_price_legs_equal_one_column_solves(self, market, refined):
         model, claim = market()
         space, quad = solve_setup(model, m_space=40)
-        legs = (ZERO_CLAIM, claim, claim.negated())
-        got = converge_legs(model, legs, ("zero", "claim", "negated claim"), space, quad,
-                            0.25, 1e-6)
-        # the serial run: one column per solve, the stopping rule k by k
-        ks, want = [], [[] for _ in legs]
-        while len(ks) < 2 or any(abs(w[-1][0] - w[-2][0]) > 1e-6 * abs(w[-2][0])
-                                 for w in want):
-            ks.append(0.25 * 2.0 ** len(ks))
-            for w, leg in zip(want, legs):
+        for leg in (ZERO_CLAIM, claim, claim.negated()):
+            _, res = converge(model, leg, space, quad, 0.25, 1e-6)
+            # the serial run: one column per solve, the stopping rule k by k
+            ks, want = [], []
+            while len(ks) < 2 or abs(want[-1][0] - want[-2][0]) > 1e-6 * abs(want[-2][0]):
+                ks.append(0.25 * 2.0 ** len(ks))
                 j0, reach = solve_j0_batch(model, [leg], [ks[-1]], space, quad)
-                w.append((j0[0], reach[0] >= ks[-1]))
-        for res, w in zip(got, want):
+                want.append((j0[0], reach[0] >= ks[-1]))
             assert (res.ks, res.k_star) == (ks, ks[-1])
-            assert list(zip(res.j0s, res.bound)) == w
+            assert list(zip(res.j0s, res.bound)) == want
+
+    @pytest.mark.parametrize("market", [drifted_bond_market, jump_market, piecewise_market])
+    def test_converge_sweep_is_k_sweep_over_its_ks(self, market):
+        # converge's pass holds every doubling up to the cap, k_sweep's only
+        # the ks converge kept: no row depends on the batch
+        model, claim = market()
+        space, quad = solve_setup(model, m_space=40)
+        for leg in (ZERO_CLAIM, claim, claim.negated()):
+            _, res = converge(model, leg, space, quad, 0.25, 1e-6)
+            swept = k_sweep(model, leg, space, quad, res.ks)
+            assert (swept.ks, swept.j0s, swept.bound) == (res.ks, res.j0s, res.bound)
 
     @ONE_SCHEME
     def test_nested_split_within_one_step(self, monkeypatch, refined):
@@ -433,8 +437,8 @@ class TestSharedRows:
     def test_bound_per_k_reported_not_emitted(self):
         model, claim = drifted_bond_market()
         space, quad = solve_setup(model, m_space=40)
-        legs = converge_legs(model, (ZERO_CLAIM, claim, claim.negated()),
-                             ("zero", "claim", "negated claim"), space, quad, 0.25, 1e-6)
+        legs = [converge(model, leg, space, quad, 0.25, 1e-6)[1]
+                for leg in (ZERO_CLAIM, claim, claim.negated())]
         # vertex mu / (gamma sigma^2) = 2.5: k <= 2 binds, k = 4 and k* = 8 do not
         assert [res.ks for res in legs] == [[0.25, 0.5, 1.0, 2.0, 4.0, 8.0]] * 3
         assert [res.bound for res in legs] == [[True] * 4 + [False] * 2] * 3
@@ -492,9 +496,10 @@ class TestVisitors:
 
 
 def loop_price(model, claim, space, quad):
-    """(buy, sell) from the k loop's legs at k*, and whether each leg binds there."""
-    legs = converge_legs(model, (ZERO_CLAIM, claim, claim.negated()),
-                         ("zero", "claim", "negated claim"), space, quad, 0.25, 1e-6)
+    """(buy, sell) from the k loop's value of each leg at its own k*, and
+    whether each leg binds there."""
+    legs = [converge(model, leg, space, quad, 0.25, 1e-6)[1]
+            for leg in (ZERO_CLAIM, claim, claim.negated())]
     zero, held, sold = (res.j0s[-1] for res in legs)
     return (math.log(zero / held) / model.gamma, -math.log(zero / sold) / model.gamma,
             [res.bound[-1] for res in legs])
@@ -659,27 +664,25 @@ class TestBlockFailures:
 
     def setup_method(self):
         # a claim that depends on S keeps the pass M+1 nodes wide, so node 17
-        # exists; k0 = 0.5 stops at k* = 8, and k <= 2 binds at step 49
+        # exists; k0 = 0.5 stops at k* = 4, and k <= 2 binds at step 49
         self.model, _ = drifted_bond_market()
         self.space, self.quad = solve_setup(self.model, m_space=40)
 
-    def legs(self, claim=LOG_CLAIM):
-        return converge_legs(self.model, (ZERO_CLAIM, claim), ("zero", "claim"),
-                             self.space, self.quad, 0.5, 1e-6)
+    def sweep(self, claim=LOG_CLAIM):
+        return converge(self.model, claim, self.space, self.quad, 0.5, 1e-6)[1]
 
     def test_failure_past_k_star_is_never_raised(self, monkeypatch):
-        want = self.legs()
-        assert want[0].ks == [0.5, 1.0, 2.0, 4.0, 8.0]
-        fail_columns_above(monkeypatch, 10.0)
-        got = self.legs()
-        for a, b in zip(got, want):
-            assert (a.ks, a.j0s, a.k_star) == (b.ks, b.j0s, b.k_star)
+        want = self.sweep()
+        assert want.ks == [0.5, 1.0, 2.0, 4.0]
+        fail_columns_above(monkeypatch, 5.0)  # from k = 8, the first k past k*
+        got = self.sweep()
+        assert (got.ks, got.j0s, got.k_star) == (want.ks, want.j0s, want.k_star)
 
     def test_failure_at_or_below_k_star_tagged_with_k(self, monkeypatch):
         fail_columns_above(monkeypatch, 3.0)
         with pytest.raises(SolverError, match=r"^k=4: solver: Y \(post-default\) "
                                               r"positivity violated at step 49, node 17 "):
-            self.legs()
+            self.sweep()
 
     def test_node_counted_within_the_failing_column(self, monkeypatch):
         fail_columns_above(monkeypatch, 3.0)
@@ -690,11 +693,11 @@ class TestBlockFailures:
     def test_flat_pass_names_node_0(self, monkeypatch):
         # the bond's pass runs one node wide; a full-width flat row names
         # node 0 as well, since argmin over equal values returns the first
-        assert self.legs(BOND_CLAIM)[0].ks == [0.5, 1.0, 2.0, 4.0, 8.0]
+        assert self.sweep(BOND_CLAIM).ks == [0.5, 1.0, 2.0, 4.0, 8.0]
         fail_columns_above(monkeypatch, 3.0, node=None)
         with pytest.raises(SolverError, match=r"^k=4: solver: Y \(post-default\) "
                                               r"positivity violated at step 49, node 0 "):
-            self.legs(BOND_CLAIM)
+            self.sweep(BOND_CLAIM)
 
 
 FLAT_LEGS = (ZERO_CLAIM, BOND_CLAIM, BOND_CLAIM.negated())

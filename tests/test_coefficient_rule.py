@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from defaultbsde import (MarketModel, PiecewiseConstant, Quadrature, RegimeCoefficients,
-                         TimeGrid, cli, oracle)
+                         TimeGrid, cli, oracle, solver)
 from defaultbsde.cli import main
 
 from conftest import coeffs_in_force
@@ -163,7 +163,7 @@ class WorkStarted(Exception):
 
 def test_oracle_rejects_before_work_what_any_of_its_times_break(tmp_path, capsys,
                                                                 monkeypatch):
-    real_dp, dp_runs = oracle.brute_force_dp, []
+    real_dp, real_solve, dp_runs = oracle.brute_force_dp, cli.solve_bsde, []
 
     def dp_then_stop(*args, **kwargs):
         dp_runs.append(real_dp(*args, **kwargs))  # raises on the DP's own check
@@ -172,8 +172,17 @@ def test_oracle_rejects_before_work_what_any_of_its_times_break(tmp_path, capsys
     def no_work(*args, **kwargs):
         raise WorkStarted
 
+    def checks_then_skip(*args, **kwargs):
+        # the solve runs first and checks its own inputs; its first step is work
+        try:
+            real_solve(*args, **kwargs)
+        except WorkStarted:
+            return None
+        raise AssertionError("the solve took no step")
+
     monkeypatch.setattr(cli, "brute_force_dp", dp_then_stop)
-    monkeypatch.setattr(cli, "solve_bsde", no_work)
+    monkeypatch.setattr(cli, "solve_bsde", checks_then_skip)
+    monkeypatch.setattr(solver, "_step", no_work)
     monkeypatch.setattr(oracle, "simulate_paths", no_work)
     wrong = []
     for c, raw in enumerate(CONFIGS):

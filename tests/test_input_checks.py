@@ -5,8 +5,9 @@ with the report of every rule a pass checks before any work, and
 `solve_j0_batch` raises one `InputError` on it.  `validate` reports the same
 rule for the claim, so the library pass rejects exactly what `validate`
 rejects, with the message that `validate` prints.  `solve`, `converge` and
-`price` make no check of their own, and an AST guard keeps each rule's
-callers to the few listed here.
+`price` make no check of their own, `oracle` checks only its DP and Monte
+Carlo inputs before the solve, and an AST guard keeps each rule's callers to
+the few listed here.
 """
 import ast
 import collections
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from defaultbsde import (CoeffSnapshot, InputError, NonConvergenceError, Quadrature, SolverError,
-                         SpaceGrid, TimeGrid, approx, cli, converge, model, oracle, solver)
+                         SpaceGrid, StrategySet, TimeGrid, approx, cli, converge, driver, model,
+                         oracle, solver)
 from defaultbsde.solver import solve_j0_batch
 
 from test_coefficient_rule import CONFIGS, PUT, model_of, run_config
@@ -121,6 +123,7 @@ def test_library_rejections_raise_input_errors():
     # the coefficient, claim and path-count checks a library caller meets
     # first raise the one rejection class as well
     m, claim, _, _ = inputs(VALID)
+    snap = CoeffSnapshot(0.05, 0.2, 0.1, -0.3, 1.0)
 
     def no_trade(t, s, n):
         return 0.0 * s
@@ -139,7 +142,9 @@ def test_library_rejections_raise_input_errors():
                   lambda: CoeffSnapshot(0.05, 0.0, 0.1, 0.0, 1.0),
                   lambda: CoeffSnapshot(0.05, 0.2, -0.1, 0.0, 1.0),
                   lambda: CoeffSnapshot(0.05, 0.2, 0.1, -1.0, 1.0),
-                  lambda: CoeffSnapshot(0.05, 0.2, 0.1, 0.0, 0.0)):
+                  lambda: CoeffSnapshot(0.05, 0.2, 0.1, 0.0, 0.0),
+                  lambda: driver.minimize_driver(snap, StrategySet.symmetric(1.0), 0.0, 0.1, 0.0),
+                  lambda: driver.minimize_driver(snap, StrategySet.symmetric(1.0), 1.0, 0.1, -2.0)):
         with pytest.raises(InputError):
             build()
 
@@ -159,10 +164,13 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("subcommand", ["price", "solve", "converge"])
+@pytest.mark.parametrize("subcommand", ["price", "solve", "converge", "oracle"])
 @pytest.mark.parametrize("gamma, code", [(1.0, 0), (0.0, 2)])
 def test_each_check_runs_once_per_command(tmp_path, capsys, calls, subcommand, gamma, code):
-    assert run_config(tmp_path, edited("gamma", value=gamma), subcommand) == code
+    raw = edited("gamma", value=gamma)
+    # a DP inside the node budget: (2 q)^N_small = 216 leaves
+    raw["oracle"] = {"N_small": 3, "q": 3, "G": 5, "n_paths": 1000}
+    assert run_config(tmp_path, raw, subcommand) == code
     if code:
         assert capsys.readouterr().err == "model: gamma must be positive\n"
     checks = {"pass_inputs": 1, "validate_model": 1, "coefficient_violations": 1}
@@ -184,9 +192,8 @@ CALLERS = {
     # the model's rules, which a pass reads through its one check, and which
     # the loader names when a coefficient leaves no grid
     "validate_model": {("solver", "pass_inputs"), ("cli", "load_config")},
-    # the pass's check: by the pass, by `validate`, and by `oracle` before its DP
-    "pass_inputs": {("solver", "solve_j0_batch"), ("cli", "_cmd_validate"),
-                    ("cli", "_cmd_oracle")},
+    # the pass's check: by the pass and by `validate`
+    "pass_inputs": {("solver", "solve_j0_batch"), ("cli", "_cmd_validate")},
 }
 
 

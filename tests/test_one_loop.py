@@ -4,6 +4,10 @@
 package, and every call there sits in one `for` loop.  `solve_bsde`'s surface
 is that loop's one visitor, and the price reads k-bar from the pass's reach,
 so a second backward loop, or a second visitor, fails here.
+
+Likewise the k loop has one recording loop: every loop over
+`approx._solve_pass(...)` sits in `approx._sweep`, which records the sweep of
+both `k_sweep` and `converge`.
 """
 import ast
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "defaultbsde"
 LOOP_OWNER = "solve_j0_batch"
+SWEEP_OWNER = "_sweep"
 
 
 def step_calls(tree: ast.Module) -> list[tuple[int, str, ast.AST | None]]:
@@ -88,3 +93,31 @@ def test_visitor_guard_sees_each_kind_of_call():
            "def g():\n    solver.solve_j0_batch(m, c, ks, s, q, visit=keep)\n"
            "def h():\n    solve_j0_batch(m, c, ks, s, q)\n")
     assert visitor_passes(ast.parse(src)) == [(2, "f"), (4, "g")]
+
+
+def pass_loops(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level definition) of every for loop or comprehension in
+    ``tree`` whose iterable is a call of `_solve_pass`, by name or as an attribute."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            it = getattr(node, "iter", None)
+            func = getattr(it, "func", None)
+            if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(it, ast.Call)
+                    and "_solve_pass" in (getattr(func, "id", None), getattr(func, "attr", None))):
+                found.append((it.lineno, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_loop_records_the_sweeps():
+    found = [(path.name, owner) for path in sorted(PACKAGE.glob("*.py"))
+             for _, owner in pass_loops(ast.parse(path.read_text()))]
+    assert found == [("approx.py", SWEEP_OWNER)]
+
+
+def test_pass_loop_guard_sees_each_kind_of_loop():
+    src = ("def f():\n    for k, j0, hit, ms in _solve_pass(m, c, s, q, ks):\n        pass\n"
+           "def g():\n    return [j0 for _, j0, _, _ in approx._solve_pass(m, c, s, q, ks)]\n"
+           "def h():\n    for k in ks:\n        yield from _solve_pass(m, c, s, q, [k])\n"
+           "    next(_solve_pass(m, c, s, q, ks))\n")
+    assert pass_loops(ast.parse(src)) == [(2, "f"), (5, "g")]

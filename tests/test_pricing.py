@@ -14,9 +14,9 @@ from conftest import (BOND_BUY, BOND_CLAIM, BOND_SELL, bond_model, merton_model,
                       random_claim, random_mild_model, solve_setup)
 
 
-def price(model, claim, m_space=60, **kw):
+def price(model, claim, m_space=60):
     space, quad = solve_setup(model, m_space=m_space)
-    return indifference_price(model, claim, space, quad, **kw)
+    return indifference_price(model, claim, space, quad)
 
 
 def drifted_bond_model(n_steps=50):
@@ -78,15 +78,15 @@ class TestBuyPrice:
 
     def test_translation_by_constant(self):
         model = bond_model(50)
-        base = price(model, BOND_CLAIM, with_selling=False)
+        base = price(model, BOND_CLAIM)
         for c in (-1.0, 0.5):
-            shifted = price(model, BOND_CLAIM.shifted(c), with_selling=False)
+            shifted = price(model, BOND_CLAIM.shifted(c))
             assert abs((shifted.buy_price - base.buy_price) - c) < 1e-10
 
     def test_monotone_in_claim(self):
         model = bond_model(50)
-        rep_lo = price(model, Claim.default_indicator(0.5, 0.1), with_selling=False)
-        rep_hi = price(model, Claim.default_indicator(0.9, 0.3), with_selling=False)
+        rep_lo = price(model, Claim.default_indicator(0.5, 0.1))
+        rep_hi = price(model, Claim.default_indicator(0.9, 0.3))
         assert rep_lo.buy_price <= rep_hi.buy_price + 1e-9
 
     def test_nonnegative_claim_nonnegative_price(self):
@@ -95,7 +95,7 @@ class TestBuyPrice:
         claim = random_claim(rng)
         if claim.bounds()[0] < 0:
             claim = claim.shifted(-claim.bounds()[0])
-        rep = price(model, claim, m_space=40, with_selling=False)
+        rep = price(model, claim, m_space=40)
         assert rep.buy_price >= -1e-9
 
 
@@ -104,8 +104,7 @@ class TestSellPrice:
         model = bond_model(50)
         space, quad = solve_setup(model, m_space=60)
         sell = indifference_price(model, BOND_CLAIM, space, quad).sell_price
-        buy_of_neg = indifference_price(model, BOND_CLAIM.negated(), space, quad,
-                                        with_selling=False).buy_price
+        buy_of_neg = indifference_price(model, BOND_CLAIM.negated(), space, quad).buy_price
         assert sell == pytest.approx(-buy_of_neg, abs=1e-12)
 
 
@@ -127,8 +126,7 @@ class TestOnePass:
         monkeypatch.setattr(pricing, "solve_j0_batch", counting)
         monkeypatch.setattr(solver, "minimize_driver_grid", driver)
         model = drifted_bond_model()
-        rep = price(model, BOND_CLAIM)
-        assert rep.sell_price is not None
+        price(model, BOND_CLAIM)
         # one pass with no bound: one row each for zero, claim and negated
         # claim, stepped once per step; the zero leg serves both prices
         assert calls == [([Claim.constant(0.0), BOND_CLAIM, BOND_CLAIM.negated()], None)]
