@@ -17,8 +17,8 @@ claim = Claim.constant(0.0)
 
 res = k_sweep(model, claim, space, quad, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 print("k-sweep (J0 must be nonincreasing):")
-for k, j0, ms in zip(res.ks, res.j0s, res.runtimes_ms):
-    print(f"  k={k:5.2f}  J0={j0:.10f}  ({ms:6.1f} ms)")
+for k, j0, hit in zip(res.ks, res.j0s, res.bound):
+    print(f"  k={k:5.2f}  J0={j0:.10f}  {'binds' if hit else 'slack'}")
 print("monotone violations beyond 1e-9 + noise:", res.monotone_violations)
 
 j0, sweep = converge(model, claim, space, quad, k0=0.25, tol_rel=1e-8)

@@ -11,10 +11,10 @@ exponentially fast).
 to the cap in one backward pass, where the ks share a row until their
 constraint binds, then applies the stopping rule k by k, so the schedule, k*
 and the errors are those of a serial run.  `k_sweep` solves its schedule in
-one pass too, and both record their sweep in the one loop of `_sweep`.  A
-k's runtime_ms is its share of its pass; `bound` records whether it binds:
-the clip gives +-k exactly, so whether the claim's reach, its largest |pi|,
-is >= k.  `pricing` solves C = R directly, in one pass.
+one pass too, and both record their sweep in the one loop of `_sweep`.
+`bound` records whether a k binds: the clip gives +-k exactly, so whether
+the claim's reach, its largest |pi|, is >= k.  `pricing` solves C = R
+directly, in one pass.
 
 Exact monotonicity in k holds in continuous time; the discrete scheme can
 break it by rounding-level noise, so violations beyond 1e-9 plus a reported
@@ -23,7 +23,6 @@ noise bound are recorded on the result rather than asserted away.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,19 +54,17 @@ class KSweepResult:
 
     ks: list[float]
     j0s: list[float]
-    runtimes_ms: list[float]
-    converged: bool = False
     k_star: float | None = None
     monotone_violations: list[tuple[float, float, float]] = field(default_factory=list)
     noise_bound: float = 0.0
     bound: list[bool] = field(default_factory=list)  # per k: did pi reach +-k somewhere
 
     def to_csv(self, path) -> None:
-        """Columns k,J0,runtime_ms (runtime is a wall-clock diagnostic)."""
+        """Columns k,J0."""
         with open_output(path) as fh:
-            fh.write("k,J0,runtime_ms\n")
-            for k, j0, ms in zip(self.ks, self.j0s, self.runtimes_ms):
-                fh.write(f"{k:.12g},{j0:.12g},{ms:.3f}\n")
+            fh.write("k,J0\n")
+            for k, j0 in zip(self.ks, self.j0s):
+                fh.write(f"{k:.12g},{j0:.12g}\n")
 
 
 def check_doubling(k0: float, tol_rel: float) -> None:
@@ -88,16 +85,14 @@ def check_schedule(ks: list[float]) -> None:
 
 def _solve_pass(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
                 ks: list[float]):
-    """Yield (k, J0, bound, runtime_ms) in k order from one pass over every k.
+    """Yield (k, J0, bound) in k order from one pass over every k.
 
-    The claim binds at k when its reach, its largest |pi|, is >= k.
-    runtime_ms is the k's share of the pass's wall time.  A pass that fails
-    during its steps is solved again one k at a time, so a SolverError
-    carries the ``k=...:`` tag of a serial run, and a k past the caller's
-    stopping point never raises.  An InputError, found before any work,
-    passes as it is.
+    The claim binds at k when its reach, its largest |pi|, is >= k.  A pass
+    that fails during its steps is solved again one k at a time, so a
+    SolverError carries the ``k=...:`` tag of a serial run, and a k past the
+    caller's stopping point never raises.  An InputError, found before any
+    work, passes as it is.
     """
-    t0 = time.perf_counter()
     try:
         j0, reach = solve_j0_batch(model, [claim] * len(ks), ks, space, quad)
     except SolverError as exc:
@@ -106,16 +101,15 @@ def _solve_pass(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadra
         for k in ks:
             yield from _solve_pass(model, claim, space, quad, [k])
         return
-    ms = 1e3 * (time.perf_counter() - t0) / len(ks)
     # the clip gives +-k exactly
-    yield from zip(ks, j0.tolist(), (reach >= ks).tolist(), [ms] * len(ks))
+    yield from zip(ks, j0.tolist(), (reach >= ks).tolist())
 
 
 def solve_j0(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
-             k: float) -> tuple[float, float]:
-    """One solve on C = [-k, k]; returns (J0, runtime_ms); failures are tagged with k."""
-    _, j0, _, ms = next(_solve_pass(model, claim, space, quad, [k]))
-    return j0, ms
+             k: float) -> float:
+    """One solve on C = [-k, k]; returns J0; failures are tagged with k."""
+    _, j0, _ = next(_solve_pass(model, claim, space, quad, [k]))
+    return j0
 
 
 def _sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
@@ -123,18 +117,16 @@ def _sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
     """The sweep along ks from one pass, monotonicity checked as `k_sweep` says.
 
     With tol_rel, stop at the first k where |J0(k) - J0(k/2)| <= tol_rel *
-    J0(k/2), the columns past it dropped, and mark the sweep converged at
-    that k.
+    J0(k/2), the columns past it dropped, and set k_star to that k.
     """
-    res = KSweepResult(ks=[], j0s=[], runtimes_ms=[])
-    for k, j0, hit, ms in _solve_pass(model, claim, space, quad, ks):
+    res = KSweepResult(ks=[], j0s=[])
+    for k, j0, hit in _solve_pass(model, claim, space, quad, ks):
         res.ks.append(k)
         res.j0s.append(j0)
         res.bound.append(hit)
-        res.runtimes_ms.append(ms)
         j = res.j0s
         if tol_rel is not None and len(j) >= 2 and abs(j[-1] - j[-2]) <= tol_rel * abs(j[-2]):
-            res.converged, res.k_star = True, k
+            res.k_star = k
             break
     res.noise_bound = 32.0 * np.finfo(float).eps * max(abs(v) for v in res.j0s)
     for (k1, j1), (k2, j2) in zip(zip(res.ks, res.j0s), zip(res.ks[1:], res.j0s[1:])):
@@ -146,7 +138,7 @@ def _sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
 
 def k_sweep(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadrature,
             ks: list[float]) -> KSweepResult:
-    """Solve every k of an increasing positive schedule in one pass; record J0 and runtime.
+    """Solve every k of an increasing positive schedule in one pass; record J0 and bound.
 
     Monotone nonincrease of J0 is checked within 1e-9 plus the reported noise
     bound; violations are recorded on the result, not silently tolerated.
@@ -168,7 +160,7 @@ def converge(model: MarketModel, claim: Claim, space: SpaceGrid, quad: Quadratur
     check_doubling(k0, tol_rel)
     res = _sweep(model, claim, space, quad, [k0 * 2.0 ** i for i in range(MAX_DOUBLINGS + 1)],
                  tol_rel)
-    if not res.converged:
+    if res.k_star is None:
         raise NonConvergenceError(
             f"approx: no k-convergence after {MAX_DOUBLINGS} doublings from k0={k0:g} "
             f"(J0 sequence: {res.j0s})", res.ks, res.j0s)

@@ -3,7 +3,7 @@
 Subcommands:
     validate   model checks only (JSON report)
     solve      one BSDE solve at numerics.k (surface CSV)
-    converge   k-doubling sweep (CSV: k,J0,runtime_ms)
+    converge   k-doubling sweep (CSV: k,J0)
     price      indifference price report (JSON)
     oracle     brute-force DP + martingale drift check (drift CSV)
 

@@ -378,10 +378,10 @@ def simulate_paths(model: MarketModel, strategy: Strategy, n_paths: int,
     step are read from one table, before the loop, and a step's arithmetic
     runs in place in preallocated rows.
     """
-    if n_paths <= 0:
-        raise InputError("n_paths must be positive")
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise InputError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**128):  # Philox's key range
+        raise InputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     g = model.grid
     n, dt = g.n_steps, g.dt
     times = g.times()

@@ -154,6 +154,8 @@ class Quadrature:
     @functools.cache
     def gauss_hermite(cls, m: int = 7) -> "Quadrature":
         """The m-node rule, built once per m; its arrays are read-only."""
+        if not isinstance(m, (int, np.integer)):
+            raise InputError(f"the number of quadrature nodes must be an integer, got {m!r}")
         if m < 1:
             raise InputError("need at least one quadrature node")
         if m > MAX_QUAD_NODES:  # hermgauss would first build a dense m x m matrix

@@ -300,7 +300,7 @@ class TestConverge:
             output={"sweep_csv": str(out)})
         assert main(["converge", str(cfg)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "k,J0,runtime_ms"
+        assert lines[0] == "k,J0"
         last_j0 = float(lines[-1].split(",")[1])
         assert abs(last_j0 - MERTON_J0) < 1e-3
 

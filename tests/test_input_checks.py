@@ -114,13 +114,13 @@ def test_value_objects_raise_input_errors():
     for build in (lambda: oracle.brute_force_dp(m, claim, -1.0, 3, 3, 5),
                   lambda: approx.solve_j0(m, claim, space, quad, -1.0),
                   lambda: TimeGrid(1.0, 0), lambda: SpaceGrid(1, 1.0),
-                  lambda: Quadrature.gauss_hermite(0)):
+                  lambda: Quadrature.gauss_hermite(0), lambda: Quadrature.gauss_hermite(2.5)):
         with pytest.raises(InputError):
             build()
 
 
 def test_library_rejections_raise_input_errors():
-    # the coefficient, claim and path-count checks a library caller meets
+    # the coefficient, claim, path-count and seed checks a library caller meets
     # first raise the one rejection class as well
     m, claim, _, _ = inputs(VALID)
     snap = CoeffSnapshot(0.05, 0.2, 0.1, -0.3, 1.0)
@@ -139,6 +139,9 @@ def test_library_rejections_raise_input_errors():
                   lambda: model.claim_payoff(claim, 0.0, 0),
                   lambda: model.simulate_paths(m, no_trade, 0, 1),
                   lambda: model.simulate_paths(m, no_trade, 10, -1),
+                  lambda: model.simulate_paths(m, no_trade, 10, 2**128),
+                  lambda: model.simulate_paths(m, no_trade, 10, math.nan),
+                  lambda: model.simulate_paths(m, no_trade, 2.5, 1),
                   lambda: CoeffSnapshot(0.05, 0.0, 0.1, 0.0, 1.0),
                   lambda: CoeffSnapshot(0.05, 0.2, -0.1, 0.0, 1.0),
                   lambda: CoeffSnapshot(0.05, 0.2, 0.1, -1.0, 1.0),
